@@ -9,14 +9,12 @@ known-values registry (:mod:`zqforce.families`).
 """
 
 from .graphs import (
-    ColouredState,
     Graph,
     build_graph,
     ccr_closure,
     induced_subgraph,
     parse_edge_list,
     parse_graph6,
-    single_forces,
     to_graph6,
     uncoloured_components,
     vertex_connectivity,

@@ -411,35 +411,33 @@ class ProbeReport:
         return "\n".join([head] + body) + "\n"
 
 
+# name -> (generator, conjectured Z_0, conjectured Z_1), all taking (n, m)
+_GAME_PROBES = {
+    "bipartite_prism": (bipartite_prism, lambda n, m: 2 * min(n, m), lambda n, m: n + m),
+    "multipartite": (
+        complete_multipartite,
+        lambda n, parts: n * (parts - 1),
+        lambda n, parts: n * parts - 2,
+    ),
+}
+
+
 def probe_conjecture(name: str, params: tuple[int, ...]) -> ProbeReport:
     """Exact small-instance comparison against a conjectured formula.
 
     Reports agreement only; conjectures are open and never asserted.
     Raises InfeasibleError when the instance is too large to solve exactly.
     """
-    if name == "bipartite_prism":
+    if name in _GAME_PROBES:
+        generate_graph, z0_conj, z1_conj = _GAME_PROBES[name]
         n, m = params
-        g = bipartite_prism(n, m)
+        g = generate_graph(n, m)
         if g.n > GAME_MAX_N:
             raise InfeasibleError(f"instance too large: n={g.n}")
         z0 = z0_number(g, max_subsets=Z0_SUBSET_BUDGET)
         z1 = zq_number(g, 1, build_strategy=False).value
-        lines = (
-            ProbeLine("Z_0", 2 * min(n, m), z0, z0 == 2 * min(n, m)),
-            ProbeLine("Z_1", n + m, z1, z1 == n + m),
-        )
-        return ProbeReport(name, tuple(params), lines)
-    if name == "multipartite":
-        n, parts = params
-        g = complete_multipartite(n, parts)
-        if g.n > GAME_MAX_N:
-            raise InfeasibleError(f"instance too large: n={g.n}")
-        z0 = z0_number(g, max_subsets=Z0_SUBSET_BUDGET)
-        z1 = zq_number(g, 1, build_strategy=False).value
-        lines = (
-            ProbeLine("Z_0", n * (parts - 1), z0, z0 == n * (parts - 1)),
-            ProbeLine("Z_1", n * parts - 2, z1, z1 == n * parts - 2),
-        )
+        c0, c1 = z0_conj(n, m), z1_conj(n, m)
+        lines = (ProbeLine("Z_0", c0, z0, z0 == c0), ProbeLine("Z_1", c1, z1, z1 == c1))
         return ProbeReport(name, tuple(params), lines)
     if name == "kneser_z0":
         (n,) = params

@@ -10,10 +10,11 @@ oracle.
 
 Solver states are normalised to CCR closure, so a single bitmask of coloured
 vertices is the memo key. Rule-3 families are enumerated at size exactly
-q+1 (a larger family only widens the oracle's options, so it is dominated;
-verified empirically in the test suite), and families where some oracle
-response forces nothing are pruned as dominated, which also guarantees the
-recursion terminates: every expanded move strictly grows the coloured set.
+q+1: the responses to any (q+1)-subfamily are a subset of the responses to
+the whole family, so offering exactly q+1 components is never worse.
+Families where some oracle response forces nothing are pruned as dominated,
+which also guarantees the recursion terminates: every expanded move strictly
+grows the coloured set.
 """
 
 from __future__ import annotations
@@ -51,25 +52,11 @@ def psd_closure(g: Graph, b: int) -> int:
     used as the q = 0 oracle.
     """
     full = g.full_mask
-    adj = g.adj
-    changed = True
-    while changed and b != full:
-        changed = False
+    prev = None
+    while b != prev and b != full:
+        prev = b
         for comp in uncoloured_components(g, b):
-            w = comp
-            sub_changed = True
-            while sub_changed and w:
-                sub_changed = False
-                m = b
-                while m:
-                    low = m & -m
-                    m ^= low
-                    x = adj[low.bit_length() - 1] & w
-                    if x and not x & (x - 1):
-                        b |= x
-                        w ^= x
-                        sub_changed = True
-                        changed = True
+            b = ccr_closure(g, b, b | comp)
     return b
 
 
@@ -89,24 +76,7 @@ def rule3_closure(g: Graph, b: int, returned: Sequence[int]) -> int:
         if r not in comps:
             raise ValueError(f"mask {r:#x} is not an uncoloured component")
         union |= r
-    return _induced_ccr(g.adj, b, b | union)
-
-
-def _induced_ccr(adj: Sequence[int], b: int, imask: int) -> int:
-    w = imask & ~b
-    changed = True
-    while changed and w:
-        changed = False
-        m = b & imask
-        while m:
-            low = m & -m
-            m ^= low
-            x = adj[low.bit_length() - 1] & w
-            if x and not x & (x - 1):
-                b |= x
-                w ^= x
-                changed = True
-    return b
+    return ccr_closure(g, b, b | union)
 
 
 def admissible_families(g: Graph, b: int, q: int) -> list[MoveFamily]:
@@ -117,24 +87,11 @@ def admissible_families(g: Graph, b: int, q: int) -> list[MoveFamily]:
     """
     if ccr_closure(g, b) != b:
         raise ValueError("coloured set is not CCR-closed")
-    comps = uncoloured_components(g, b)
-    if len(comps) < q + 1:
-        return []
-    out = []
-    for fam in combinations(comps, q + 1):
-        if all(
-            _induced_ccr(g.adj, b, b | u) != b for u in _nonempty_unions(fam)
-        ):
-            out.append(fam)
-    return out
-
-
-def _nonempty_unions(fam: Sequence[int]) -> Iterator[int]:
-    for r in range(1, 1 << len(fam)):
-        u = 0
-        for i in bits(r):
-            u |= fam[i]
-        yield u
+    return [
+        fam
+        for fam, responses in _Solver(g, q).families(b)
+        if all(state is not None for _, state in responses)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +108,8 @@ class TokenSpend:
 class OracleMove:
     """A rule-3 move: the offered family and one continuation per response.
 
-    Responses are keyed by the tuple of returned component masks (sorted).
+    Responses are keyed by the tuple of returned component masks, in family
+    order.
     An oracle move is always the last entry of its strategy list; play
     continues in the matching continuation.
     """
@@ -191,7 +149,6 @@ class _Solver:
     ):
         self.g = g
         self.q = q
-        self.adj = g.adj
         self.full = g.full_mask
         self.all_family_sizes = all_family_sizes
         self.memo: dict[int, int] = {}
@@ -201,11 +158,54 @@ class _Solver:
             # dict entry of two small ints costs ~100 bytes incl. table slack
             self.cache_entries = max(1, (cache_mb * 1024 * 1024) // 100)
 
-    def close(self, b: int) -> int:
-        return ccr_closure(self.g, b)
+    # -- move generators (shared by value, strategy and admissible_families) --
 
-    def components(self, b: int) -> list[int]:
-        return uncoloured_components(self.g, b)
+    def tokens(self, b: int) -> Iterator[tuple[int, int]]:
+        """Rule-1 moves from ``b``: (vertex, closed next state), one per
+        distinct next state, lowest vertex first."""
+        g = self.g
+        seen = set()
+        for v in bits(self.full & ~b):
+            nb = ccr_closure(g, b | (1 << v))
+            if nb not in seen:
+                seen.add(nb)
+                yield v, nb
+
+    def families(
+        self, b: int
+    ) -> Iterator[tuple[MoveFamily, Iterator[tuple[int, int | None]]]]:
+        """Rule-3 moves from the closed state ``b``, smallest size first and
+        lexicographic within a size.
+
+        Each family comes with a lazy iterator over the oracle's responses:
+        (subset of family positions as a bitmask, closed next state), where
+        the state is None if the response forces nothing. Responses are
+        closed once per state and union, however many families share them.
+        """
+        g = self.g
+        comps = uncoloured_components(g, b)
+        sizes = (
+            range(self.q + 1, len(comps) + 1)
+            if self.all_family_sizes
+            else (self.q + 1,)
+        )
+        rcache: dict[int, int | None] = {}
+
+        def responses(fam: MoveFamily) -> Iterator[tuple[int, int | None]]:
+            for r in range(1, 1 << len(fam)):
+                union = 0
+                for i in bits(r):
+                    union |= fam[i]
+                s = rcache.get(union, -1)
+                if s == -1:
+                    s = ccr_closure(g, b, b | union)
+                    s = None if s == b else ccr_closure(g, s)
+                    rcache[union] = s
+                yield r, s
+
+        for size in sizes:
+            for fam in combinations(comps, size):
+                yield fam, responses(fam)
 
     def value(self, b: int) -> int:
         """Game value of the CCR-closed state ``b``."""
@@ -215,72 +215,29 @@ class _Solver:
         if cached is not None:
             self.hits += 1
             return cached
-        best = self._best_token_value(b)
-        best = self._best_family_value(b, best)[0]
+        best = _INF
+        for _, nb in self.tokens(b):
+            val = 1 + self.value(nb)
+            if val < best:
+                best = val
+        # A family is abandoned as soon as one response forces nothing
+        # (dominated) or the oracle's partial max already reaches ``best``.
+        for _, responses in self.families(b):
+            worst = 0
+            for _, state in responses:
+                if state is None:
+                    break
+                worst = max(worst, self.value(state))
+                if worst >= best:
+                    break
+            else:
+                best = worst
         if self.cache_entries is not None and len(self.memo) >= self.cache_entries:
             raise CacheLimitError(
                 f"memo exceeded {len(self.memo)} entries (ZQ_CACHE_MB cap)"
             )
         self.memo[b] = best
         return best
-
-    def _best_token_value(self, b: int) -> int:
-        best = _INF
-        seen = set()
-        for v in bits(self.full & ~b):
-            nb = self.close(b | (1 << v))
-            if nb in seen:
-                continue
-            seen.add(nb)
-            val = 1 + self.value(nb)
-            if val < best:
-                best = val
-        return best
-
-    def _best_family_value(self, b: int, cutoff) -> tuple[int, MoveFamily | None]:
-        """Best adversarial value over admissible families, bounded by cutoff.
-
-        Returns (value, family achieving it or None). Families whose partial
-        oracle max already reaches the cutoff are abandoned early; dominated
-        (non-forcing) responses disqualify the family outright.
-        """
-        best = cutoff
-        best_fam = None
-        comps = self.components(b)
-        k = len(comps)
-        if k < self.q + 1:
-            return best, None
-        rcache: dict[int, int | None] = {}
-
-        def response_state(union: int) -> int | None:
-            s = rcache.get(union, -1)
-            if s != -1:
-                return s
-            r = _induced_ccr(self.adj, b, b | union)
-            s = None if r == b else self.close(r)
-            rcache[union] = s
-            return s
-
-        sizes = (
-            range(self.q + 1, k + 1) if self.all_family_sizes else (self.q + 1,)
-        )
-        for size in sizes:
-            for fam in combinations(comps, size):
-                worst = 0
-                ok = True
-                for union in _nonempty_unions(fam):
-                    state = response_state(union)
-                    if state is None:
-                        ok = False
-                        break
-                    worst = max(worst, self.value(state))
-                    if worst >= best:
-                        ok = False
-                        break
-                if ok and worst < best:
-                    best = worst
-                    best_fam = fam
-        return best, best_fam
 
     # -- strategy extraction (re-derives optimal moves from memoised values) --
 
@@ -293,44 +250,27 @@ class _Solver:
         if got is not None:
             return got
         val = self.value(b)
-        # Token spends first (lowest vertex), then lexicographically least family.
-        for v in bits(self.full & ~b):
-            nb = self.close(b | (1 << v))
+        # Token spends first (lowest vertex), then the first family in
+        # enumeration order whose worst response achieves the value.
+        for v, nb in self.tokens(b):
             if 1 + self.value(nb) == val:
                 out = (TokenSpend(v),) + self.strategy(nb, _memo)
                 _memo[b] = out
                 return out
-        comps = self.components(b)
-        sizes = (
-            range(self.q + 1, len(comps) + 1)
-            if self.all_family_sizes
-            else (self.q + 1,)
-        )
-        for size in sizes:
-            if len(comps) < size:
-                break
-            for fam in combinations(comps, size):
-                branches = {}
-                ok = True
-                worst = 0
-                for r in range(1, 1 << size):
-                    resp = tuple(fam[i] for i in bits(r))
-                    union = 0
-                    for c in resp:
-                        union |= c
-                    nxt = _induced_ccr(self.adj, b, b | union)
-                    if nxt == b:
-                        ok = False
-                        break
-                    nxt = self.close(nxt)
-                    worst = max(worst, self.value(nxt))
-                    branches[resp] = nxt
-                if ok and worst == val:
-                    responses = {
-                        resp: self.strategy(nxt, _memo)
-                        for resp, nxt in branches.items()
+        for fam, responses in self.families(b):
+            branches = {}
+            worst = 0
+            for r, state in responses:
+                if state is None:
+                    break
+                worst = max(worst, self.value(state))
+                branches[tuple(fam[i] for i in bits(r))] = state
+            else:
+                if worst == val:
+                    conts = {
+                        resp: self.strategy(nxt, _memo) for resp, nxt in branches.items()
                     }
-                    out = (OracleMove(fam, responses),)
+                    out = (OracleMove(fam, conts),)
                     _memo[b] = out
                     return out
         raise AssertionError("no move achieves the memoised game value")
@@ -346,13 +286,14 @@ def zq_number(
     """Exact Z_q(G) by memoised minimax over CCR-closed colourings.
 
     ``all_family_sizes=True`` enumerates rule-3 families of every size
-    >= q+1 instead of exactly q+1; it must give the same value and exists so
-    the size-(q+1) restriction can be checked empirically.
+    >= q+1 instead of exactly q+1. It gives the same value, because a
+    (q+1)-subfamily's responses are a subset of the whole family's, and it
+    exists so tests can check that.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
     solver = _Solver(g, q, all_family_sizes=all_family_sizes, cache_mb=cache_mb)
-    start = solver.close(0)
+    start = ccr_closure(g, 0)
     value = solver.value(start)
     strategy = solver.strategy(start) if build_strategy else None
     return ZqResult(value, strategy, CacheStats(len(solver.memo), solver.hits))
@@ -536,8 +477,9 @@ def replay_strategy(
             b = ccr_closure(g, b | (1 << move.vertex))
             moves = moves[1:]
         else:
-            resp = tuple(sorted(oracle(move.family)))
-            if not resp or any(c not in move.family for c in resp):
+            chosen = set(oracle(move.family))
+            resp = tuple(c for c in move.family if c in chosen)
+            if not resp or len(resp) != len(chosen):
                 raise ValueError("oracle returned an invalid response")
             b = ccr_closure(g, rule3_closure(g, b, resp))
             moves = move.responses[resp]

@@ -15,10 +15,6 @@ from typing import Iterable, Iterator
 MAX_VERTICES = 64
 
 
-def bit(v: int) -> int:
-    return 1 << v
-
-
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -85,11 +81,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     return Graph(n, tuple(adj))
-
-
-def complement(g: Graph) -> Graph:
-    full = g.full_mask
-    return Graph(g.n, tuple((full & ~a & ~bit(v)) for v, a in enumerate(g.adj)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +215,22 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def ccr_closure(g: Graph, b: int) -> int:
+def ccr_closure(g: Graph, b: int, within: int | None = None) -> int:
     """Least fixpoint of the colour change rule starting from coloured set ``b``.
 
     A coloured vertex with exactly one uncoloured neighbour colours that
-    neighbour. Idempotent and monotone in ``b``.
+    neighbour. With ``within`` the rule runs in the induced subgraph
+    ``G[within]``: only coloured vertices inside it force, and only
+    neighbours inside it count. Idempotent and monotone in ``b``.
     """
     adj = g.adj
-    w = g.full_mask & ~b
+    if within is None:
+        within = g.full_mask
+    w = within & ~b
     changed = True
     while changed and w:
         changed = False
-        m = b
+        m = b & within
         while m:
             low = m & -m
             m ^= low
@@ -245,30 +240,6 @@ def ccr_closure(g: Graph, b: int) -> int:
                 w ^= x
                 changed = True
     return b
-
-
-def single_forces(g: Graph, b: int) -> list[tuple[int, int]]:
-    """All (forcer, forced) pairs available in one colour-change step from ``b``."""
-    w = g.full_mask & ~b
-    out = []
-    for u in bits(b):
-        x = g.adj[u] & w
-        if x and not x & (x - 1):
-            out.append((u, x.bit_length() - 1))
-    return out
-
-
-@dataclass(frozen=True)
-class ColouredState:
-    """A graph with a coloured vertex set; ``closed`` means CCR-saturated."""
-
-    graph: Graph
-    coloured: int
-    closed: bool = False
-
-    @staticmethod
-    def close(graph: Graph, coloured: int) -> "ColouredState":
-        return ColouredState(graph, ccr_closure(graph, coloured), True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from zqforce.cli import run
 from zqforce.graphs import build_graph, to_graph6
 
@@ -30,6 +32,83 @@ def test_compute_trace(capsys):
     assert "spend token on vertex 0" in out
     assert "offer components" in out
     assert "if oracle returns" in out
+
+
+# Exact bytes of traced solves. The strategy picks the lowest-vertex token
+# spend, then the first family in enumeration order, so any change to move
+# order or tie-breaking shows up here.
+GOLDEN_TRACES = [
+    (
+        ["compute", "--graph6", "IheA@GUAo", "--q", "1", "--trace"],
+        """\
+n: 10
+q: 1
+value: 5
+strategy:
+  spend token on vertex 0
+  spend token on vertex 1
+  spend token on vertex 2
+  spend token on vertex 3
+  spend token on vertex 4
+""",
+    ),
+    (
+        ["compute", "--seq", "00100011", "--q", "1", "--trace", "--format", "json"],
+        """\
+{
+  "input": {
+    "seq": "00100011"
+  },
+  "q": 1,
+  "value": 4,
+  "strategy": [
+    {
+      "type": "token",
+      "vertex": 0
+    },
+    {
+      "type": "token",
+      "vertex": 3
+    },
+    {
+      "type": "token",
+      "vertex": 4
+    },
+    {
+      "type": "token",
+      "vertex": 6
+    }
+  ]
+}
+""",
+    ),
+    (
+        ["compute", "--graph6", "GsSSQC", "--q", "1", "--trace"],
+        """\
+n: 8
+q: 1
+value: 3
+strategy:
+  spend token on vertex 0
+  spend token on vertex 1
+  spend token on vertex 3
+  offer components [2] | [4, 6, 7]
+    if oracle returns {[2]}:
+      offer components [4] | [5]
+        if oracle returns {[4]}, {[4]; [5]}, {[5]}:
+          (already coloured)
+    if oracle returns {[2]; [4, 6, 7]}, {[4, 6, 7]}:
+      (already coloured)
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", GOLDEN_TRACES, ids=["petersen", "threshold-json", "oracle"]
+)
+def test_compute_trace_golden_bytes(capsys, argv, expected):
+    assert run_cli(capsys, argv).out == expected
 
 
 def test_compute_requires_single_input(capsys):

@@ -1,3 +1,4 @@
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -22,10 +23,13 @@ from helpers import (
     PETERSEN_EDGES,
     all_graphs_up_to_iso,
     mask,
+    naive_ccr_closure,
+    naive_components,
     naive_induced_ccr,
     naive_psd_closure,
     random_connected_graph,
     random_graph,
+    random_tree,
     vset,
 )
 
@@ -118,6 +122,38 @@ def test_admissible_families_examples():
     assert admissible_families(path(5), mask([2]), 1) == []
     with pytest.raises(ValueError):
         admissible_families(path(5), mask([0]), 0)  # not closed
+
+
+def test_admissible_families_match_set_reference():
+    # A family is admissible iff every nonempty oracle response colours a new
+    # vertex inside G[coloured + returned components]; built on plain sets.
+    rng = Random(31)
+    kept = dropped = 0
+    for _ in range(200):
+        n = rng.randrange(2, 9)
+        # trees leave many small components, so admissible families are common
+        g = random_tree(rng, n) if rng.random() < 0.5 else random_graph(rng, n)
+        coloured = naive_ccr_closure(g, vset(rng.randrange(1 << g.n)))
+        comps = naive_components(g, set(range(g.n)) - coloured)
+        for q in range(3):
+            expected = []
+            for fam in combinations(comps, q + 1):
+                responses = (
+                    set().union(*sub)
+                    for k in range(1, q + 2)
+                    for sub in combinations(fam, k)
+                )
+                if all(
+                    naive_induced_ccr(g, coloured, coloured | r) != coloured
+                    for r in responses
+                ):
+                    expected.append([set(c) for c in fam])
+                else:
+                    dropped += 1
+            got = admissible_families(g, mask(coloured), q)
+            assert [[vset(c) for c in fam] for fam in got] == expected
+            kept += len(expected)
+    assert kept and dropped
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +279,20 @@ def test_strategy_sound_on_every_oracle_branch():
         q = rng.randrange(0, 3)
         res = zq_number(g, q)
         _walk_all_branches(g, res.strategy, ccr_closure(g, 0), 0, res.value)
+
+
+def test_replay_matches_family_order_not_mask_order():
+    # q=1 offers components {2,5} and {3}: family order is by minimum vertex,
+    # which differs from the order of the masks (36 > 8)
+    g = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5)])
+    res = zq_number(g, 1)
+    oracle = res.strategy[-1]
+    assert oracle.family == (mask([2, 5]), mask([3]))
+    for pick in (lambda fam: fam, lambda fam: fam[::-1], lambda fam: fam[1:]):
+        tokens, final = replay_strategy(g, res.strategy, pick)
+        assert final == g.full_mask and tokens <= res.value
+    with pytest.raises(ValueError):
+        replay_strategy(g, res.strategy, lambda fam: (mask([4]),))
 
 
 def test_strategy_uses_oracle_moves_when_cheaper():

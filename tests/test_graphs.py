@@ -8,7 +8,6 @@ from zqforce.graphs import (
     induced_subgraph,
     parse_edge_list,
     parse_graph6,
-    single_forces,
     to_graph6,
     uncoloured_components,
     vertex_connectivity,
@@ -20,6 +19,7 @@ from helpers import (
     PETERSEN_EDGES,
     mask,
     naive_ccr_closure,
+    naive_induced_ccr,
     random_graph,
     reference_graph6_encode,
     vset,
@@ -134,6 +134,10 @@ def test_ccr_closure_examples():
     assert ccr_closure(p3, mask([1])) == mask([1])
     k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert ccr_closure(k4, mask([0, 1, 2])) == k4.full_mask
+    # vertex 2 lies outside G[{0,1}], so it stays uncoloured
+    assert ccr_closure(p3, mask([0]), mask([0, 1])) == mask([0, 1])
+    # a coloured vertex outside the induced set forces nothing
+    assert ccr_closure(p3, mask([0]), mask([1, 2])) == mask([0])
 
 
 def test_ccr_closure_matches_reference_and_is_idempotent_monotone():
@@ -148,13 +152,15 @@ def test_ccr_closure_matches_reference_and_is_idempotent_monotone():
         assert ccr_closure(g, b2) & c == c  # monotone
 
 
-def test_single_forces_examples():
-    p3 = build_graph(3, [(0, 1), (1, 2)])
-    assert single_forces(p3, mask([0])) == [(0, 1)]
-    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert single_forces(c4, mask([0])) == []
-    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert single_forces(star, mask([1])) == [(1, 0)]
+def test_ccr_closure_within_matches_induced_reference():
+    rng = Random(17)
+    for _ in range(150):
+        g = random_graph(rng, rng.randrange(1, 11))
+        b = rng.randrange(1 << g.n)
+        within = rng.randrange(1 << g.n)
+        got = ccr_closure(g, b, within)
+        assert vset(got) == naive_induced_ccr(g, vset(b), vset(within))
+        assert ccr_closure(g, b, g.full_mask) == ccr_closure(g, b)
 
 
 def test_vertex_connectivity_examples():
@@ -168,16 +174,6 @@ def test_vertex_connectivity_examples():
     disconnected = build_graph(3, [(0, 1)])
     assert vertex_connectivity(disconnected) == 0
     assert vertex_connectivity(build_graph(1, [])) == 0
-
-
-def test_coloured_state_normalisation():
-    from zqforce.graphs import ColouredState
-
-    p3 = build_graph(3, [(0, 1), (1, 2)])
-    state = ColouredState.close(p3, mask([0]))
-    assert state.closed and state.coloured == p3.full_mask
-    raw = ColouredState(p3, mask([0]))
-    assert not raw.closed
 
 
 def test_vertex_connectivity_against_bruteforce():

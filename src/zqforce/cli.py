@@ -353,8 +353,14 @@ def _cmd_probe(args) -> int:
             for v in rep.violations:
                 print("  " + v)
         return 0
-    params = tuple(p for p in (args.n, args.m) if p is not None)
-    rep = families.probe_conjecture(args.name, params)
+    wanted = ("n",) if args.name == "kneser_z0" else ("n", "m")
+    for opt in ("n", "m"):
+        given = getattr(args, opt) is not None
+        if opt in wanted and not given:
+            raise UsageError(f"{args.name} probe needs --{opt}")
+        if opt not in wanted and given:
+            raise UsageError(f"{args.name} probe takes no --{opt}")
+    rep = families.probe_conjecture(args.name, tuple(getattr(args, opt) for opt in wanted))
     if args.format == "json":
         print(json.dumps({
             "input": {"probe": rep.name, "params": list(rep.params)},

@@ -313,17 +313,23 @@ def _row_checks(kv: KnownValue, probe_qs: int) -> list[tuple[FamilySpec, int | N
     return [(kv.family, q) for q in range(kv.q_min, hi + 1)]
 
 
-def _compute_row(task) -> ReportRow:
-    spec, q, expected, anchor, conjecture = task
+def _solve(key: tuple[FamilySpec, int | None]) -> int | str:
+    """The value of one (family, q), or the SKIP status when it is refused."""
     try:
-        value = _solve_value(spec, q)
+        return _solve_value(*key)
     except InfeasibleError as exc:
-        return ReportRow(spec.label(), q, tuple(sorted(expected)), None, f"SKIP ({exc})", anchor)
-    if conjecture:
-        status = "AGREE" if value in expected else "DIFFER"
+        return f"SKIP ({exc})"
+
+
+def _row(kv: KnownValue, spec: FamilySpec, q: int | None, outcome: int | str) -> ReportRow:
+    expected = tuple(sorted(kv.values))
+    if isinstance(outcome, str):
+        return ReportRow(spec.label(), q, expected, None, outcome, kv.anchor)
+    if kv.conjecture:
+        status = "AGREE" if outcome in kv.values else "DIFFER"
     else:
-        status = "PASS" if value in expected else "FAIL"
-    return ReportRow(spec.label(), q, tuple(sorted(expected)), value, status, anchor)
+        status = "PASS" if outcome in kv.values else "FAIL"
+    return ReportRow(spec.label(), q, expected, outcome, status, kv.anchor)
 
 
 def reproduce_report(max_n: int, probe_qs: int = 3, jobs: int = 1) -> list[ReportRow]:
@@ -331,18 +337,23 @@ def reproduce_report(max_n: int, probe_qs: int = 3, jobs: int = 1) -> list[Repor
 
     Known rows get PASS/FAIL, conjecture rows AGREE/DIFFER, entries too large
     for an exact solve SKIP. Each range claim is sampled at its first
-    ``probe_qs`` levels.
+    ``probe_qs`` levels; a (family, q) that several rows check is solved once.
     """
-    tasks = []
-    for kv in known_values(max_n=max_n):
-        for spec, q in _row_checks(kv, probe_qs):
-            tasks.append((spec, q, kv.values, kv.anchor, kv.conjecture))
+    checks = [
+        (kv, spec, q)
+        for kv in known_values(max_n=max_n)
+        for spec, q in _row_checks(kv, probe_qs)
+    ]
+    keys = list(dict.fromkeys((spec, q) for _, spec, q in checks))
     if jobs > 1:
         from multiprocessing import Pool
 
         with Pool(jobs) as pool:
-            return pool.map(_compute_row, tasks)
-    return [_compute_row(t) for t in tasks]
+            outcomes = pool.map(_solve, keys)
+    else:
+        outcomes = list(map(_solve, keys))
+    solved = dict(zip(keys, outcomes))
+    return [_row(kv, spec, q, solved[spec, q]) for kv, spec, q in checks]
 
 
 def render_report(rows: Iterable[ReportRow], fmt: str = "text") -> str:

@@ -20,7 +20,8 @@ grows the coloured set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .graphs import Graph, bits, ccr_closure, uncoloured_components
@@ -304,49 +305,33 @@ def zq_number(
 # ---------------------------------------------------------------------------
 
 
+def _level_masks(n: int, k: int) -> Iterator[int]:
+    """Bitmasks of the k-subsets of range(n), in lexicographic order."""
+    return map(sum, combinations([1 << v for v in range(n)], k))
+
+
 def _search_min_forcing(
     g: Graph,
     closure: Callable[[Graph, int], int],
     lower: int,
     max_subsets: int | None = None,
 ) -> int:
-    from collections import deque
-
     full = g.full_mask
     n = g.n
     done = 0
     for k in range(max(1, lower), n + 1):
-        count = _ncr(n, k)
-        if max_subsets is not None and done + count > max_subsets:
+        count = comb(n, k)
+        done += count
+        if max_subsets is not None and done > max_subsets:
             raise InfeasibleError(
                 f"subset search would exceed {max_subsets} sets at size {k} (n={n})"
             )
-        done += count
         if closure is ccr_closure and count > 50_000:
             if _batch_any_ccr_forces(g, k):
                 return k
-            continue
-        # Recently seen failed closures: any subset of one closes inside it,
-        # so its closure is already known to fail and the set can be skipped.
-        recent: deque[int] = deque(maxlen=64)
-        for comb in combinations(range(n), k):
-            m = 0
-            for v in comb:
-                m |= 1 << v
-            if any(m & ~c == 0 for c in recent):
-                continue
-            c = closure(g, m)
-            if c == full:
-                return k
-            if c not in recent:
-                recent.append(c)
+        elif any(closure(g, m) == full for m in _level_masks(n, k)):
+            return k
     return n
-
-
-def _ncr(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
 
 
 def _batch_any_ccr_forces(g: Graph, k: int) -> bool:
@@ -361,10 +346,11 @@ def _batch_any_ccr_forces(g: Graph, k: int) -> bool:
     full = np.uint64(g.full_mask)
     adj = [np.uint64(a) for a in g.adj]
     one = np.uint64(1)
-    chunk: list[int] = []
-
-    def flush(chunk: list[int]) -> bool:
-        B = np.array(chunk, dtype=np.uint64)
+    masks = _level_masks(n, k)
+    while True:
+        B = np.fromiter(islice(masks, 1 << 18), dtype=np.uint64)
+        if not len(B):
+            return False
         while True:
             changed = False
             W = full & ~B
@@ -378,26 +364,15 @@ def _batch_any_ccr_forces(g: Graph, k: int) -> bool:
                     changed = True
             if not changed:
                 break
-        return bool((B == full).any())
-
-    for comb in combinations(range(n), k):
-        m = 0
-        for v in comb:
-            m |= 1 << v
-        chunk.append(m)
-        if len(chunk) >= 1 << 18:
-            if flush(chunk):
-                return True
-            chunk = []
-    return bool(chunk) and flush(chunk)
+        if (B == full).any():
+            return True
 
 
 def z_number(g: Graph, max_subsets: int | None = None) -> int:
     """Classical zero forcing number: min |S| with full CCR closure.
 
-    Increasing-size subset search; subsets contained in an already-failed
-    closure are skipped. Starts at the minimum degree (a forcing set must
-    contain the first forcer and all but one of its neighbours).
+    Increasing-size subset search. Starts at the minimum degree (a forcing
+    set must contain the first forcer and all but one of its neighbours).
     """
     return _search_min_forcing(g, ccr_closure, g.min_degree(), max_subsets)
 

@@ -85,6 +85,16 @@ def naive_induced_ccr(g: Graph, coloured: set[int], inside: set[int]) -> set[int
         coloured.add(move)
 
 
+def naive_min_forcing(g: Graph, closure) -> int:
+    """Least size of a start set whose set-based ``closure`` is every vertex."""
+    everything = set(range(g.n))
+    for k in range(g.n + 1):
+        for start in combinations(range(g.n), k):
+            if closure(g, set(start)) == everything:
+                return k
+    raise AssertionError("the whole vertex set always closes")
+
+
 def random_graph(rng: Random, n: int, p: float = 0.4) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return build_graph(n, edges)

@@ -212,6 +212,19 @@ def test_probe_cli(capsys):
     assert "0 violations" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--name", "multipartite", "--n", "2"], "multipartite probe needs --m"),
+        (["--name", "bipartite_prism", "--m", "3"], "bipartite_prism probe needs --n"),
+        (["--name", "kneser_z0", "--n", "5", "--m", "3"], "kneser_z0 probe takes no --m"),
+    ],
+)
+def test_probe_options_checked(capsys, argv, message):
+    cap = run_cli(capsys, ["probe"] + argv, expect=2)
+    assert cap.err == f"error: {message}\n"
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert run(["nosuchcommand"]) == 2
     capsys.readouterr()

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from zqforce import families
 from zqforce.families import (
     FamilySpec,
     bipartite_prism,
@@ -106,6 +109,9 @@ def test_registry_flags_conjectures():
     assert any(len(kv.values) == 2 for kv in known)
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def test_reproduce_report_small():
     rows = reproduce_report(max_n=4)
     assert rows
@@ -113,12 +119,29 @@ def test_reproduce_report_small():
     assert not bad, bad
     text = render_report(rows, "text")
     assert "PASS" in text
+    assert text == (GOLDEN / "reproduce_max_n4.txt").read_text(encoding="utf-8")
     csv = render_report(rows, "csv")
     assert csv.splitlines()[0] == "family,q,expected,computed,status,anchor"
     import json
 
     parsed = json.loads(render_report(rows, "json"))
     assert parsed[0]["status"] in ("PASS", "AGREE", "SKIP") or parsed[0]["status"].startswith("SKIP")
+
+
+def test_reproduce_report_solves_each_family_level_once(monkeypatch):
+    # bipartite_prism(2,2) and (2,3) at q=1..3 are each both a known-range row
+    # and a conjecture row: 64 rows, 55 distinct (family, q)
+    calls = []
+    solve = families._solve_value
+
+    def counting(spec, q):
+        calls.append((spec, q))
+        return solve(spec, q)
+
+    monkeypatch.setattr(families, "_solve_value", counting)
+    rows = reproduce_report(max_n=3)
+    assert len(rows) == 64
+    assert len(calls) == len(set(calls)) == 55
 
 
 def test_probe_reports():

@@ -5,6 +5,7 @@ import pytest
 
 from zqforce.game import (
     CacheLimitError,
+    InfeasibleError,
     TokenSpend,
     admissible_families,
     independence_number,
@@ -26,6 +27,7 @@ from helpers import (
     naive_ccr_closure,
     naive_components,
     naive_induced_ccr,
+    naive_min_forcing,
     naive_psd_closure,
     random_connected_graph,
     random_graph,
@@ -214,6 +216,26 @@ def test_saturation_at_large_q():
         assert zq_number(g, g.n + 3, build_strategy=False).value == z
 
 
+def test_subset_search_matches_set_reference():
+    for n in range(1, 7):
+        for g in all_graphs_up_to_iso(n):
+            assert z_number(g) == naive_min_forcing(g, naive_ccr_closure), g.edges()
+            assert z0_number(g) == naive_min_forcing(g, naive_psd_closure), g.edges()
+
+
+def test_subset_budget_boundary():
+    # Petersen: Z_0 = 4 after C(10,1..4) = 385 sets, Z = 5 after C(10,3..5) = 582
+    pet = petersen()
+    assert z0_number(pet, max_subsets=385) == 4
+    with pytest.raises(InfeasibleError) as exc:
+        z0_number(pet, max_subsets=384)
+    assert str(exc.value) == "subset search would exceed 384 sets at size 4 (n=10)"
+    assert z_number(pet, max_subsets=582) == 5
+    with pytest.raises(InfeasibleError) as exc:
+        z_number(pet, max_subsets=581)
+    assert str(exc.value) == "subset search would exceed 581 sets at size 5 (n=10)"
+
+
 def test_batch_closure_path_matches_scalar():
     from zqforce.game import _batch_any_ccr_forces
 
@@ -221,6 +243,12 @@ def test_batch_closure_path_matches_scalar():
     # Z(Petersen) = 5: no 4-set forces, some 5-set does
     assert _batch_any_ccr_forces(pet, 4) is False
     assert _batch_any_ccr_forces(pet, 5) is True
+    # some k-set forces exactly when k >= Z, since supersets of forcing sets force
+    for n in range(1, 7):
+        for g in all_graphs_up_to_iso(n):
+            z = naive_min_forcing(g, naive_ccr_closure)
+            for k in range(n + 1):
+                assert _batch_any_ccr_forces(g, k) is (k >= z), (g.edges(), k)
 
 
 def test_kneser_connectivity_equals_degree():

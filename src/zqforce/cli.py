@@ -140,7 +140,7 @@ def _cmd_compute(args) -> int:
     record: dict = {"input": source}
     lines = [f"n: {g.n}"]
     if args.z:
-        value = z_number(g)
+        value = z_number(g, max_subsets=families.Z_SUBSET_BUDGET)
         record.update({"q": None, "value": value})
         lines.append(f"z: {value}")
     elif args.chain is not None:
@@ -387,14 +387,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--edges-file", help="edge list file ('n m' header), or '-' for stdin")
         p.add_argument("--seq", help="threshold creation sequence (raw 0/1 or run-length)")
 
+    def add_levels(p):
+        levels = p.add_mutually_exclusive_group()
+        levels.add_argument("--q", type=int)
+        levels.add_argument("--chain", type=int, metavar="Q_MAX")
+        levels.add_argument("--z", action="store_true", help="classical zero forcing number only")
+
     def add_format(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("compute", help="exact Z_q / chain for a graph")
     add_graph_inputs(p)
-    p.add_argument("--q", type=int)
-    p.add_argument("--chain", type=int, metavar="Q_MAX")
-    p.add_argument("--z", action="store_true", help="classical zero forcing number only")
+    add_levels(p)
     p.add_argument("--trace", action="store_true", help="print the move strategy")
     p.add_argument("--force", action="store_true", help="override the size guard")
     add_format(p)
@@ -435,9 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, choices=sorted(families._FAMILIES))
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--chain", type=int, metavar="Q_MAX")
-    p.add_argument("--z", action="store_true")
+    add_levels(p)
     p.add_argument("--force", action="store_true")
     add_format(p)
     p.set_defaults(func=_cmd_family)

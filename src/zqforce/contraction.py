@@ -37,6 +37,10 @@ class ContractedBigraph:
 def bipartite_contraction(g: Graph, b: int) -> ContractedBigraph:
     """Contract coloured-coloured and uncoloured-uncoloured edges of ``g``."""
     full = g.full_mask
+    outside = b & ~full
+    if outside:
+        v = (outside & -outside).bit_length() - 1
+        raise ValueError(f"coloured vertex {v} is not in the graph (n={g.n})")
     if not b or b == full:
         raise ValueError("coloured set must be nonempty and proper")
     col = components_within(g, b)

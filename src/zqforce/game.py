@@ -165,9 +165,12 @@ class _Solver:
         """Rule-1 moves from ``b``: (vertex, closed next state), one per
         distinct next state, lowest vertex first."""
         g = self.g
+        adj = g.adj
+        full = self.full
         seen = set()
-        for v in bits(self.full & ~b):
-            nb = ccr_closure(g, b | (1 << v))
+        # ``b`` is closed, so only ``v`` and its coloured neighbours can force
+        for v in bits(full & ~b):
+            nb = ccr_closure(g, b | (1 << v), full, (1 << v) | (adj[v] & b))
             if nb not in seen:
                 seen.add(nb)
                 yield v, nb
@@ -216,11 +219,17 @@ class _Solver:
         if cached is not None:
             self.hits += 1
             return cached
+        memo = self.memo
         best = _INF
         for _, nb in self.tokens(b):
-            val = 1 + self.value(nb)
-            if val < best:
-                best = val
+            # the memo lookup ``value`` would make, without the call
+            val = memo.get(nb)
+            if val is None:
+                val = self.value(nb)
+            else:
+                self.hits += 1
+            if val + 1 < best:
+                best = val + 1
         # A family is abandoned as soon as one response forces nothing
         # (dominated) or the oracle's partial max already reaches ``best``.
         for _, responses in self.families(b):

@@ -215,30 +215,45 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def ccr_closure(g: Graph, b: int, within: int | None = None) -> int:
+def ccr_closure(
+    g: Graph, b: int, within: int | None = None, active: int | None = None
+) -> int:
     """Least fixpoint of the colour change rule starting from coloured set ``b``.
 
     A coloured vertex with exactly one uncoloured neighbour colours that
     neighbour. With ``within`` the rule runs in the induced subgraph
     ``G[within]``: only coloured vertices inside it force, and only
     neighbours inside it count. Idempotent and monotone in ``b``.
+
+    Worklist closure: ``todo`` holds the coloured vertices inside ``within``
+    that may still force. The lowest is popped and forces if it has exactly
+    one uncoloured neighbour inside ``within``; a force can only change the
+    counts of the new vertex's neighbours, so the new vertex and its coloured
+    neighbours inside ``within`` are pushed. The fixpoint is unique, so the
+    order of forces does not change the result.
+
+    ``active`` narrows the starting ``todo`` (``b & within``) to its own
+    vertices. That is exact only if every coloured vertex inside ``within``
+    left out of it cannot force in ``b``: for ``b = c | 1 << v``
+    with ``c`` already closed, ``(1 << v) | (adj[v] & c)`` suffices, because
+    adding ``v`` changes only the counts of ``v``'s neighbours.
     """
     adj = g.adj
     if within is None:
         within = g.full_mask
     w = within & ~b
-    changed = True
-    while changed and w:
-        changed = False
-        m = b & within
-        while m:
-            low = m & -m
-            m ^= low
-            x = adj[low.bit_length() - 1] & w
-            if x and not x & (x - 1):
-                b |= x
-                w ^= x
-                changed = True
+    todo = b & within
+    if active is not None:
+        todo &= active
+    while todo and w:
+        low = todo & -todo
+        todo ^= low
+        x = adj[low.bit_length() - 1] & w
+        if x and not x & (x - 1):
+            b |= x
+            w ^= x
+            # the forcer ``low`` now has no uncoloured neighbour left
+            todo |= x | (adj[x.bit_length() - 1] & b & within) ^ low
     return b
 
 

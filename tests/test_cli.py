@@ -176,6 +176,35 @@ def test_contract_json(capsys, monkeypatch):
     assert record["uncoloured_nodes"] == [[0, 1], [3, 4]]
 
 
+def test_contract_rejects_vertex_outside_graph(capsys):
+    cap = run_cli(
+        capsys, ["contract", "--graph6", "IheA@GUAo", "--coloured", "0,50"], expect=2
+    )
+    assert cap.err == "error: coloured vertex 50 is not in the graph (n=10)\n"
+    assert cap.out == ""
+
+
+def test_compute_z_subset_budget(capsys):
+    matching = build_graph(40, [(i, i + 1) for i in range(0, 38, 2)])
+    cap = run_cli(capsys, ["compute", "--graph6", to_graph6(matching), "--z"], expect=1)
+    assert cap.err == (
+        "infeasible: subset search would exceed 3000000 sets at size 6 (n=40)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--graph6", "IheA@GUAo", "--q", "1", "--chain", "1"],
+        ["family", "--name", "book", "--n", "3", "--q", "1", "--z"],
+    ],
+)
+def test_levels_are_mutually_exclusive(capsys, argv):
+    cap = run_cli(capsys, argv, expect=2)
+    assert "not allowed with argument" in cap.err
+    assert cap.out == ""
+
+
 def test_certify_book(capsys):
     out = run_cli(capsys, ["certify", "--name", "book", "--n", "3"]).out
     assert "nullity: 3" in out and "OK" in out

@@ -55,6 +55,13 @@ def test_contraction_errors_and_dropped_nodes():
     assert cb.coloured_nodes == (mask([2]),)
 
 
+def test_contraction_rejects_vertex_outside_graph():
+    with pytest.raises(ValueError, match="coloured vertex 50 is not in the graph"):
+        bipartite_contraction(path(10), mask([0, 50]))
+    with pytest.raises(ValueError, match="coloured vertex 3 "):
+        bipartite_contraction(path(3), mask([0, 3, 7]))
+
+
 def test_contraction_multiplicities():
     # a coloured vertex joined twice to one uncoloured component (triangle)
     g = build_graph(3, [(0, 1), (0, 2), (1, 2)])

@@ -3,8 +3,10 @@ from random import Random
 
 import pytest
 
+from zqforce.families import book, complete_multipartite
 from zqforce.game import (
     CacheLimitError,
+    CacheStats,
     InfeasibleError,
     TokenSpend,
     admissible_families,
@@ -334,9 +336,11 @@ def test_strategy_uses_oracle_moves_when_cheaper():
 
 def test_cache_stats_populated():
     res = zq_number(petersen(), 1, build_strategy=False)
-    assert res.cache_stats.states > 0
-    assert res.cache_stats.hits > 0
+    assert res.cache_stats == CacheStats(286, 1032)
     assert res.strategy is None
+    # with strategy extraction, whose memo lookups count as hits too
+    assert zq_number(complete_multipartite(3, 3), 1).cache_stats == CacheStats(421, 1457)
+    assert zq_number(book(5), 1).cache_stats == CacheStats(333, 1388)
 
 
 def test_cache_limit():

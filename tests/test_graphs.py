@@ -163,6 +163,21 @@ def test_ccr_closure_within_matches_induced_reference():
         assert ccr_closure(g, b, g.full_mask) == ccr_closure(g, b)
 
 
+def test_ccr_closure_from_closed_state_plus_one_token():
+    # the solver's token spend: a closed state plus v, with only v and its
+    # coloured neighbours as the starting worklist
+    rng = Random(29)
+    for _ in range(150):
+        g = random_graph(rng, rng.randrange(1, 11))
+        for _ in range(3):
+            b = ccr_closure(g, rng.randrange(1 << g.n))
+            for v in vertices_of(g.full_mask & ~b):
+                start = b | 1 << v
+                got = ccr_closure(g, start, g.full_mask, (1 << v) | (g.adj[v] & b))
+                assert got == ccr_closure(g, start)
+                assert vset(got) == naive_ccr_closure(g, vset(start))
+
+
 def test_vertex_connectivity_examples():
     k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert vertex_connectivity(k4) == 3

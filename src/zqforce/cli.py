@@ -196,9 +196,12 @@ def _matrix_lines(m: np.ndarray) -> list[str]:
 def _cmd_contract(args) -> int:
     g, source = _read_graph(args)
     try:
-        coloured = mask_of(int(t) for t in args.coloured.split(",") if t != "")
+        vertices = [int(t) for t in args.coloured.split(",") if t != ""]
     except ValueError as exc:
         raise UsageError(f"bad --coloured list: {exc}") from exc
+    if vertices and min(vertices) < 0:
+        raise UsageError(f"coloured vertex {min(vertices)} is not in the graph (n={g.n})")
+    coloured = mask_of(vertices)
     cb = bipartite_contraction(g, coloured)
     matching = max_matching(cb)
     record = {

@@ -9,12 +9,18 @@ minimum number of tokens that guarantees colouring everything against every
 oracle.
 
 Solver states are normalised to CCR closure, so a single bitmask of coloured
-vertices is the memo key. Rule-3 families are enumerated at size exactly
-q+1: the responses to any (q+1)-subfamily are a subset of the responses to
-the whole family, so offering exactly q+1 components is never worse.
-Families where some oracle response forces nothing are pruned as dominated,
-which also guarantees the recursion terminates: every expanded move strictly
-grows the coloured set.
+vertices names a state. The memo is keyed on its canonical form under
+interchangeable vertex blocks (``graphs.interchangeable_blocks``): any
+permutation of a class's blocks is an automorphism, which keeps the game
+value, so a state and its block permutations share one entry, and
+``CacheStats.states`` counts these canonical states. Moves and strategies
+are still derived from the concrete states.
+
+Rule-3 families are enumerated at size exactly q+1: the responses to any
+(q+1)-subfamily are a subset of the responses to the whole family, so
+offering exactly q+1 components is never worse. Families where some oracle
+response forces nothing are pruned as dominated, which also guarantees the
+recursion terminates: every expanded move strictly grows the coloured set.
 """
 
 from __future__ import annotations
@@ -24,7 +30,15 @@ from itertools import combinations, islice
 from math import comb
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .graphs import Graph, bits, ccr_closure, uncoloured_components
+from .graphs import (
+    BlockClass,
+    Graph,
+    bits,
+    canonical_key,
+    ccr_closure,
+    interchangeable_blocks,
+    uncoloured_components,
+)
 
 # A rule-3 move family: component bitmasks, sorted ascending (by min vertex).
 MoveFamily = tuple[int, ...]
@@ -147,11 +161,13 @@ class _Solver:
         q: int,
         all_family_sizes: bool = False,
         cache_mb: int | None = None,
+        classes: Sequence[BlockClass] = (),
     ):
         self.g = g
         self.q = q
         self.full = g.full_mask
         self.all_family_sizes = all_family_sizes
+        self.classes = classes
         self.memo: dict[int, int] = {}
         self.hits = 0
         self.cache_entries = None
@@ -212,18 +228,24 @@ class _Solver:
                 yield fam, responses(fam)
 
     def value(self, b: int) -> int:
-        """Game value of the CCR-closed state ``b``."""
+        """Game value of the CCR-closed state ``b``.
+
+        The memo is keyed on ``canonical_key(classes, b)``: a permutation of
+        interchangeable blocks is an automorphism, which keeps the value.
+        """
         if b == self.full:
             return 0
-        cached = self.memo.get(b)
+        memo = self.memo
+        classes = self.classes
+        key = canonical_key(classes, b) if classes else b
+        cached = memo.get(key)
         if cached is not None:
             self.hits += 1
             return cached
-        memo = self.memo
         best = _INF
         for _, nb in self.tokens(b):
             # the memo lookup ``value`` would make, without the call
-            val = memo.get(nb)
+            val = memo.get(canonical_key(classes, nb) if classes else nb)
             if val is None:
                 val = self.value(nb)
             else:
@@ -246,7 +268,7 @@ class _Solver:
             raise CacheLimitError(
                 f"memo exceeded {len(self.memo)} entries (ZQ_CACHE_MB cap)"
             )
-        self.memo[b] = best
+        memo[key] = best
         return best
 
     # -- strategy extraction (re-derives optimal moves from memoised values) --
@@ -295,6 +317,11 @@ def zq_number(
 ) -> ZqResult:
     """Exact Z_q(G) by memoised minimax over CCR-closed colourings.
 
+    The memo is keyed on the canonical form of a colouring under
+    permutations of interchangeable vertex blocks (twins, book pages, the
+    columns of ``K_{n,m} x K_2``), so ``cache_stats.states`` counts canonical
+    states; a graph without such blocks keys on the colouring itself.
+
     ``all_family_sizes=True`` enumerates rule-3 families of every size
     >= q+1 instead of exactly q+1. It gives the same value, because a
     (q+1)-subfamily's responses are a subset of the whole family's, and it
@@ -302,7 +329,13 @@ def zq_number(
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    solver = _Solver(g, q, all_family_sizes=all_family_sizes, cache_mb=cache_mb)
+    solver = _Solver(
+        g,
+        q,
+        all_family_sizes=all_family_sizes,
+        cache_mb=cache_mb,
+        classes=interchangeable_blocks(g),
+    )
     start = ccr_closure(g, 0)
     value = solver.value(start)
     strategy = solver.strategy(start) if build_strategy else None

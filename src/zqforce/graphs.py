@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -254,6 +254,129 @@ def ccr_closure(
             w ^= x
             # the forcer ``low`` now has no uncoloured neighbour left
             todo |= x | (adj[x.bit_length() - 1] & b & within) ^ low
+    return b
+
+
+# ---------------------------------------------------------------------------
+# Interchangeable vertex blocks (a subgroup of Aut(G))
+# ---------------------------------------------------------------------------
+
+# A block class: pairwise-disjoint vertex tuples of one length, aligned so
+# that position i of every block plays the same role. Any permutation of the
+# blocks that carries position i to position i is an automorphism.
+BlockClass = tuple[tuple[int, ...], ...]
+
+
+def _block_swap(
+    g: Graph, u: int, v: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The swap of a block holding ``u`` with a block holding ``v``, if one
+    is found: (``u``'s block in ascending order, the aligned images).
+
+    Propagates the bijection forced by ``u -> v``: at each mapped pair
+    (x, y), the neighbours of x and of y that are not mapped yet must agree
+    except for at most one vertex on each side, and those two are mapped to
+    each other. Anything more ambiguous gives up, and so does a swap that
+    turns out not to be an automorphism.
+    """
+    adj = g.adj
+    image = {u: v, v: u}
+    moved = (1 << u) | (1 << v)
+    side = [u]
+    for x in side:  # grows while it is walked
+        y = image[x]
+        a = adj[x] & ~adj[y] & ~moved
+        c = adj[y] & ~adj[x] & ~moved
+        if not a and not c:
+            continue
+        if not a or not c or a & (a - 1) or c & (c - 1):
+            return None
+        xa, yc = a.bit_length() - 1, c.bit_length() - 1
+        image[xa], image[yc] = yc, xa
+        moved |= a | c
+        side.append(xa)
+
+    def swapped(m: int) -> int:
+        out = m & ~moved
+        for w in bits(m & moved):
+            out |= 1 << image[w]
+        return out
+
+    touched = moved
+    for w in bits(moved):
+        touched |= adj[w]
+    for w in bits(touched):
+        if swapped(adj[w]) != adj[image.get(w, w)]:
+            return None
+    base = tuple(sorted(side))
+    return base, tuple(image[x] for x in base)
+
+
+def interchangeable_blocks(g: Graph) -> list[BlockClass]:
+    """Classes of interchangeable vertex blocks, pairwise vertex-disjoint.
+
+    For each vertex ``u`` not yet in a class, from the lowest, every later
+    vertex of equal degree proposes a block swap (:func:`_block_swap`).
+    Swaps that share ``u``'s block are grouped, and the images disjoint from
+    it and from each other, in order of their ``v``, join it in a class; the
+    largest such class is kept. Each block's swap with the first is a
+    verified automorphism and the blocks are disjoint, so every permutation
+    of a class's blocks is one too. Twins are blocks of size 1; the pages
+    of a book and the columns of ``K_{n,m} x K_2`` are blocks of size 2.
+    """
+    adj = g.adj
+    used = 0
+    classes: list[BlockClass] = []
+    for u in range(g.n):
+        if used >> u & 1:
+            continue
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for v in range(u + 1, g.n):
+            if used >> v & 1 or adj[u].bit_count() != adj[v].bit_count():
+                continue
+            swap = _block_swap(g, u, v)
+            if swap is not None and not mask_of(swap[0] + swap[1]) & used:
+                groups.setdefault(swap[0], []).append(swap[1])
+        best: BlockClass = ()
+        for base, images in groups.items():
+            blocks = [base]
+            taken = mask_of(base)
+            for img in images:
+                m = mask_of(img)
+                if not m & taken:
+                    blocks.append(img)
+                    taken |= m
+            if len(blocks) > len(best):
+                best = tuple(blocks)
+        if best:
+            classes.append(best)
+            used |= mask_of(w for blk in best for w in blk)
+    return classes
+
+
+def canonical_key(classes: Sequence[BlockClass], b: int) -> int:
+    """Canonical form of the vertex set ``b`` under permutations of blocks.
+
+    Within each class the blocks' bit patterns (bit i from the block's
+    position i) are sorted and written back in block order. Classes are
+    vertex-disjoint, so the result is the same for every image of ``b``
+    under the group they generate, and it is itself such an image.
+    """
+    for blocks in classes:
+        pats = []
+        for blk in blocks:
+            p = 0
+            for i, w in enumerate(blk):
+                p |= (b >> w & 1) << i
+            pats.append(p)
+        ordered = sorted(pats)
+        if ordered != pats:
+            for blk, p in zip(blocks, ordered):
+                for i, w in enumerate(blk):
+                    if p >> i & 1:
+                        b |= 1 << w
+                    else:
+                        b &= ~(1 << w)
     return b
 
 

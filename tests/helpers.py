@@ -182,3 +182,60 @@ def mask(vertices) -> int:
 
 def vset(m: int) -> set[int]:
     return {i for i in range(m.bit_length()) if m >> i & 1}
+
+
+def naive_game(g: Graph, q: int):
+    """Game values by plain minimax over sets of coloured vertices.
+
+    Returns a function from a set of coloured vertices to the number of
+    tokens that colours every vertex from its closure against every oracle;
+    Z_q(G) is its value on the empty set. Offers families of every size above
+    q and prunes nothing: a family with a response that colours nothing is
+    worth infinity, since the oracle may return that response for ever.
+    """
+    adj = adjacency_sets(g)
+    everything = frozenset(range(g.n))
+
+    def force(coloured: set[int], inside: frozenset[int]) -> frozenset[int]:
+        coloured = set(coloured)
+        while True:
+            forced = set()
+            for u in coloured & inside:
+                unc = (adj[u] & inside) - coloured
+                if len(unc) == 1:
+                    forced |= unc
+            if not forced:
+                return frozenset(coloured)
+            coloured |= forced
+
+    memo: dict[frozenset[int], float] = {}
+
+    def value(coloured: frozenset[int]) -> float:
+        if coloured == everything:
+            return 0
+        if coloured in memo:
+            return memo[coloured]
+        best = min(
+            1 + value(force(coloured | {v}, everything)) for v in everything - coloured
+        )
+        comps = naive_components(g, everything - coloured)
+        for size in range(q + 1, len(comps) + 1):
+            for family in combinations(comps, size):
+                worst = 0
+                for k in range(1, size + 1):
+                    for response in combinations(family, k):
+                        after = force(coloured, coloured.union(*response))
+                        if after == coloured:
+                            worst = float("inf")
+                        else:
+                            worst = max(worst, value(force(after, everything)))
+                best = min(best, worst)
+        memo[coloured] = best
+        return best
+
+    return lambda coloured=(): value(force(set(coloured), everything))
+
+
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """The copy of ``g`` in which vertex v is called ``perm[v]``."""
+    return build_graph(g.n, [(perm[i], perm[j]) for i, j in g.edges()])

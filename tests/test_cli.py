@@ -101,11 +101,57 @@ strategy:
       (already coloured)
 """,
     ),
+    # block-rich graphs, whose memo keys on canonical states: book(4) (four
+    # interchangeable pages) and K_{3,3} (two classes of three twins)
+    (
+        ["compute", "--graph6", "IsaAHGSB?", "--q", "1", "--trace"],
+        """\
+n: 10
+q: 1
+value: 4
+strategy:
+  spend token on vertex 0
+  spend token on vertex 1
+  spend token on vertex 2
+  spend token on vertex 3
+""",
+    ),
+    (
+        ["compute", "--graph6", "IsaAHGSB?", "--q", "0", "--trace"],
+        """\
+n: 10
+q: 0
+value: 2
+strategy:
+  spend token on vertex 0
+  spend token on vertex 1
+  offer components [2, 7]
+    if oracle returns {[2, 7]}:
+      offer components [3, 8]
+        if oracle returns {[3, 8]}:
+          (already coloured)
+""",
+    ),
+    (
+        ["compute", "--graph6", "EFz_", "--q", "1", "--trace"],
+        """\
+n: 6
+q: 1
+value: 4
+strategy:
+  spend token on vertex 0
+  spend token on vertex 1
+  spend token on vertex 3
+  spend token on vertex 4
+""",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, expected", GOLDEN_TRACES, ids=["petersen", "threshold-json", "oracle"]
+    "argv, expected",
+    GOLDEN_TRACES,
+    ids=["petersen", "threshold-json", "oracle", "book4-q1", "book4-q0", "k33-q1"],
 )
 def test_compute_trace_golden_bytes(capsys, argv, expected):
     assert run_cli(capsys, argv).out == expected
@@ -181,6 +227,14 @@ def test_contract_rejects_vertex_outside_graph(capsys):
         capsys, ["contract", "--graph6", "IheA@GUAo", "--coloured", "0,50"], expect=2
     )
     assert cap.err == "error: coloured vertex 50 is not in the graph (n=10)\n"
+    assert cap.out == ""
+
+
+def test_contract_rejects_negative_vertex(capsys):
+    cap = run_cli(
+        capsys, ["contract", "--graph6", "IheA@GUAo", "--coloured", "0,-1"], expect=2
+    )
+    assert cap.err == "error: coloured vertex -1 is not in the graph (n=10)\n"
     assert cap.out == ""
 
 

@@ -9,6 +9,7 @@ from zqforce.game import (
     CacheStats,
     InfeasibleError,
     TokenSpend,
+    _Solver,
     admissible_families,
     independence_number,
     psd_closure,
@@ -20,7 +21,12 @@ from zqforce.game import (
     zq_chain,
     zq_number,
 )
-from zqforce.graphs import build_graph, ccr_closure, vertex_connectivity
+from zqforce.graphs import (
+    build_graph,
+    ccr_closure,
+    interchangeable_blocks,
+    vertex_connectivity,
+)
 
 from helpers import (
     PETERSEN_EDGES,
@@ -28,12 +34,14 @@ from helpers import (
     mask,
     naive_ccr_closure,
     naive_components,
+    naive_game,
     naive_induced_ccr,
     naive_min_forcing,
     naive_psd_closure,
     random_connected_graph,
     random_graph,
     random_tree,
+    relabel,
     vset,
 )
 
@@ -163,6 +171,26 @@ def test_admissible_families_match_set_reference():
 # ---------------------------------------------------------------------------
 # Game values
 # ---------------------------------------------------------------------------
+
+
+def test_zq_number_matches_set_reference():
+    # The gate for the canonical memo key. A key that merged two closed
+    # states of different values would give one of them the other's value,
+    # so every closed state is checked, not only the empty one.
+    rng = Random(5)
+    for n in range(1, 7):
+        for g in all_graphs_up_to_iso(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, relabel(g, perm)):
+                closed = sorted({ccr_closure(h, b) for b in range(1 << n)})
+                for q in range(n):
+                    reference = naive_game(h, q)
+                    got = zq_number(h, q, build_strategy=False).value
+                    assert got == reference(), (h.edges(), q)
+                    solver = _Solver(h, q, classes=interchangeable_blocks(h))
+                    for b in closed:
+                        assert solver.value(b) == reference(vset(b)), (h.edges(), q, b)
 
 
 def test_zq_number_examples():
@@ -335,12 +363,14 @@ def test_strategy_uses_oracle_moves_when_cheaper():
 
 
 def test_cache_stats_populated():
+    # Petersen has no interchangeable blocks, so every state is its own key
     res = zq_number(petersen(), 1, build_strategy=False)
     assert res.cache_stats == CacheStats(286, 1032)
     assert res.strategy is None
-    # with strategy extraction, whose memo lookups count as hits too
-    assert zq_number(complete_multipartite(3, 3), 1).cache_stats == CacheStats(421, 1457)
-    assert zq_number(book(5), 1).cache_stats == CacheStats(333, 1388)
+    # with strategy extraction, whose memo lookups count as hits too; states
+    # are canonical states under permutations of twins and of pages
+    assert zq_number(complete_multipartite(3, 3), 1).cache_stats == CacheStats(51, 225)
+    assert zq_number(book(5), 1).cache_stats == CacheStats(37, 196)
 
 
 def test_cache_limit():

@@ -1,11 +1,15 @@
+from itertools import combinations
 from random import Random
 
 import pytest
 
+from zqforce.families import bipartite_prism, book, complete_multipartite, kneser2, prism
 from zqforce.graphs import (
     build_graph,
+    canonical_key,
     ccr_closure,
     induced_subgraph,
+    interchangeable_blocks,
     parse_edge_list,
     parse_graph6,
     to_graph6,
@@ -17,11 +21,14 @@ from zqforce.graphs import (
 
 from helpers import (
     PETERSEN_EDGES,
+    adjacency_sets,
+    all_graphs_up_to_iso,
     mask,
     naive_ccr_closure,
     naive_induced_ccr,
     random_graph,
     reference_graph6_encode,
+    relabel,
     vset,
 )
 
@@ -200,3 +207,92 @@ def test_vertex_connectivity_against_bruteforce():
         assert kappa == vertex_connectivity_bruteforce(g)
         assert kappa <= g.min_degree()
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# Interchangeable blocks and the canonical key
+# ---------------------------------------------------------------------------
+
+
+def _block_swaps(classes):
+    """Every transposition of two blocks of one class, as a vertex dict."""
+    for blocks in classes:
+        for x, y in combinations(blocks, 2):
+            yield {**dict(zip(x, y)), **dict(zip(y, x))}
+
+
+def _swap_mask(swap, b):
+    return mask(swap.get(v, v) for v in vset(b))
+
+
+def _block_corpus():
+    rng = Random(83)
+    graphs = [complete_multipartite(4, 4), book(8), bipartite_prism(4, 5)]
+    graphs += [g for n in range(1, 6) for g in all_graphs_up_to_iso(n)]
+    for _ in range(60):
+        g = random_graph(rng, rng.randrange(2, 11), rng.choice([0.2, 0.5, 0.8]))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs += [g, relabel(g, perm)]
+    return graphs
+
+
+def test_block_swaps_are_automorphisms():
+    found = 0
+    for g in _block_corpus():
+        adj = adjacency_sets(g)
+        classes = interchangeable_blocks(g)
+        seen = set()
+        for blocks in classes:
+            assert len(blocks) >= 2 and len({len(x) for x in blocks}) == 1
+            for x in blocks:
+                assert not seen & set(x)  # blocks and classes are disjoint
+                seen |= set(x)
+        for swap in _block_swaps(classes):
+            for v in range(g.n):
+                assert adj[swap.get(v, v)] == {swap.get(w, w) for w in adj[v]}
+            found += 1
+    assert found > 400
+
+
+def test_block_classes_of_the_paper_families():
+    def shape(g):
+        return sorted((len(c), len(c[0])) for c in interchangeable_blocks(g))
+
+    assert interchangeable_blocks(complete_multipartite(4, 4)) == [
+        tuple((4 * p + i,) for i in range(4)) for p in range(4)
+    ]
+    assert shape(book(8)) == [(8, 2)]
+    assert shape(bipartite_prism(4, 5)) == [(4, 2), (5, 2)]
+    for g in (build_graph(10, PETERSEN_EDGES), kneser2(6), prism(8)):
+        assert interchangeable_blocks(g) == []
+
+
+def test_canonical_key_is_a_canonical_image():
+    # the key of b is in b's orbit under block swaps, and every state in
+    # that orbit has the same key
+    rng = Random(89)
+    for g in _block_corpus():
+        classes = interchangeable_blocks(g)
+        swaps = list(_block_swaps(classes))
+        # book(8) has orbits of thousands of states: few samples on large graphs
+        samples = 8 if g.n <= 10 else 2
+        if g.n <= 6:
+            states = range(1 << g.n)
+        else:
+            states = [rng.randrange(1 << g.n) for _ in range(samples)]
+        for b in states:
+            key = canonical_key(classes, b)
+            assert canonical_key(classes, key) == key
+            assert key.bit_count() == b.bit_count()
+            orbit, frontier = {b}, [b]
+            while frontier:
+                c = frontier.pop()
+                assert canonical_key(classes, c) == key
+                for swap in swaps:
+                    d = _swap_mask(swap, c)
+                    if d not in orbit:
+                        orbit.add(d)
+                        frontier.append(d)
+            assert key in orbit
+    assert canonical_key([], 0b1011) == 0b1011

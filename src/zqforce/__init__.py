@@ -20,7 +20,6 @@ from .graphs import (
     vertex_connectivity,
 )
 from .game import (
-    CacheLimitError,
     InfeasibleError,
     ZqResult,
     admissible_families,

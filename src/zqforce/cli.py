@@ -1,31 +1,22 @@
 """Command-line front end: solvers, formulas, certificates, and reports.
 
-Exit codes: 0 success, 1 computation refused as infeasible (size caps,
-memo cap), 2 usage error. Output is deterministic for a fixed argv.
+Exit codes: 0 success, 1 computation refused as infeasible (the game-size
+guard, the subset budgets), 2 usage error. Output is deterministic for a
+fixed argv.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import families, spectral, threshold
 from .contraction import bipartite_contraction, max_matching
-from .game import (
-    CacheLimitError,
-    InfeasibleError,
-    TokenSpend,
-    z_number,
-    zq_chain,
-    zq_number,
-)
+from .game import InfeasibleError, TokenSpend, z_number, zq_chain, zq_number
 from .graphs import Graph, mask_of, parse_edge_list, parse_graph6, to_graph6, vertices_of
-
-GAME_GUARD_N = 16
 
 
 class UsageError(Exception):
@@ -53,14 +44,17 @@ def _read_graph(args) -> tuple[Graph, dict]:
     return threshold.build_threshold_graph(seq), {"seq": seq.to_bits()}
 
 
-def _cache_mb() -> int | None:
-    raw = os.environ.get("ZQ_CACHE_MB")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"ZQ_CACHE_MB must be an integer, got {raw!r}") from exc
+def _game_refused(g: Graph, force: bool) -> bool:
+    """Whether an exact game solve on ``g`` is refused: more than
+    ``families.GAME_MAX_N`` vertices and no ``--force``. Says why on stderr."""
+    if g.n <= families.GAME_MAX_N or force:
+        return False
+    print(
+        f"refusing exact game solve for n={g.n} > {families.GAME_MAX_N} "
+        f"(up to 2^{g.n} = {2**g.n} states); pass --force to override",
+        file=sys.stderr,
+    )
+    return True
 
 
 def _render_strategy(strategy, indent: int = 0) -> list[str]:
@@ -130,12 +124,7 @@ def _cmd_compute(args) -> int:
     g, source = _read_graph(args)
     if args.q is None and not args.chain and not args.z:
         raise UsageError("compute needs --q, --chain, or --z")
-    if not args.z and g.n > GAME_GUARD_N and not args.force:
-        print(
-            f"refusing exact game solve for n={g.n} > {GAME_GUARD_N} "
-            f"(up to 2^{g.n} = {2**g.n} states); pass --force to override",
-            file=sys.stderr,
-        )
+    if not args.z and _game_refused(g, args.force):
         return 1
     record: dict = {"input": source}
     lines = [f"n: {g.n}"]
@@ -144,11 +133,11 @@ def _cmd_compute(args) -> int:
         record.update({"q": None, "value": value})
         lines.append(f"z: {value}")
     elif args.chain is not None:
-        chain = zq_chain(g, args.chain, cache_mb=_cache_mb())
+        chain = zq_chain(g, args.chain)
         record.update({"q": f"0..{args.chain}", "value": chain})
         lines.append(f"chain: {chain}")
     else:
-        res = zq_number(g, args.q, build_strategy=args.trace, cache_mb=_cache_mb())
+        res = zq_number(g, args.q, build_strategy=args.trace)
         record.update({"q": args.q, "value": res.value})
         lines += [f"q: {args.q}", f"value: {res.value}"]
         if args.trace:
@@ -169,10 +158,9 @@ def _cmd_threshold(args) -> int:
     lines.append(f"z_classical: {threshold.z_classical(seq)}")
     if args.verify:
         g = threshold.build_threshold_graph(seq)
-        if g.n > GAME_GUARD_N and not args.force:
-            print(f"refusing exact verification for n={g.n}; pass --force", file=sys.stderr)
+        if _game_refused(g, args.force):
             return 1
-        game = zq_number(g, args.q, build_strategy=False, cache_mb=_cache_mb()).value
+        game = zq_number(g, args.q, build_strategy=False).value
         verdict = "PASS" if game == value else "FAIL"
         record.update({"game": game, "verify": verdict})
         lines += [f"game: {game}", f"verify: {verdict}"]
@@ -289,20 +277,16 @@ def _cmd_family(args) -> int:
     record: dict = {"input": {"family": spec.label(), "n_vertices": g.n}}
     lines = [f"family: {spec.label()}", f"vertices: {g.n}", f"edges: {g.num_edges()}"]
     anchors = []
+    if (args.chain is not None or args.q is not None) and _game_refused(g, args.force):
+        return 1
     if args.chain is not None:
-        if g.n > GAME_GUARD_N and not args.force:
-            print(f"refusing exact game solve for n={g.n}; pass --force", file=sys.stderr)
-            return 1
-        chain = zq_chain(g, args.chain, cache_mb=_cache_mb())
+        chain = zq_chain(g, args.chain)
         record.update({"q": f"0..{args.chain}", "value": chain})
         lines.append(f"chain: {chain}")
         anchors = [kv.anchor for q in range(args.chain + 1)
                    for kv in [families.lookup(spec, q)] if kv]
     elif args.q is not None:
-        if g.n > GAME_GUARD_N and not args.force:
-            print(f"refusing exact game solve for n={g.n}; pass --force", file=sys.stderr)
-            return 1
-        value = zq_number(g, args.q, build_strategy=False, cache_mb=_cache_mb()).value
+        value = zq_number(g, args.q, build_strategy=False).value
         record.update({"q": args.q, "value": value})
         lines.append(f"Z_{args.q}: {value}")
         kv = families.lookup(spec, args.q)
@@ -479,7 +463,7 @@ def run(argv: list[str]) -> int:
     except (ValueError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleError, CacheLimitError) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
 

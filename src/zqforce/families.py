@@ -280,7 +280,9 @@ def lookup(spec: FamilySpec, q: int | None) -> KnownValue | None:
 # Reproduction report
 # ---------------------------------------------------------------------------
 
-GAME_MAX_N = 14  # 2^n closed-state memo
+# The one game-size limit: reproduce, probe and the CLI refuse an exact game
+# solve on more vertices (the CLI unless it is given --force).
+GAME_MAX_N = 16
 Z_SUBSET_BUDGET = 3_000_000
 Z0_SUBSET_BUDGET = 200_000
 
@@ -422,11 +424,11 @@ class ProbeReport:
         return "\n".join([head] + body) + "\n"
 
 
-# name -> (generator, conjectured Z_0, conjectured Z_1), all taking (n, m)
+# name -> (family, conjectured Z_0, conjectured Z_1), all taking (n, m)
 _GAME_PROBES = {
-    "bipartite_prism": (bipartite_prism, lambda n, m: 2 * min(n, m), lambda n, m: n + m),
+    "bipartite_prism": ("bipartite_prism", lambda n, m: 2 * min(n, m), lambda n, m: n + m),
     "multipartite": (
-        complete_multipartite,
+        "complete_multipartite",
         lambda n, parts: n * (parts - 1),
         lambda n, parts: n * parts - 2,
     ),
@@ -437,24 +439,23 @@ def probe_conjecture(name: str, params: tuple[int, ...]) -> ProbeReport:
     """Exact small-instance comparison against a conjectured formula.
 
     Reports agreement only; conjectures are open and never asserted.
-    Raises InfeasibleError when the instance is too large to solve exactly.
+    Raises InfeasibleError when the instance is too large to solve exactly,
+    as :func:`reproduce_report` would refuse it.
     """
     if name in _GAME_PROBES:
-        generate_graph, z0_conj, z1_conj = _GAME_PROBES[name]
+        family, z0_conj, z1_conj = _GAME_PROBES[name]
         n, m = params
-        g = generate_graph(n, m)
-        if g.n > GAME_MAX_N:
-            raise InfeasibleError(f"instance too large: n={g.n}")
-        z0 = z0_number(g, max_subsets=Z0_SUBSET_BUDGET)
-        z1 = zq_number(g, 1, build_strategy=False).value
+        spec = FamilySpec(family, (n, m))
+        # Z_1 first: an instance over GAME_MAX_N is refused before any search
+        z1 = _solve_value(spec, 1)
+        z0 = _solve_value(spec, 0)
         c0, c1 = z0_conj(n, m), z1_conj(n, m)
         lines = (ProbeLine("Z_0", c0, z0, z0 == c0), ProbeLine("Z_1", c1, z1, z1 == c1))
         return ProbeReport(name, tuple(params), lines)
     if name == "kneser_z0":
         (n,) = params
-        g = kneser2(n)
         conj = comb(n, 2) - 6 if n <= 7 else comb(n - 1, 2)
-        z0 = z0_number(g, max_subsets=Z0_SUBSET_BUDGET)
+        z0 = _solve_value(FamilySpec("kneser2", (n,)), 0)
         return ProbeReport(name, tuple(params), (ProbeLine("Z_0", conj, z0, z0 == conj),))
     raise ValueError(f"unknown conjecture probe {name!r}")
 

@@ -18,7 +18,9 @@ are still derived from the concrete states.
 
 Rule-3 families are enumerated at size exactly q+1: the responses to any
 (q+1)-subfamily are a subset of the responses to the whole family, so
-offering exactly q+1 components is never worse. Families where some oracle
+offering exactly q+1 components is never worse
+(``tests/test_game.py::test_zq_number_matches_set_reference`` compares the
+values with a reference that offers every size). Families where some oracle
 response forces nothing are pruned as dominated, which also guarantees the
 recursion terminates: every expanded move strictly grows the coloured set.
 """
@@ -44,10 +46,6 @@ from .graphs import (
 MoveFamily = tuple[int, ...]
 
 _INF = float("inf")
-
-
-class CacheLimitError(RuntimeError):
-    """Raised when the solver memo exceeds the configured memory cap."""
 
 
 class InfeasibleError(RuntimeError):
@@ -155,25 +153,13 @@ class ZqResult:
 
 
 class _Solver:
-    def __init__(
-        self,
-        g: Graph,
-        q: int,
-        all_family_sizes: bool = False,
-        cache_mb: int | None = None,
-        classes: Sequence[BlockClass] = (),
-    ):
+    def __init__(self, g: Graph, q: int, classes: Sequence[BlockClass] = ()):
         self.g = g
         self.q = q
         self.full = g.full_mask
-        self.all_family_sizes = all_family_sizes
         self.classes = classes
         self.memo: dict[int, int] = {}
         self.hits = 0
-        self.cache_entries = None
-        if cache_mb is not None:
-            # dict entry of two small ints costs ~100 bytes incl. table slack
-            self.cache_entries = max(1, (cache_mb * 1024 * 1024) // 100)
 
     # -- move generators (shared by value, strategy and admissible_families) --
 
@@ -194,8 +180,8 @@ class _Solver:
     def families(
         self, b: int
     ) -> Iterator[tuple[MoveFamily, Iterator[tuple[int, int | None]]]]:
-        """Rule-3 moves from the closed state ``b``, smallest size first and
-        lexicographic within a size.
+        """Rule-3 moves from the closed state ``b``: the families of q+1
+        uncoloured components, in lexicographic order.
 
         Each family comes with a lazy iterator over the oracle's responses:
         (subset of family positions as a bitmask, closed next state), where
@@ -204,11 +190,6 @@ class _Solver:
         """
         g = self.g
         comps = uncoloured_components(g, b)
-        sizes = (
-            range(self.q + 1, len(comps) + 1)
-            if self.all_family_sizes
-            else (self.q + 1,)
-        )
         rcache: dict[int, int | None] = {}
 
         def responses(fam: MoveFamily) -> Iterator[tuple[int, int | None]]:
@@ -223,9 +204,8 @@ class _Solver:
                     rcache[union] = s
                 yield r, s
 
-        for size in sizes:
-            for fam in combinations(comps, size):
-                yield fam, responses(fam)
+        for fam in combinations(comps, self.q + 1):
+            yield fam, responses(fam)
 
     def value(self, b: int) -> int:
         """Game value of the CCR-closed state ``b``.
@@ -264,10 +244,6 @@ class _Solver:
                     break
             else:
                 best = worst
-        if self.cache_entries is not None and len(self.memo) >= self.cache_entries:
-            raise CacheLimitError(
-                f"memo exceeded {len(self.memo)} entries (ZQ_CACHE_MB cap)"
-            )
         memo[key] = best
         return best
 
@@ -308,13 +284,7 @@ class _Solver:
         raise AssertionError("no move achieves the memoised game value")
 
 
-def zq_number(
-    g: Graph,
-    q: int,
-    build_strategy: bool = True,
-    all_family_sizes: bool = False,
-    cache_mb: int | None = None,
-) -> ZqResult:
+def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
     """Exact Z_q(G) by memoised minimax over CCR-closed colourings.
 
     The memo is keyed on the canonical form of a colouring under
@@ -322,20 +292,14 @@ def zq_number(
     columns of ``K_{n,m} x K_2``), so ``cache_stats.states`` counts canonical
     states; a graph without such blocks keys on the colouring itself.
 
-    ``all_family_sizes=True`` enumerates rule-3 families of every size
-    >= q+1 instead of exactly q+1. It gives the same value, because a
-    (q+1)-subfamily's responses are a subset of the whole family's, and it
-    exists so tests can check that.
+    Rule-3 families are offered at size exactly q+1, which gives the same
+    value as every size >= q+1 because a (q+1)-subfamily's responses are a
+    subset of the whole family's; ``test_zq_number_matches_set_reference``
+    checks it against a reference solver that offers every size.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    solver = _Solver(
-        g,
-        q,
-        all_family_sizes=all_family_sizes,
-        cache_mb=cache_mb,
-        classes=interchangeable_blocks(g),
-    )
+    solver = _Solver(g, q, classes=interchangeable_blocks(g))
     start = ccr_closure(g, 0)
     value = solver.value(start)
     strategy = solver.strategy(start) if build_strategy else None
@@ -353,15 +317,15 @@ def _level_masks(n: int, k: int) -> Iterator[int]:
 
 
 def _search_min_forcing(
-    g: Graph,
-    closure: Callable[[Graph, int], int],
-    lower: int,
-    max_subsets: int | None = None,
+    g: Graph, closure: Callable[[Graph, int], int], max_subsets: int | None = None
 ) -> int:
+    """Least k such that some k-set has full ``closure``, searched upwards
+    from the minimum degree, which bounds both Z and Z_0 from below (see
+    :func:`z_number` and :func:`z0_number`)."""
     full = g.full_mask
     n = g.n
     done = 0
-    for k in range(max(1, lower), n + 1):
+    for k in range(max(1, g.min_degree()), n + 1):
         count = comb(n, k)
         done += count
         if max_subsets is not None and done > max_subsets:
@@ -416,12 +380,27 @@ def z_number(g: Graph, max_subsets: int | None = None) -> int:
     Increasing-size subset search. Starts at the minimum degree (a forcing
     set must contain the first forcer and all but one of its neighbours).
     """
-    return _search_min_forcing(g, ccr_closure, g.min_degree(), max_subsets)
+    return _search_min_forcing(g, ccr_closure, max_subsets)
 
 
 def z0_number(g: Graph, max_subsets: int | None = None) -> int:
-    """Positive semidefinite zero forcing number: min |S| with full PSD closure."""
-    return _search_min_forcing(g, psd_closure, 1, max_subsets)
+    """Positive semidefinite zero forcing number: min |S| with full PSD closure.
+
+    Increasing-size subset search, started at the minimum degree δ(G)
+    (δ <= tw <= Z_0; Barioli et al., J. Graph Theory 72, 2013). Direct proof:
+    let S have full PSD closure. If S = V, |S| = n > δ. Otherwise let W be
+    a component of G - S. Forces into different components never interact, so
+    S forces G[S + W]. Claim: if W is connected, every neighbour of W lies
+    in S and S forces G[S + W], then |S| >= the least degree of a vertex of
+    W. Induct on |W|. If W = {v}, every neighbour of v lies in S. Otherwise
+    the first force is u -> v with u in S and v the only neighbour of u in
+    W. Let S' = S - u + v and W' a component of W - v. Every neighbour of W'
+    lies in S', and S' forces G[S' + W']: S + v forces it, and u, coloured
+    and with no neighbour in W', takes part in no force there. W' is smaller
+    than W and its vertices keep their degrees, so |S| = |S'| >= their
+    least degree.
+    """
+    return _search_min_forcing(g, psd_closure, max_subsets)
 
 
 def independence_number(g: Graph) -> int:
@@ -449,7 +428,7 @@ def independence_number(g: Graph) -> int:
     return mis(g.full_mask)
 
 
-def zq_chain(g: Graph, q_max: int, cache_mb: int | None = None) -> list[int]:
+def zq_chain(g: Graph, q_max: int) -> list[int]:
     """[Z_0, Z_1, ..., Z_{q_max}, Z(G)].
 
     Once q+1 exceeds the maximum possible number of uncoloured components
@@ -464,7 +443,7 @@ def zq_chain(g: Graph, q_max: int, cache_mb: int | None = None) -> list[int]:
         if q >= alpha:
             out.append(z)
         else:
-            out.append(zq_number(g, q, build_strategy=False, cache_mb=cache_mb).value)
+            out.append(zq_number(g, q, build_strategy=False).value)
     out.append(z)
     return out
 

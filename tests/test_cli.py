@@ -162,26 +162,36 @@ def test_compute_requires_single_input(capsys):
     run_cli(capsys, ["compute", "--q", "0"], expect=2)
 
 
-def test_compute_size_guard(capsys):
-    big_path = build_graph(17, [(i, i + 1) for i in range(16)])
-    enc = to_graph6(big_path)
-    cap = run_cli(capsys, ["compute", "--graph6", enc, "--q", "0"], expect=1)
-    assert "refusing" in cap.err
-    out = run_cli(capsys, ["compute", "--graph6", enc, "--q", "0", "--force"]).out
-    assert "value: 1" in out
+P17 = to_graph6(build_graph(17, [(i, i + 1) for i in range(16)]))
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["compute", "--graph6", P17, "--q", "0"], "value: 1"),
+        (["compute", "--graph6", P17, "--chain", "1"], "chain: [1, 1, 1]"),
+        (["threshold", "--seq", "0" * 16 + "1", "--q", "1", "--verify"], "verify: PASS"),
+        (["family", "--name", "path", "--n", "17", "--q", "1"], "Z_1: 1"),
+        (["family", "--name", "path", "--n", "17", "--chain", "1"], "chain: [1, 1, 1]"),
+    ],
+    ids=["compute-q", "compute-chain", "threshold-verify", "family-q", "family-chain"],
+)
+def test_game_size_guard(capsys, argv, expected):
+    # every exact game solve on 17 > GAME_MAX_N vertices is refused with
+    # exit 1, and --force runs it
+    cap = run_cli(capsys, argv, expect=1)
+    assert cap.err == (
+        "refusing exact game solve for n=17 > 16 (up to 2^17 = 131072 states); "
+        "pass --force to override\n"
+    )
+    assert cap.out == ""
+    assert expected in run_cli(capsys, argv + ["--force"]).out
 
 
 def test_compute_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
     out = run_cli(capsys, ["compute", "--graph6", "-", "--q", "0"]).out
     assert "value: 1" in out
-
-
-def test_cache_cap_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("ZQ_CACHE_MB", "0")
-    edges = to_graph6(build_graph(10, [(i, (i + 1) % 10) for i in range(10)]))
-    cap = run_cli(capsys, ["compute", "--graph6", edges, "--q", "1"], expect=1)
-    assert "infeasible" in cap.err
 
 
 def test_threshold_verify(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from zqforce.families import book, complete_multipartite
 from zqforce.game import (
-    CacheLimitError,
     CacheStats,
     InfeasibleError,
     TokenSpend,
@@ -254,16 +253,30 @@ def test_subset_search_matches_set_reference():
 
 
 def test_subset_budget_boundary():
-    # Petersen: Z_0 = 4 after C(10,1..4) = 385 sets, Z = 5 after C(10,3..5) = 582
+    # Both searches start at the minimum degree 3 of Petersen:
+    # Z_0 = 4 after C(10,3..4) = 330 sets, Z = 5 after C(10,3..5) = 582
     pet = petersen()
-    assert z0_number(pet, max_subsets=385) == 4
+    assert z0_number(pet, max_subsets=330) == 4
     with pytest.raises(InfeasibleError) as exc:
-        z0_number(pet, max_subsets=384)
-    assert str(exc.value) == "subset search would exceed 384 sets at size 4 (n=10)"
+        z0_number(pet, max_subsets=329)
+    assert str(exc.value) == "subset search would exceed 329 sets at size 4 (n=10)"
     assert z_number(pet, max_subsets=582) == 5
     with pytest.raises(InfeasibleError) as exc:
         z_number(pet, max_subsets=581)
     assert str(exc.value) == "subset search would exceed 581 sets at size 5 (n=10)"
+
+
+def test_z0_at_least_min_degree_exhaustive():
+    # z0_number starts its search at the minimum degree, so the bound it
+    # relies on is checked with the set-based reference on every graph of at
+    # most 7 vertices
+    nx = pytest.importorskip("networkx")
+
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes()]
+    assert len(atlas) == 1252
+    for h in atlas:
+        g = build_graph(h.number_of_nodes(), list(h.edges()))
+        assert naive_min_forcing(g, naive_psd_closure) >= g.min_degree(), g.edges()
 
 
 def test_batch_closure_path_matches_scalar():
@@ -371,25 +384,3 @@ def test_cache_stats_populated():
     # are canonical states under permutations of twins and of pages
     assert zq_number(complete_multipartite(3, 3), 1).cache_stats == CacheStats(51, 225)
     assert zq_number(book(5), 1).cache_stats == CacheStats(37, 196)
-
-
-def test_cache_limit():
-    with pytest.raises(CacheLimitError):
-        zq_number(petersen(), 1, build_strategy=False, cache_mb=0)
-
-
-# ---------------------------------------------------------------------------
-# Family-size sufficiency: exactly q+1 components is enough
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.slow
-def test_family_size_exactly_q_plus_1_suffices_exhaustive():
-    for n in range(1, 7):
-        for g in all_graphs_up_to_iso(n):
-            for q in range(n):
-                exact = zq_number(g, q, build_strategy=False).value
-                wide = zq_number(
-                    g, q, build_strategy=False, all_family_sizes=True
-                ).value
-                assert exact == wide, (g.edges(), q)

@@ -16,7 +16,7 @@ from random import Random
 from typing import Iterable
 
 from .graphs import Graph, bits, build_graph, components_within
-from .game import InfeasibleError, z0_number, z_number, zq_number
+from .game import InfeasibleError, independence_number, z0_number, z_number, zq_number
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -305,6 +305,9 @@ def _solve_value(spec: FamilySpec, q: int | None) -> int:
         return z0_number(g, max_subsets=Z0_SUBSET_BUDGET)
     if g.n > GAME_MAX_N:
         raise InfeasibleError(f"game solve refused for n={g.n} > {GAME_MAX_N}")
+    if q >= independence_number(g):
+        # never q+1 uncoloured components, so rule 3 never fires (as in zq_chain)
+        return z_number(g, max_subsets=Z_SUBSET_BUDGET)
     return zq_number(g, q, build_strategy=False).value
 
 

@@ -9,12 +9,14 @@ minimum number of tokens that guarantees colouring everything against every
 oracle.
 
 Solver states are normalised to CCR closure, so a single bitmask of coloured
-vertices names a state. The memo is keyed on its canonical form under
-interchangeable vertex blocks (``graphs.interchangeable_blocks``): any
-permutation of a class's blocks is an automorphism, which keeps the game
-value, so a state and its block permutations share one entry, and
-``CacheStats.states`` counts these canonical states. Moves and strategies
-are still derived from the concrete states.
+vertices names a state. Every automorphism of G keeps the game value, so
+one state is solved per Aut(G)-orbit. The memo is keyed on a state's
+canonical form under interchangeable vertex blocks
+(``graphs.interchangeable_blocks``, a subgroup H of Aut(G)); when a state b
+is solved, its value is stored under the key of r(b) for one automorphism r
+per coset H·r (``graphs.block_coset_automorphisms``), so every state of b's
+orbit finds it. ``CacheStats.states`` counts the states solved. Moves and
+strategies are still derived from the concrete states.
 
 Rule-3 families are enumerated at size exactly q+1: the responses to any
 (q+1)-subfamily are a subset of the responses to the whole family, so
@@ -27,6 +29,8 @@ recursion terminates: every expanded move strictly grows the coloured set.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
@@ -36,6 +40,7 @@ from .graphs import (
     BlockClass,
     Graph,
     bits,
+    block_coset_automorphisms,
     canonical_key,
     ccr_closure,
     interchangeable_blocks,
@@ -153,12 +158,30 @@ class ZqResult:
 
 
 class _Solver:
-    def __init__(self, g: Graph, q: int, classes: Sequence[BlockClass] = ()):
+    def __init__(
+        self,
+        g: Graph,
+        q: int,
+        classes: Sequence[BlockClass] = (),
+        automorphisms: Sequence[tuple[int, ...]] = (),
+    ):
         self.g = g
         self.q = q
         self.full = g.full_mask
         self.classes = classes
+        # Lane i of images[v] is v's image bit under the i-th coset
+        # automorphism after the identity (which comes first), in the
+        # narrowest array item that holds n bits: OR-ing images[v] over the
+        # vertices of b packs every r(b) at once.
+        others = automorphisms[1:]
+        self.lane = next(t for t in "BHIQ" if 8 * array(t).itemsize >= g.n)
+        self.orbit_bytes = len(others) * array(self.lane).itemsize
+        self.images = [
+            int.from_bytes(array(self.lane, [1 << r[v] for r in others]), sys.byteorder)
+            for v in range(g.n)
+        ]
         self.memo: dict[int, int] = {}
+        self.solved = 0
         self.hits = 0
 
     # -- move generators (shared by value, strategy and admissible_families) --
@@ -210,8 +233,11 @@ class _Solver:
     def value(self, b: int) -> int:
         """Game value of the CCR-closed state ``b``.
 
-        The memo is keyed on ``canonical_key(classes, b)``: a permutation of
-        interchangeable blocks is an automorphism, which keeps the value.
+        The memo is keyed on ``canonical_key(classes, b)``, one key per
+        orbit of the block group H. A solved value is stored under the key
+        of r(b) for every coset automorphism r too: each automorphism of G
+        is h·r with h in H, so every state of b's Aut(G)-orbit hits, and
+        automorphisms keep the value.
         """
         if b == self.full:
             return 0
@@ -245,6 +271,16 @@ class _Solver:
             else:
                 best = worst
         memo[key] = best
+        self.solved += 1
+        if self.orbit_bytes:  # some coset automorphism besides the identity
+            images = self.images
+            packed = 0
+            for v in bits(b):
+                packed |= images[v]
+            orbit = array(self.lane, packed.to_bytes(self.orbit_bytes, sys.byteorder))
+            if classes:
+                orbit = [canonical_key(classes, c) for c in orbit]
+            memo.update(dict.fromkeys(orbit, best))
         return best
 
     # -- strategy extraction (re-derives optimal moves from memoised values) --
@@ -287,10 +323,13 @@ class _Solver:
 def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
     """Exact Z_q(G) by memoised minimax over CCR-closed colourings.
 
-    The memo is keyed on the canonical form of a colouring under
-    permutations of interchangeable vertex blocks (twins, book pages, the
-    columns of ``K_{n,m} x K_2``), so ``cache_stats.states`` counts canonical
-    states; a graph without such blocks keys on the colouring itself.
+    One colouring is solved per orbit of Aut(G): the memo is keyed on the
+    canonical form under permutations of interchangeable vertex blocks
+    (twins, book pages, the columns of ``K_{n,m} x K_2``), and each value is
+    also stored under the images of the colouring by one automorphism per
+    coset of the block group, so ``cache_stats.states`` counts the
+    colourings solved. A graph whose only symmetries are block permutations
+    gets the identity alone.
 
     Rule-3 families are offered at size exactly q+1, which gives the same
     value as every size >= q+1 because a (q+1)-subfamily's responses are a
@@ -299,11 +338,12 @@ def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    solver = _Solver(g, q, classes=interchangeable_blocks(g))
+    classes = interchangeable_blocks(g)
+    solver = _Solver(g, q, classes, block_coset_automorphisms(g, classes))
     start = ccr_closure(g, 0)
     value = solver.value(start)
     strategy = solver.strategy(start) if build_strategy else None
-    return ZqResult(value, strategy, CacheStats(len(solver.memo), solver.hits))
+    return ZqResult(value, strategy, CacheStats(solver.solved, solver.hits))
 
 
 # ---------------------------------------------------------------------------

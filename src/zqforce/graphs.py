@@ -380,6 +380,96 @@ def canonical_key(classes: Sequence[BlockClass], b: int) -> int:
     return b
 
 
+def block_coset_automorphisms(
+    g: Graph, classes: Sequence[BlockClass]
+) -> list[tuple[int, ...]]:
+    """One automorphism per right coset H·r of the block group H of
+    ``classes`` in Aut(G), the identity first; a map is the tuple of vertex
+    images.
+
+    Backtracks over the vertices in breadth-first order. A vertex's
+    candidate images are the unused vertices of equal degree adjacent to
+    the images of its mapped neighbours, the vertex itself tried first. So
+    every edge goes to an edge, and a bijection that does so is an
+    automorphism: it is one-to-one on the finitely many edges, hence onto.
+    Number the blocks of each class in the order in which the vertex order
+    first reaches them; a partial map that first maps onto block j of a
+    class before blocks 0..j-1 of that class is pruned. The members h·r of
+    one coset map onto the blocks of each class in orders that differ by
+    h's permutation of the blocks, and every vertex is mapped, so exactly
+    one member of each coset survives; in H itself that is the identity.
+    As every automorphism of G is some h·r,
+    ``canonical_key(classes, r(b))`` over the returned r takes the key of
+    every state in the Aut(G)-orbit of b.
+    """
+    n = g.n
+    adj = g.adj
+    full = g.full_mask
+    order: list[int] = []
+    seen = i = 0
+    for root in range(n):
+        if not seen >> root & 1:
+            seen |= 1 << root
+            order.append(root)
+            while i < len(order):
+                new = adj[order[i]] & ~seen
+                seen |= new
+                order.extend(bits(new))
+                i += 1
+    # the neighbours of each vertex that come before it in the order
+    earlier = []
+    placed = 0
+    for v in order:
+        earlier.append(vertices_of(adj[v] & placed))
+        placed |= 1 << v
+    degree = [a.bit_count() for a in adj]
+    # each vertex's class, its block as a mask, and the block's number: the
+    # identity maps onto the blocks of a class in the order 1, 2, ...
+    cls = [-1] * n
+    block = [0] * n
+    rank = [0] * n
+    for c, blocks in enumerate(classes):
+        for blk in blocks:
+            for w in blk:
+                cls[w], block[w] = c, mask_of(blk)
+    ranked = [0] * len(classes)
+    for v in order:
+        c = cls[v]
+        if c >= 0 and not rank[v]:
+            ranked[c] += 1
+            for w in bits(block[v]):
+                rank[w] = ranked[c]
+    image = [0] * n
+    touched = [0] * len(classes)  # blocks of each class the partial map reaches
+    out: list[tuple[int, ...]] = []
+
+    def extend(k: int, used: int) -> None:
+        if k == n:
+            out.append(tuple(image))
+            return
+        v = order[k]
+        pool = full & ~used
+        for u in earlier[k]:
+            pool &= adj[image[u]]
+        for w in ([v] if pool >> v & 1 else []) + vertices_of(pool & ~(1 << v)):
+            if degree[w] != degree[v]:
+                continue
+            c = cls[w]
+            first = c >= 0 and not block[w] & used
+            if first:
+                if rank[w] != touched[c] + 1:
+                    continue
+                touched[c] += 1
+            image[v] = w
+            extend(k + 1, used | 1 << w)
+            if first:
+                touched[c] -= 1
+
+    extend(0, 0)
+    del extend  # a recursive closure is a reference cycle: free ``out`` with the caller
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Vertex connectivity
 # ---------------------------------------------------------------------------

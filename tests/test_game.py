@@ -2,8 +2,10 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zqforce.families import book, complete_multipartite
+from zqforce.families import book, complete_multipartite, cycle, prism
 from zqforce.game import (
     CacheStats,
     InfeasibleError,
@@ -21,6 +23,7 @@ from zqforce.game import (
     zq_number,
 )
 from zqforce.graphs import (
+    block_coset_automorphisms,
     build_graph,
     ccr_closure,
     interchangeable_blocks,
@@ -172,24 +175,69 @@ def test_admissible_families_match_set_reference():
 # ---------------------------------------------------------------------------
 
 
+def _check_every_closed_state(g, qs):
+    """The value of every CCR-closed state of ``g`` at each q in ``qs``,
+    through the solver as ``zq_number`` builds it (blocks and coset
+    automorphisms), against the set-based reference; and ``zq_number``."""
+    closed = sorted({ccr_closure(g, b) for b in range(1 << g.n)})
+    classes = interchangeable_blocks(g)
+    automorphisms = block_coset_automorphisms(g, classes)
+    for q in qs:
+        reference = naive_game(g, q)
+        assert zq_number(g, q, build_strategy=False).value == reference(), (g.edges(), q)
+        solver = _Solver(g, q, classes, automorphisms)
+        for b in closed:
+            assert solver.value(b) == reference(vset(b)), (g.edges(), q, b)
+
+
 def test_zq_number_matches_set_reference():
-    # The gate for the canonical memo key. A key that merged two closed
-    # states of different values would give one of them the other's value,
-    # so every closed state is checked, not only the empty one.
+    # The gate for the memo. A canonical key that merged two closed states of
+    # different values, or an orbit image stored under a map that is not an
+    # automorphism, would give one state another's value, so every closed
+    # state is checked, not only the empty one.
     rng = Random(5)
     for n in range(1, 7):
         for g in all_graphs_up_to_iso(n):
             perm = list(range(n))
             rng.shuffle(perm)
             for h in (g, relabel(g, perm)):
-                closed = sorted({ccr_closure(h, b) for b in range(1 << n)})
-                for q in range(n):
-                    reference = naive_game(h, q)
-                    got = zq_number(h, q, build_strategy=False).value
-                    assert got == reference(), (h.edges(), q)
-                    solver = _Solver(h, q, classes=interchangeable_blocks(h))
-                    for b in closed:
-                        assert solver.value(b) == reference(vset(b)), (h.edges(), q, b)
+                _check_every_closed_state(h, range(n))
+
+
+@st.composite
+def _relabelled_graphs(draw, max_n=8):
+    n = draw(st.sampled_from(range(1, max_n + 1)))
+    pairs = list(combinations(range(n), 2))
+    if n > 2 and draw(st.sampled_from(["circulant", "random"])) == "circulant":
+        # its rotations are automorphisms not made of blocks
+        jumps = draw(st.sets(st.integers(1, n // 2), min_size=1))
+        edges = [(i, j) for i, j in pairs if min(j - i, n - j + i) in jumps]
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [p for p, k in zip(pairs, keep) if k]
+    g = build_graph(n, edges)
+    return g, relabel(g, draw(st.permutations(range(n))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_relabelled_graphs())
+def test_orbit_memo_matches_set_reference_up_to_8_vertices(graphs):
+    # graphs above 6 vertices have groups that the exhaustive sweep misses
+    for g in graphs:
+        _check_every_closed_state(g, range(min(g.n, 4)))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [petersen(), prism(4), prism(5), cycle(7), cycle(8)],
+    ids=["petersen", "prism-4", "prism-5", "cycle-7", "cycle-8"],
+)
+def test_orbit_memo_matches_set_reference_on_symmetric_graphs(g):
+    # automorphism groups that are not made of interchangeable blocks
+    perm = list(range(g.n))
+    Random(g.n).shuffle(perm)
+    for h in (g, relabel(g, perm)):
+        _check_every_closed_state(h, range(4))
 
 
 def test_zq_number_examples():
@@ -376,11 +424,13 @@ def test_strategy_uses_oracle_moves_when_cheaper():
 
 
 def test_cache_stats_populated():
-    # Petersen has no interchangeable blocks, so every state is its own key
+    # states counts the states solved, one per Aut(G)-orbit reached: Petersen
+    # has no interchangeable blocks, and its 120 automorphisms leave 14
     res = zq_number(petersen(), 1, build_strategy=False)
-    assert res.cache_stats == CacheStats(286, 1032)
+    assert res.cache_stats == CacheStats(14, 59)
     assert res.strategy is None
-    # with strategy extraction, whose memo lookups count as hits too; states
-    # are canonical states under permutations of twins and of pages
-    assert zq_number(complete_multipartite(3, 3), 1).cache_stats == CacheStats(51, 225)
-    assert zq_number(book(5), 1).cache_stats == CacheStats(37, 196)
+    # with strategy extraction, whose memo lookups count as hits too; the
+    # orbits are those of twins and pages, and of the parts of K_{3,3,3} and
+    # the two copies of the star in the book
+    assert zq_number(complete_multipartite(3, 3), 1).cache_stats == CacheStats(16, 81)
+    assert zq_number(book(5), 1).cache_stats == CacheStats(22, 135)

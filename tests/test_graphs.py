@@ -1,10 +1,12 @@
 from itertools import combinations
+from math import factorial, prod
 from random import Random
 
 import pytest
 
 from zqforce.families import bipartite_prism, book, complete_multipartite, kneser2, prism
 from zqforce.graphs import (
+    block_coset_automorphisms,
     build_graph,
     canonical_key,
     ccr_closure,
@@ -296,3 +298,117 @@ def test_canonical_key_is_a_canonical_image():
                         frontier.append(d)
             assert key in orbit
     assert canonical_key([], 0b1011) == 0b1011
+
+
+def _nx_automorphisms_enumerated(g):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+
+
+def _nx_automorphisms_by_orbits(g):
+    """|Aut(G)| as the product, over v = 0..n-1, of the orbit of v under the
+    automorphisms that fix 0..v-1; VF2 decides each orbit question. For
+    groups too large to enumerate (7,962,624 automorphisms of
+    K_{4,4,4,4})."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    adj = adjacency_sets(g)
+
+    def marked(first):
+        # VF2 matches nodes in insertion order, so the marked ones go first
+        h = nx.Graph()
+        for mark, u in enumerate(first):
+            h.add_node(u, mark=mark)
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    def match(a, b):
+        return a.get("mark") == b.get("mark")
+
+    count = 1
+    for v in range(g.n):
+        fixed = set(range(v))
+        orbit = 0
+        for w in range(v, g.n):
+            # a cheap necessary condition first, then VF2
+            if len(adj[w]) != len(adj[v]) or adj[w] & fixed != adj[v] & fixed:
+                continue
+            h1, h2 = marked([*range(v), v]), marked([*range(v), w])
+            orbit += GraphMatcher(h1, h2, node_match=match).is_isomorphic()
+        count *= orbit
+    return count
+
+
+def _coset_of(classes, r):
+    """The right coset H·r of the block group H, as r's images with the
+    blocks of each class renamed in the order in which r first maps onto
+    them: h·r renames them by h's block permutation, so it has the same."""
+    where = {w: (c, i, blk) for c, blocks in enumerate(classes) for blk in blocks
+             for i, w in enumerate(blk)}
+    names: dict[tuple, int] = {}
+    out = []
+    for w in r:
+        if w in where:
+            c, i, blk = where[w]
+            out.append((c, i, names.setdefault(blk, len(names))))
+        else:
+            out.append(w)
+    return tuple(out)
+
+
+def _check_block_cosets(g, expected):
+    adj = adjacency_sets(g)
+    classes = interchangeable_blocks(g)
+    maps = block_coset_automorphisms(g, classes)
+    assert maps[0] == tuple(range(g.n))
+    for r in maps:
+        assert sorted(r) == list(range(g.n))
+        for v in range(g.n):
+            assert adj[r[v]] == {r[w] for w in adj[v]}, (g.edges(), r)
+    assert len({_coset_of(classes, r) for r in maps}) == len(maps), g.edges()
+    assert len(maps) * prod(factorial(len(blocks)) for blocks in classes) == expected(g)
+    return len(maps)
+
+
+def test_block_coset_automorphisms_small_graphs():
+    # one map per coset of H in Aut(G), counted against networkx's VF2
+    rng = Random(97)
+    for n in range(1, 7):
+        for g in all_graphs_up_to_iso(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, relabel(g, perm)):
+                _check_block_cosets(h, _nx_automorphisms_enumerated)
+
+
+@pytest.mark.parametrize(
+    "g, cosets, expected",
+    [
+        (kneser2(6), 720, _nx_automorphisms_enumerated),
+        (prism(8), 32, _nx_automorphisms_enumerated),
+        (build_graph(10, PETERSEN_EDGES), 120, _nx_automorphisms_enumerated),
+        (complete_multipartite(4, 4), 24, _nx_automorphisms_by_orbits),
+        (bipartite_prism(4, 5), 2, _nx_automorphisms_by_orbits),
+        (book(8), 2, _nx_automorphisms_by_orbits),
+    ],
+    ids=["kneser2-6", "prism-8", "petersen", "complete_multipartite-4-4",
+         "bipartite_prism-4-5", "book-8"],
+)
+def test_block_coset_automorphisms_paper_families(g, cosets, expected):
+    assert _check_block_cosets(g, expected) == cosets
+    perm = list(range(g.n))
+    Random(g.n).shuffle(perm)
+    assert _check_block_cosets(relabel(g, perm), expected) == cosets
+
+
+def test_orbit_count_matches_enumeration():
+    # the orbit-stabiliser count agrees with plain enumeration where both run
+    for g in (build_graph(10, PETERSEN_EDGES), prism(6), complete_multipartite(2, 3)):
+        assert _nx_automorphisms_by_orbits(g) == _nx_automorphisms_enumerated(g)

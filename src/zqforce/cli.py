@@ -122,7 +122,7 @@ def _emit(args, record: dict, text_lines: list[str]) -> None:
 
 def _cmd_compute(args) -> int:
     g, source = _read_graph(args)
-    if args.q is None and not args.chain and not args.z:
+    if args.q is None and args.chain is None and not args.z:
         raise UsageError("compute needs --q, --chain, or --z")
     if not args.z and _game_refused(g, args.force):
         return 1
@@ -213,6 +213,8 @@ def _cmd_contract(args) -> int:
 
 def _cmd_certify(args) -> int:
     name = args.name
+    if name in ("book", "kneser2", "bipartite_prism") and args.n is None:
+        raise UsageError(f"{name} certificate needs --n")
     if name == "book":
         m = spectral.book_certificate(args.n)
         g = families.book(args.n)

@@ -243,21 +243,14 @@ class _Solver:
             return 0
         memo = self.memo
         classes = self.classes
-        key = canonical_key(classes, b) if classes else b
+        key = canonical_key(classes, b)
         cached = memo.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         best = _INF
         for _, nb in self.tokens(b):
-            # the memo lookup ``value`` would make, without the call
-            val = memo.get(canonical_key(classes, nb) if classes else nb)
-            if val is None:
-                val = self.value(nb)
-            else:
-                self.hits += 1
-            if val + 1 < best:
-                best = val + 1
+            best = min(best, self.value(nb) + 1)
         # A family is abandoned as soon as one response forces nothing
         # (dominated) or the oracle's partial max already reaches ``best``.
         for _, responses in self.families(b):

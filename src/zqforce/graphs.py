@@ -387,11 +387,11 @@ def block_coset_automorphisms(
     ``classes`` in Aut(G), the identity first; a map is the tuple of vertex
     images.
 
-    Backtracks over the vertices in breadth-first order. A vertex's
-    candidate images are the unused vertices of equal degree adjacent to
-    the images of its mapped neighbours, the vertex itself tried first. So
-    every edge goes to an edge, and a bijection that does so is an
-    automorphism: it is one-to-one on the finitely many edges, hence onto.
+    Backtracks over the vertices in breadth-first order, v itself tried
+    first as v's image. An unused w may be v's image only if w's neighbours
+    among the images so far are the images of v's earlier neighbours, so a
+    complete map keeps every adjacency and every non-adjacency: it is an
+    automorphism by construction.
     Number the blocks of each class in the order in which the vertex order
     first reaches them; a partial map that first maps onto block j of a
     class before blocks 0..j-1 of that class is pruned. The members h·r of
@@ -422,7 +422,6 @@ def block_coset_automorphisms(
     for v in order:
         earlier.append(vertices_of(adj[v] & placed))
         placed |= 1 << v
-    degree = [a.bit_count() for a in adj]
     # each vertex's class, its block as a mask, and the block's number: the
     # identity maps onto the blocks of a class in the order 1, 2, ...
     cls = [-1] * n
@@ -448,11 +447,13 @@ def block_coset_automorphisms(
             out.append(tuple(image))
             return
         v = order[k]
-        pool = full & ~used
+        want = 0  # the images of v's earlier neighbours
         for u in earlier[k]:
-            pool &= adj[image[u]]
+            want |= 1 << image[u]
+        # only a neighbour of one of them can pass the test below
+        pool = (adj[image[earlier[k][0]]] if earlier[k] else full) & ~used
         for w in ([v] if pool >> v & 1 else []) + vertices_of(pool & ~(1 << v)):
-            if degree[w] != degree[v]:
+            if adj[w] & used != want:
                 continue
             c = cls[w]
             first = c >= 0 and not block[w] & used

@@ -217,6 +217,12 @@ def test_family_chain_with_anchors(capsys):
     assert "known:" in out
 
 
+def test_compute_chain_zero(capsys):
+    # --chain 0 asks for Z_0 and Z; 0 is not a missing option
+    out = run_cli(capsys, ["compute", "--graph6", "IheA@GUAo", "--chain", "0"]).out
+    assert "chain: [4, 5]" in out
+
+
 def test_family_z(capsys):
     out = run_cli(capsys, ["family", "--name", "kneser2", "--n", "5", "--z"]).out
     assert "z: 5" in out
@@ -272,6 +278,13 @@ def test_levels_are_mutually_exclusive(capsys, argv):
 def test_certify_book(capsys):
     out = run_cli(capsys, ["certify", "--name", "book", "--n", "3"]).out
     assert "nullity: 3" in out and "OK" in out
+
+
+@pytest.mark.parametrize("name", ["book", "kneser2", "bipartite_prism"])
+def test_certify_needs_n(capsys, name):
+    cap = run_cli(capsys, ["certify", "--name", name, "--m", "3"], expect=2)
+    assert f"{name} certificate needs --n" in cap.err
+    assert cap.out == ""
 
 
 def test_certify_srg(capsys):

@@ -397,9 +397,12 @@ def test_block_coset_automorphisms_small_graphs():
         (complete_multipartite(4, 4), 24, _nx_automorphisms_by_orbits),
         (bipartite_prism(4, 5), 2, _nx_automorphisms_by_orbits),
         (book(8), 2, _nx_automorphisms_by_orbits),
+        # too large for VF2 to count: Aut is S_6 wr S_6 and S_7
+        (complete_multipartite(6, 6), 720, lambda g: factorial(6) ** 7),
+        (kneser2(7), 5040, lambda g: factorial(7)),
     ],
     ids=["kneser2-6", "prism-8", "petersen", "complete_multipartite-4-4",
-         "bipartite_prism-4-5", "book-8"],
+         "bipartite_prism-4-5", "book-8", "complete_multipartite-6-6", "kneser2-7"],
 )
 def test_block_coset_automorphisms_paper_families(g, cosets, expected):
     assert _check_block_cosets(g, expected) == cosets

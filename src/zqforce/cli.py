@@ -113,9 +113,16 @@ def _emit(args, record: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(record, indent=2))
     elif args.format == "csv":
-        keys = [k for k, v in record.items() if not isinstance(v, (dict, list))]
-        print(",".join(keys))
-        print(",".join(_csv_cell(record[k]) for k in keys))
+        # a list of scalars is one cell, its items joined by "|" as in
+        # reproduce's csv; dicts and nested lists are left out
+        cells = {}
+        for k, v in record.items():
+            if isinstance(v, list) and not any(isinstance(x, (dict, list)) for x in v):
+                cells[k] = "|".join(map(str, v))
+            elif not isinstance(v, (dict, list)):
+                cells[k] = v
+        print(",".join(cells))
+        print(",".join(_csv_cell(v) for v in cells.values()))
     else:
         print("\n".join(text_lines))
 

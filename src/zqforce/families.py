@@ -511,11 +511,17 @@ def kneser_structure_check(
     (c) if H has exactly 3 components and one has >= 3 vertices, the other
         two are single vertices and the big one induces a star.
 
-    Exhaustive whenever the subset space fits the sample budget.
+    Exhaustive whenever the subset space fits the sample budget. Without a
+    sample, a space over ``Z_SUBSET_BUDGET`` raises InfeasibleError.
     """
     g = kneser2(n)
     nv = g.n
     space = 1 << nv
+    if sample is None and space > Z_SUBSET_BUDGET:
+        raise InfeasibleError(
+            f"structure check would visit 2^{nv} subsets, over {Z_SUBSET_BUDGET}; "
+            "give a sample size"
+        )
     violations: list[str] = []
     if sample is None or sample >= space:
         mode = "exhaustive"

@@ -32,7 +32,8 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import reduce
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -350,70 +351,66 @@ def _level_masks(n: int, k: int) -> Iterator[int]:
 
 
 def _search_min_forcing(
-    g: Graph, closure: Callable[[Graph, int], int], max_subsets: int | None = None
+    g: Graph, forces: Callable[[int], bool], max_subsets: int | None = None
 ) -> int:
-    """Least k such that some k-set has full ``closure``, searched upwards
-    from the minimum degree, which bounds both Z and Z_0 from below (see
-    :func:`z_number` and :func:`z0_number`)."""
-    full = g.full_mask
+    """Least k with ``forces(k)`` (some k-set has a full closure), searched
+    upwards from the minimum degree, which bounds both Z and Z_0 from below
+    (see :func:`z_number` and :func:`z0_number`)."""
     n = g.n
     done = 0
     for k in range(max(1, g.min_degree()), n + 1):
-        count = comb(n, k)
-        done += count
+        done += comb(n, k)
         if max_subsets is not None and done > max_subsets:
             raise InfeasibleError(
                 f"subset search would exceed {max_subsets} sets at size {k} (n={n})"
             )
-        if closure is ccr_closure and count > 50_000:
-            if _batch_any_ccr_forces(g, k):
-                return k
-        elif any(closure(g, m) == full for m in _level_masks(n, k)):
+        if forces(k):
             return k
     return n
 
 
-def _batch_any_ccr_forces(g: Graph, k: int) -> bool:
-    """Vectorised check: does any k-subset have full CCR closure?
-
-    Runs the closure round-by-round on a whole block of start sets at once;
-    bit-identical semantics to :func:`ccr_closure`.
-    """
-    import numpy as np
-
+def _ccr_level_forces(g: Graph, k: int) -> bool:
+    """Does some k-subset have full CCR closure? Bit-sliced: lane i of
+    ``unc[v]`` is set when v is uncoloured in the i-th k-subset in
+    lexicographic order (the j-subsets of {s..n-1}: those holding s, then
+    the rest), and the colour change rule runs on every lane at once."""
     n = g.n
-    full = np.uint64(g.full_mask)
-    adj = [np.uint64(a) for a in g.adj]
-    one = np.uint64(1)
-    masks = _level_masks(n, k)
-    while True:
-        B = np.fromiter(islice(masks, 1 << 18), dtype=np.uint64)
-        if not len(B):
-            return False
-        while True:
-            changed = False
-            W = full & ~B
-            for u in range(n):
-                coloured = ((B >> np.uint64(u)) & one).astype(bool)
-                x = W & adj[u]
-                forced = coloured & (x != 0) & ((x & (x - one)) == 0)
-                if forced.any():
-                    B = np.where(forced, B | x, B)
-                    W = full & ~B
-                    changed = True
-            if not changed:
-                break
-        if (B == full).any():
-            return True
+    level: dict[int, list[int]] = {}  # j -> columns of s..n-1 over the j-subsets
+    for s in range(n - 1, -1, -1):
+        zeros = [0] * (n - s - 1)
+        nxt = {}
+        for j in range(max(0, k - s), min(k, n - s) + 1):
+            held = comb(n - s - 1, j - 1) if j else 0
+            pairs = zip(level.pop(j - 1, zeros), level.get(j, zeros))
+            nxt[j] = [(1 << held) - 1] + [a | b << held for a, b in pairs]
+        level = nxt
+    full = (1 << comb(n, k)) - 1
+    unc = [full ^ col for col in level.pop(k)]
+    nbrs = [list(bits(a)) for a in g.adj]
+    changed = True
+    while changed:
+        changed = False
+        for u, around in enumerate(nbrs):
+            ones = twos = 0
+            for w in around:
+                twos |= ones & unc[w]
+                ones |= unc[w]
+            fire = ones & ~(twos | unc[u])  # u coloured, one neighbour not
+            if fire:
+                changed = True
+                for w in around:
+                    unc[w] &= ~fire
+    return reduce(int.__or__, unc) != full
 
 
 def z_number(g: Graph, max_subsets: int | None = None) -> int:
     """Classical zero forcing number: min |S| with full CCR closure.
 
-    Increasing-size subset search. Starts at the minimum degree (a forcing
-    set must contain the first forcer and all but one of its neighbours).
+    Increasing-size subset search from the minimum degree (a forcing set must
+    contain the first forcer and all but one of its neighbours); each size is
+    tested on all its subsets at once by :func:`_ccr_level_forces`.
     """
-    return _search_min_forcing(g, ccr_closure, max_subsets)
+    return _search_min_forcing(g, lambda k: _ccr_level_forces(g, k), max_subsets)
 
 
 def z0_number(g: Graph, max_subsets: int | None = None) -> int:
@@ -433,7 +430,10 @@ def z0_number(g: Graph, max_subsets: int | None = None) -> int:
     than W and its vertices keep their degrees, so |S| = |S'| >= their
     least degree.
     """
-    return _search_min_forcing(g, psd_closure, max_subsets)
+    full = g.full_mask
+    return _search_min_forcing(
+        g, lambda k: any(psd_closure(g, m) == full for m in _level_masks(g.n, k)), max_subsets
+    )
 
 
 def independence_number(g: Graph) -> int:

@@ -217,6 +217,22 @@ def test_family_chain_with_anchors(capsys):
     assert "known:" in out
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["compute", "--graph6", "IheA@GUAo", "--chain", "2"], "q,value\n0..2,4|5|5|5\n"),
+        (
+            ["family", "--name", "book", "--n", "3", "--chain", "2"],
+            'q,value,anchors\n0..2,2|3|3|3,'
+            '"Z_0(K_{1,n} x K_2) = 2|Z_q(K_{1,n} x K_2) = n for q >= 1"\n',
+        ),
+    ],
+)
+def test_chain_csv_keeps_values(capsys, argv, expected):
+    # a list of scalars is one csv cell, its items joined by "|"
+    assert run_cli(capsys, argv + ["--format", "csv"]).out == expected
+
+
 def test_compute_chain_zero(capsys):
     # --chain 0 asks for Z_0 and Z; 0 is not a missing option
     out = run_cli(capsys, ["compute", "--graph6", "IheA@GUAo", "--chain", "0"]).out
@@ -316,6 +332,20 @@ def test_probe_cli(capsys):
     assert "agrees" in out
     out = run_cli(capsys, ["probe", "--name", "kneser_structure", "--n", "5"]).out
     assert "0 violations" in out
+
+
+def test_probe_kneser_structure_needs_sample(capsys):
+    # K(8,2) has 28 vertices: 2^28 subsets exceed the subset budget
+    cap = run_cli(capsys, ["probe", "--name", "kneser_structure", "--n", "8"], expect=1)
+    assert cap.err == (
+        "infeasible: structure check would visit 2^28 subsets, over 3000000; "
+        "give a sample size\n"
+    )
+    assert cap.out == ""
+    out = run_cli(
+        capsys, ["probe", "--name", "kneser_structure", "--n", "8", "--sample", "1000"]
+    ).out
+    assert out == "kneser structure n=8: sampled, 1000 subsets, 0 violations\n"
 
 
 @pytest.mark.parametrize(

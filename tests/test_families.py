@@ -177,6 +177,16 @@ def test_kneser_structure_sampled_n7():
     assert rep.ok()
 
 
+def test_kneser_structure_refuses_unsampled_n8():
+    with pytest.raises(InfeasibleError) as exc:
+        kneser_structure_check(8)
+    assert str(exc.value) == (
+        "structure check would visit 2^28 subsets, over 3000000; give a sample size"
+    )
+    rep = kneser_structure_check(8, sample=1000, seed=1)
+    assert rep.mode == "sampled" and rep.subsets_checked == 1000
+
+
 def test_common_element_max_star():
     pairs = kneser_pairs(5)
     containing_4 = [i for i, p in enumerate(pairs) if 4 in p]

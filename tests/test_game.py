@@ -328,18 +328,26 @@ def test_z0_at_least_min_degree_exhaustive():
 
 
 def test_batch_closure_path_matches_scalar():
-    from zqforce.game import _batch_any_ccr_forces
+    from zqforce.families import kneser2
+    from zqforce.game import _ccr_level_forces
 
     pet = petersen()
     # Z(Petersen) = 5: no 4-set forces, some 5-set does
-    assert _batch_any_ccr_forces(pet, 4) is False
-    assert _batch_any_ccr_forces(pet, 5) is True
+    assert _ccr_level_forces(pet, 4) is False
+    assert _ccr_level_forces(pet, 5) is True
+    # large levels: C(21,15) = 54,264 lanes; Z(K(5,5,5,5,5)) = 25 - 2
+    assert _ccr_level_forces(kneser2(7), 14) is False
+    assert _ccr_level_forces(kneser2(7), 15) is True
+    assert _ccr_level_forces(complete_multipartite(5, 5), 22) is False
+    assert _ccr_level_forces(complete_multipartite(5, 5), 23) is True
     # some k-set forces exactly when k >= Z, since supersets of forcing sets force
-    for n in range(1, 7):
-        for g in all_graphs_up_to_iso(n):
-            z = naive_min_forcing(g, naive_ccr_closure)
-            for k in range(n + 1):
-                assert _batch_any_ccr_forces(g, k) is (k >= z), (g.edges(), k)
+    rng = Random(9)
+    small = [g for n in range(1, 7) for g in all_graphs_up_to_iso(n)]
+    randoms = [random_graph(rng, rng.randrange(7, 11), rng.random()) for _ in range(100)]
+    for g in small + randoms:
+        z = naive_min_forcing(g, naive_ccr_closure)
+        for k in range(g.n + 1):
+            assert _ccr_level_forces(g, k) is (k >= z), (g.edges(), k)
 
 
 def test_kneser_connectivity_equals_degree():

@@ -37,8 +37,13 @@ def _read_graph(args) -> tuple[Graph, dict]:
         if args.edges_file == "-":
             text = sys.stdin.read()
         else:
-            with open(args.edges_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(args.edges_file, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise UsageError(
+                    f"cannot read --edges-file {args.edges_file}: {exc.strerror}"
+                ) from exc
         return parse_edge_list(text), {"edges_file": args.edges_file}
     seq = threshold.parse_creation_sequence(args.seq)
     return threshold.build_threshold_graph(seq), {"seq": seq.to_bits()}
@@ -140,7 +145,7 @@ def _cmd_compute(args) -> int:
         record.update({"q": None, "value": value})
         lines.append(f"z: {value}")
     elif args.chain is not None:
-        chain = zq_chain(g, args.chain)
+        chain = zq_chain(g, args.chain, max_subsets=families.Z_SUBSET_BUDGET)
         record.update({"q": f"0..{args.chain}", "value": chain})
         lines.append(f"chain: {chain}")
     else:
@@ -172,8 +177,6 @@ def _cmd_threshold(args) -> int:
         record.update({"game": game, "verify": verdict})
         lines += [f"game: {game}", f"verify: {verdict}"]
     if args.certificate:
-        if not 1 <= args.q <= seq.s:
-            raise UsageError(f"--certificate needs 1 <= q <= s = {seq.s}")
         m = threshold.certificate_matrix(seq, args.q)
         record["certificate"] = [list(map(float, row)) for row in m]
         inert = spectral.inertia(m)
@@ -289,7 +292,7 @@ def _cmd_family(args) -> int:
     if (args.chain is not None or args.q is not None) and _game_refused(g, args.force):
         return 1
     if args.chain is not None:
-        chain = zq_chain(g, args.chain)
+        chain = zq_chain(g, args.chain, max_subsets=families.Z_SUBSET_BUDGET)
         record.update({"q": f"0..{args.chain}", "value": chain})
         lines.append(f"chain: {chain}")
         anchors = [kv.anchor for q in range(args.chain + 1)
@@ -453,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--sample", type=int)
     p.add_argument("--seed", type=int, default=0)
-    add_format(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_probe)
     return parser
 

@@ -461,15 +461,16 @@ def independence_number(g: Graph) -> int:
     return mis(g.full_mask)
 
 
-def zq_chain(g: Graph, q_max: int) -> list[int]:
+def zq_chain(g: Graph, q_max: int, max_subsets: int | None = None) -> list[int]:
     """[Z_0, Z_1, ..., Z_{q_max}, Z(G)].
 
     Once q+1 exceeds the maximum possible number of uncoloured components
     (the independence number), rule 3 can never fire and Z_q = Z.
+    ``max_subsets`` bounds the Z subset search as in :func:`z_number`.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
-    z = z_number(g)
+    z = z_number(g, max_subsets)
     alpha = independence_number(g)
     out = []
     for q in range(q_max + 1):

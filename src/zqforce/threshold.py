@@ -9,9 +9,9 @@ matrices with exactly q negative eigenvalues coincide:
     Z_q(G) = M_q(G) = T + (sum of the q largest a_j),   0 <= q <= s,
 
 and at q = s this equals the classical Z(G) = n - 2T + s_1 + 2 s_0 = n - s - p.
-:func:`certificate_matrix` builds an explicit symmetric matrix witnessing the
-lower bound: supported exactly on the edges, exactly q negative eigenvalues,
-nullity equal to the formula.
+:func:`certificate_matrix` builds an explicit symmetric integer matrix
+witnessing the lower bound at every 0 <= q <= s: supported exactly on the
+edges, exactly q negative eigenvalues, nullity equal to the formula.
 """
 
 from __future__ import annotations
@@ -165,15 +165,17 @@ def iter_creation_sequences(n: int):
 
 
 def certificate_matrix(seq: CreationSequence, q: int) -> np.ndarray:
-    """Symmetric matrix on the threshold graph with exactly q negative
-    eigenvalues and nullity equal to ``zq_formula(seq, q)``.
+    """Symmetric integer matrix on the threshold graph with exactly q
+    negative eigenvalues and nullity ``zq_formula(seq, q)``, for 0 <= q <= s.
 
-    Built by structural induction on the sequence; rows/columns follow the
-    creation order, so the last vertex is always universal and always
+    q = 0 gives the clique-cover Gram matrix :func:`_psd_certificate`. Above
+    that, one recursion peels the sequence's tail, one peeling step at a
+    time, down to the star base ``(0^k, 1)`` or to q = 0. Rows/columns follow
+    the creation order, so the last vertex is always universal and always
     carries a nonzero diagonal entry.
     """
-    if not 1 <= q <= seq.s:
-        raise ValueError(f"q must be in 1..{seq.s}, got {q}")
+    if not 0 <= q <= seq.s:
+        raise ValueError(f"q must be in 0..{seq.s}, got {q}")
     return _certificate(seq.runs, q)
 
 
@@ -184,8 +186,6 @@ def _certificate(runs: tuple[tuple[int, int], ...], q: int) -> np.ndarray:
     k1, t1 = runs[0]
     if s == 1 and t1 == 1:
         return _star_base(k1)
-    if q == s and all(t == 1 for _, t in runs) and all(k >= 2 for k, _ in runs):
-        return _all_single_trace_base(runs)
     ks, ts = runs[-1]
     if ts >= 2:
         child = runs[:-1] + ((ks, ts - 1),)
@@ -236,34 +236,6 @@ def _star_base(k1: int) -> np.ndarray:
     a[: n - 1, n - 1] = 1.0
     a[n - 1, : n - 1] = 1.0
     return a
-
-
-def _all_single_trace_base(runs) -> np.ndarray:
-    """q = s certificate for (0^(k_1), 1, ..., 0^(k_s), 1) with every k_j >= 2.
-
-    A = -(M M^T - I) where M has a unit row per isolated vertex and, per
-    dominating vertex d_r, the indicator of all isolated columns of runs
-    1..r. The Gram spectrum makes A negative exactly s times with nullity
-    sum(k_j) - s.
-    """
-    s = len(runs)
-    cols = sum(k for k, _ in runs)
-    n = cols + s
-    m = np.zeros((n, cols))
-    col_start = []
-    c = 0
-    for k, _ in runs:
-        col_start.append(c)
-        c += k
-    row = 0
-    for r, (k, _) in enumerate(runs):
-        for i in range(k):
-            m[row, col_start[r] + i] = 1.0
-            row += 1
-        # dominating vertex closing run r: ones over runs 1..r
-        m[row, : col_start[r] + k] = 1.0
-        row += 1
-    return -(m @ m.T - np.eye(n))
 
 
 def _duplicate_universal(b: np.ndarray) -> np.ndarray:

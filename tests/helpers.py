@@ -6,6 +6,7 @@ adjacency lists (no bitmasks) so they share no code with the package.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 from random import Random
 
@@ -239,3 +240,38 @@ def naive_game(g: Graph, q: int):
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """The copy of ``g`` in which vertex v is called ``perm[v]``."""
     return build_graph(g.n, [(perm[i], perm[j]) for i, j in g.edges()])
+
+
+def exact_inertia(rows) -> tuple[int, int, int]:
+    """(negative, zero, positive) eigenvalue counts of an integer symmetric
+    matrix, by symmetric elimination over Fractions.
+
+    Each step takes a nonzero diagonal pivot and replaces the matrix by the
+    Schur complement of that pivot; when every remaining diagonal entry is 0
+    but a_ij is not, adding row and column j to row and column i makes the
+    diagonal entry 2 a_ij first. Both are congruences, so by Sylvester's law
+    the pivot signs count the eigenvalue signs.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    neg = pos = 0
+    while a:
+        m = len(a)
+        i = next((i for i in range(m) if a[i][i]), None)
+        if i is None:
+            pair = next(((i, j) for i in range(m) for j in range(m) if a[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            for k in range(m):
+                a[i][k] += a[j][k]
+            for k in range(m):
+                a[k][i] += a[k][j]
+        p = a[i][i]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        rest = [k for k in range(m) if k != i]
+        a = [[a[r][c] - a[r][i] * a[i][c] / p for c in rest] for r in rest]
+    return neg, n - neg - pos, pos

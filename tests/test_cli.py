@@ -211,6 +211,68 @@ def test_threshold_certificate_output(capsys):
     assert "certificate inertia (neg, zero, pos): (1, 2, 1)" in out
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["threshold", "--seq", "001001", "--q", "2", "--certificate"],
+            """\
+seq: 001001
+q: 2
+formula: 2
+z_classical: 2
+certificate inertia (neg, zero, pos): (2, 2, 2)
+0 0 1 0 0 1
+0 0 1 0 0 1
+1 1 1 0 0 1
+0 0 0 0 0 1
+0 0 0 0 0 1
+1 1 1 1 1 1
+""",
+        ),
+        (
+            ["threshold", "--seq", "00100011", "--q", "0", "--certificate"],
+            """\
+seq: 00100011
+q: 0
+formula: 3
+z_classical: 4
+certificate inertia (neg, zero, pos): (0, 3, 5)
+1 0 1 0 0 0 1 1
+0 1 1 0 0 0 1 1
+1 1 2 0 0 0 2 2
+0 0 0 1 0 0 1 1
+0 0 0 0 1 0 1 1
+0 0 0 0 0 1 1 1
+1 1 2 1 1 1 5 5
+1 1 2 1 1 1 5 5
+""",
+        ),
+    ],
+    ids=["q2-no-negative-zero", "q0-gram"],
+)
+def test_threshold_certificate_bytes(capsys, argv, expected):
+    assert run_cli(capsys, argv).out == expected
+
+
+def test_certify_threshold_q0(capsys):
+    out = run_cli(capsys, ["certify", "--name", "threshold", "--seq", "00100011", "--q", "0"]).out
+    assert "nullity: 3" in out and "OK" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--seq", "00100011", "--q", "3", "--certificate"],
+        ["certify", "--name", "threshold", "--seq", "00100011", "--q", "-1"],
+    ],
+)
+def test_certificate_q_range_error(capsys, argv):
+    cap = run_cli(capsys, argv, expect=2)
+    assert cap.err == f"error: q must be in 0..2, got {argv[argv.index('--q') + 1]}\n"
+    assert cap.out == ""
+
+
 def test_family_chain_with_anchors(capsys):
     out = run_cli(capsys, ["family", "--name", "book", "--n", "3", "--chain", "2"]).out
     assert "chain: [2, 3, 3, 3]" in out
@@ -278,6 +340,33 @@ def test_compute_z_subset_budget(capsys):
     )
 
 
+MATCHING_40 = to_graph6(build_graph(40, [(i, i + 1) for i in range(0, 40, 2)]))
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["compute", "--graph6", MATCHING_40], 6),
+        (["family", "--name", "complete_bipartite", "--n", "20", "--m", "20"], 20),
+    ],
+    ids=["compute", "family"],
+)
+def test_chain_subset_budget(capsys, argv, size):
+    # --force lifts only the game-size guard; --chain's Z search keeps its budget
+    cap = run_cli(capsys, argv + ["--chain", "0", "--force"], expect=1)
+    assert cap.err == (
+        f"infeasible: subset search would exceed 3000000 sets at size {size} (n=40)\n"
+    )
+    assert cap.out == ""
+
+
+def test_unreadable_edges_file(capsys, tmp_path):
+    path = tmp_path / "missing.txt"
+    cap = run_cli(capsys, ["compute", "--edges-file", str(path), "--q", "0"], expect=2)
+    assert cap.err == f"error: cannot read --edges-file {path}: No such file or directory\n"
+    assert cap.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -332,6 +421,13 @@ def test_probe_cli(capsys):
     assert "agrees" in out
     out = run_cli(capsys, ["probe", "--name", "kneser_structure", "--n", "5"]).out
     assert "0 violations" in out
+
+
+def test_probe_rejects_csv(capsys):
+    argv = ["probe", "--name", "multipartite", "--n", "2", "--m", "3", "--format", "csv"]
+    cap = run_cli(capsys, argv, expect=2)
+    assert "invalid choice: 'csv'" in cap.err
+    assert cap.out == ""
 
 
 def test_probe_kneser_structure_needs_sample(capsys):

@@ -1,7 +1,9 @@
 from random import Random
 
+import numpy as np
 import pytest
 
+from helpers import exact_inertia
 from zqforce.game import zq_number
 from zqforce.spectral import in_Sq, inertia, nullity
 from zqforce.threshold import (
@@ -133,7 +135,7 @@ def test_certificate_example_8_vertices():
 
 def test_certificate_rejects_bad_q():
     s = seq("00100011")
-    for q in (0, -1, 3):
+    for q in (-1, 3):
         with pytest.raises(ValueError):
             certificate_matrix(s, q)
 
@@ -167,6 +169,45 @@ def test_single_zero_runs_certificates():
             m = certificate_matrix(s, q)
             assert in_Sq(m, g, q)
             assert nullity(m) == zq_formula(s, q) == s.trace
+
+
+def test_certificate_exact_every_sequence_to_10():
+    # one recursion builds every certificate, q = 0 included; checked with
+    # exact rational inertia and the edge pattern read off the bits
+    from zqforce.threshold import _psd_certificate
+
+    for n in range(2, 11):
+        for s in iter_creation_sequences(n):
+            bits = s.to_bits()
+            for q in range(s.s + 1):
+                m = certificate_matrix(s, q)
+                where = (bits, q)
+                assert m.shape == (n, n), where
+                assert np.array_equal(m, np.round(m)), where
+                assert not np.any(np.signbit(m) & (m == 0)), where
+                neg, zero, _ = exact_inertia(m.tolist())
+                assert (neg, zero) == (q, zq_formula(s, q)), where
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        assert m[i, j] == m[j, i], where
+                        assert (m[i, j] != 0) == (bits[j] == "1"), where
+            assert np.array_equal(certificate_matrix(s, 0), _psd_certificate(s.runs))
+
+
+def test_exact_inertia_helper():
+    # the oracle above against floating eigenvalues on well-separated cases
+    assert exact_inertia([[0, 1], [1, 0]]) == (1, 0, 1)
+    assert exact_inertia([[0, 0], [0, 0]]) == (0, 2, 0)
+    assert exact_inertia([[0, 2, 0], [2, 0, 0], [0, 0, -3]]) == (2, 0, 1)
+    assert exact_inertia([[1, 1], [1, 1]]) == (0, 1, 1)
+    rng = Random(5)
+    for _ in range(60):
+        n = rng.randrange(1, 7)
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = rng.choice((-2, -1, 0, 0, 1, 2))
+        assert exact_inertia(a) == inertia(np.array(a, dtype=float)).as_tuple(), a
 
 
 def test_psd_gram_internal():

@@ -12,12 +12,10 @@ from .graphs import (
     Graph,
     build_graph,
     ccr_closure,
-    induced_subgraph,
     parse_edge_list,
     parse_graph6,
     to_graph6,
     uncoloured_components,
-    vertex_connectivity,
 )
 from .game import (
     InfeasibleError,

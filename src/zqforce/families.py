@@ -285,6 +285,8 @@ def lookup(spec: FamilySpec, q: int | None) -> KnownValue | None:
 GAME_MAX_N = 16
 Z_SUBSET_BUDGET = 3_000_000
 Z0_SUBSET_BUDGET = 200_000
+# a registry claim over a range of q is checked at its first PROBE_LEVELS levels
+PROBE_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -311,10 +313,11 @@ def _solve_value(spec: FamilySpec, q: int | None) -> int:
     return zq_number(g, q, build_strategy=False).value
 
 
-def _row_checks(kv: KnownValue, probe_qs: int) -> list[tuple[FamilySpec, int | None]]:
+def _row_checks(kv: KnownValue) -> list[tuple[FamilySpec, int | None]]:
     if kv.q_min is None:
         return [(kv.family, None)]
-    hi = kv.q_min + probe_qs - 1 if kv.q_max is None else min(kv.q_max, kv.q_min + probe_qs - 1)
+    last = kv.q_min + PROBE_LEVELS - 1
+    hi = last if kv.q_max is None else min(kv.q_max, last)
     return [(kv.family, q) for q in range(kv.q_min, hi + 1)]
 
 
@@ -337,17 +340,17 @@ def _row(kv: KnownValue, spec: FamilySpec, q: int | None, outcome: int | str) ->
     return ReportRow(spec.label(), q, expected, outcome, status, kv.anchor)
 
 
-def reproduce_report(max_n: int, probe_qs: int = 3, jobs: int = 1) -> list[ReportRow]:
+def reproduce_report(max_n: int, jobs: int = 1) -> list[ReportRow]:
     """Solve every feasible registry entry and compare with its recorded value.
 
     Known rows get PASS/FAIL, conjecture rows AGREE/DIFFER, entries too large
     for an exact solve SKIP. Each range claim is sampled at its first
-    ``probe_qs`` levels; a (family, q) that several rows check is solved once.
+    ``PROBE_LEVELS`` levels; a (family, q) that several rows check is solved once.
     """
     checks = [
         (kv, spec, q)
         for kv in known_values(max_n=max_n)
-        for spec, q in _row_checks(kv, probe_qs)
+        for spec, q in _row_checks(kv)
     ]
     keys = list(dict.fromkeys((spec, q) for _, spec, q in checks))
     if jobs > 1:
@@ -514,6 +517,8 @@ def kneser_structure_check(
     Exhaustive whenever the subset space fits the sample budget. Without a
     sample, a space over ``Z_SUBSET_BUDGET`` raises InfeasibleError.
     """
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample size must be at least 1, got {sample}")
     g = kneser2(n)
     nv = g.n
     space = 1 << nv

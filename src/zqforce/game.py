@@ -514,12 +514,3 @@ def replay_strategy(
             b = ccr_closure(g, rule3_closure(g, b, resp))
             moves = move.responses[resp]
     return tokens, b
-
-
-def random_oracle(rng) -> Callable[[MoveFamily], MoveFamily]:
-    def pick(family: MoveFamily) -> MoveFamily:
-        k = len(family)
-        r = rng.randrange(1, 1 << k)
-        return tuple(family[i] for i in bits(r))
-
-    return pick

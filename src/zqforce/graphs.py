@@ -9,7 +9,6 @@ and doubles as a hashable cache key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -162,21 +161,8 @@ def parse_edge_list(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Subgraphs and components
+# Components
 # ---------------------------------------------------------------------------
-
-
-def induced_subgraph(g: Graph, s: int) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on vertex mask ``s`` plus the old->new vertex map."""
-    if not s:
-        raise ValueError("empty vertex set")
-    old = vertices_of(s & g.full_mask)
-    remap = {v: i for i, v in enumerate(old)}
-    adj = [0] * len(old)
-    for v in old:
-        for w in bits(g.adj[v] & s):
-            adj[remap[v]] |= 1 << remap[w]
-    return Graph(len(old), tuple(adj)), remap
 
 
 def components_within(g: Graph, mask: int) -> list[int]:
@@ -204,10 +190,6 @@ def components_within(g: Graph, mask: int) -> list[int]:
 def uncoloured_components(g: Graph, b: int) -> list[int]:
     """Components of the uncoloured subgraph ``G[V \\ b]``, ordered by minimum vertex."""
     return components_within(g, g.full_mask & ~b)
-
-
-def is_connected(g: Graph) -> bool:
-    return len(components_within(g, g.full_mask)) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -469,73 +451,3 @@ def block_coset_automorphisms(
     extend(0, 0)
     del extend  # a recursive closure is a reference cycle: free ``out`` with the caller
     return out
-
-
-# ---------------------------------------------------------------------------
-# Vertex connectivity
-# ---------------------------------------------------------------------------
-
-
-def vertex_connectivity(g: Graph) -> int:
-    """Exact vertex connectivity (n-1 for complete graphs, 0 if disconnected).
-
-    Menger: the minimum over non-adjacent pairs (s,t) of the maximum number
-    of internally vertex-disjoint s-t paths, via unit-capacity node splitting.
-    """
-    n = g.n
-    if not is_connected(g):
-        return 0
-    if all(g.adj[v].bit_count() == n - 1 for v in range(n)):
-        return n - 1
-    best = n - 1
-    for s in range(n):
-        for t in range(s + 1, n):
-            if not g.has_edge(s, t):
-                best = min(best, _vertex_flow(g, s, t))
-    return best
-
-
-def _vertex_flow(g: Graph, s: int, t: int) -> int:
-    # Node splitting: v -> (v_in = 2v, v_out = 2v+1); v_in->v_out capacity 1
-    # (infinite for s and t), edges u_out->v_in capacity 1 both ways.
-    n = g.n
-    size = 2 * n
-    cap = [[0] * size for _ in range(size)]
-    for v in range(n):
-        cap[2 * v][2 * v + 1] = n if v in (s, t) else 1
-        for w in bits(g.adj[v]):
-            cap[2 * v + 1][2 * w] = n
-    src, snk = 2 * s + 1, 2 * t
-    flow = 0
-    while True:
-        parent = [-1] * size
-        parent[src] = src
-        queue = [src]
-        while queue and parent[snk] == -1:
-            u = queue.pop(0)
-            for v in range(size):
-                if parent[v] == -1 and cap[u][v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[snk] == -1:
-            return flow
-        v = snk
-        while v != src:
-            u = parent[v]
-            cap[u][v] -= 1
-            cap[v][u] += 1
-            v = u
-        flow += 1
-
-
-def vertex_connectivity_bruteforce(g: Graph) -> int:
-    """Exhaustive-cut vertex connectivity; independent oracle for small graphs."""
-    n = g.n
-    if not is_connected(g):
-        return 0
-    for k in range(n - 1):
-        for cut in combinations(range(n), k):
-            rest = g.full_mask & ~mask_of(cut)
-            if rest and len(components_within(g, rest)) > 1:
-                return k
-    return n - 1

@@ -50,34 +50,36 @@ class Inertia:
     n_neg: int
     n_zero: int
     n_pos: int
-    tol: float
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_neg, self.n_zero, self.n_pos)
 
 
-def inertia(m: np.ndarray, tol: float = DEFAULT_TOL) -> Inertia:
-    """Eigenvalue sign counts; |eig| <= tol * spectral norm counts as zero."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    eig = eigenvalues_sym(m)
-    thr = tol * max(abs(eig[0]), abs(eig[-1]))
+def _spectrum(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues of a checked symmetric ``m`` and the zero threshold:
+    a value of magnitude at most ``DEFAULT_TOL`` times the spectral norm."""
+    eig = np.linalg.eigvalsh(m)
+    return eig, DEFAULT_TOL * max(abs(eig[0]), abs(eig[-1]))
+
+
+def inertia(m: np.ndarray) -> Inertia:
+    """Eigenvalue sign counts; |eig| <= DEFAULT_TOL * spectral norm counts as zero."""
+    eig, thr = _spectrum(_check_symmetric(m))
     n_neg = int(np.sum(eig < -thr))
     n_pos = int(np.sum(eig > thr))
-    return Inertia(n_neg, len(eig) - n_neg - n_pos, n_pos, tol)
+    return Inertia(n_neg, len(eig) - n_neg - n_pos, n_pos)
 
 
-def nullity(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    return inertia(m, tol).n_zero
+def nullity(m: np.ndarray) -> int:
+    return inertia(m).n_zero
 
 
-def in_Sq(m: np.ndarray, g: Graph, q: int, tol: float = DEFAULT_TOL) -> bool:
+def in_Sq(m: np.ndarray, g: Graph, q: int) -> bool:
     """Is ``m`` supported exactly on the edges of ``g`` with q negative eigenvalues?"""
     m = _check_symmetric(m)
     if m.shape[0] != g.n:
         raise ValueError(f"matrix order {m.shape[0]} != graph order {g.n}")
-    eig = np.linalg.eigvalsh(m)
-    thr = tol * max(abs(eig[0]), abs(eig[-1]))
+    eig, thr = _spectrum(m)
     for i in range(g.n):
         for j in range(i + 1, g.n):
             if g.adj[i] >> j & 1:

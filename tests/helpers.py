@@ -174,6 +174,16 @@ def nonisomorphic_trees(n: int) -> list[Graph]:
     return out
 
 
+def node_connectivity(g: Graph) -> int:
+    """Vertex connectivity from networkx, which shares no code with the package."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return nx.node_connectivity(h)
+
+
 def mask(vertices) -> int:
     m = 0
     for v in vertices:
@@ -235,6 +245,16 @@ def naive_game(g: Graph, q: int):
         return best
 
     return lambda coloured=(): value(force(set(coloured), everything))
+
+
+def random_oracle(rng: Random):
+    """An oracle for ``replay_strategy`` that returns a uniform nonempty subfamily."""
+
+    def pick(family: tuple[int, ...]) -> tuple[int, ...]:
+        r = rng.randrange(1, 1 << len(family))
+        return tuple(c for i, c in enumerate(family) if r >> i & 1)
+
+    return pick
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:

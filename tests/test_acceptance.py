@@ -26,7 +26,7 @@ from zqforce.families import (
     reproduce_report,
 )
 from zqforce.game import z0_number, z_number, zq_chain, zq_number
-from zqforce.graphs import Graph, build_graph, ccr_closure, vertex_connectivity
+from zqforce.graphs import Graph, build_graph, ccr_closure
 from zqforce.spectral import (
     bipartite_prism_certificate,
     book_certificate,
@@ -47,7 +47,7 @@ from zqforce.threshold import (
     zq_formula,
 )
 
-from helpers import nonisomorphic_trees, random_connected_graph
+from helpers import node_connectivity, nonisomorphic_trees, random_connected_graph
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -92,7 +92,7 @@ def test_criterion_2_threshold_certificates():
         for q in range(1, seq.s + 1):
             checked += 1
             m = certificate_matrix(seq, q)
-            if not in_Sq(m, g, q, tol=1e-7) or nullity(m, tol=1e-7) != zq_formula(seq, q):
+            if not in_Sq(m, g, q) or nullity(m) != zq_formula(seq, q):
                 failures += 1
     _report(
         2,
@@ -209,9 +209,9 @@ def test_criterion_6_petersen_srg():
     ok &= zq_number(g, 1, build_strategy=False).value == 5
     ok &= z_number(g) == 5
     psd, q1 = srg_certificate(g, 1.0, -2.0)
-    ok &= nullity(psd, 1e-8) == 4 and nullity(q1, 1e-8) == 5
-    ok &= inertia(psd, 1e-8).as_tuple() == (0, 4, 6)
-    ok &= inertia(q1, 1e-8).as_tuple() == (1, 5, 4)
+    ok &= nullity(psd) == 4 and nullity(q1) == 5
+    ok &= inertia(psd).as_tuple() == (0, 4, 6)
+    ok &= inertia(q1).as_tuple() == (1, 5, 4)
     _report(6, "Petersen: Z_0=4, Z_1=Z=5, certificate nullities (4,5)", bool(ok))
 
 
@@ -263,7 +263,7 @@ def test_criterion_9_cross_oracle_suite():
             violations.append(("psd", i))
         if zq_number(g, 0, build_strategy=False).value != chain[0]:
             violations.append(("engine-q0", i))
-        if chain[0] < vertex_connectivity(g):
+        if chain[0] < node_connectivity(g):
             violations.append(("connectivity", i))
     # every named spectral certificate bounds the solved game value
     certificate_cases = [

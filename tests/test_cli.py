@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -444,6 +448,14 @@ def test_probe_kneser_structure_needs_sample(capsys):
     assert out == "kneser structure n=8: sampled, 1000 subsets, 0 violations\n"
 
 
+@pytest.mark.parametrize("sample", ["0", "-5"])
+def test_probe_kneser_structure_rejects_empty_sample(capsys, sample):
+    argv = ["probe", "--name", "kneser_structure", "--n", "5", "--sample", sample]
+    cap = run_cli(capsys, argv, expect=2)
+    assert cap.err == f"error: sample size must be at least 1, got {sample}\n"
+    assert cap.out == ""
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -490,3 +502,22 @@ def test_strategy_json_schema(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_package_runs_without_test_libraries():
+    # networkx and hypothesis are test oracles only: every module imports and
+    # a solve runs with both made unimportable
+    code = """
+import importlib, pkgutil, sys
+sys.modules["networkx"] = sys.modules["hypothesis"] = None
+import zqforce
+for mod in pkgutil.iter_modules(zqforce.__path__):
+    importlib.import_module("zqforce." + mod.name)
+from zqforce import cli
+sys.exit(cli.run(["compute", "--graph6", "IheA@GUAo", "--q", "1"]))
+"""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "n: 10\nq: 1\nvalue: 5\n"

@@ -14,7 +14,6 @@ from zqforce.game import (
     admissible_families,
     independence_number,
     psd_closure,
-    random_oracle,
     replay_strategy,
     rule3_closure,
     z0_number,
@@ -27,7 +26,6 @@ from zqforce.graphs import (
     build_graph,
     ccr_closure,
     interchangeable_blocks,
-    vertex_connectivity,
 )
 
 from helpers import (
@@ -40,8 +38,10 @@ from helpers import (
     naive_induced_ccr,
     naive_min_forcing,
     naive_psd_closure,
+    node_connectivity,
     random_connected_graph,
     random_graph,
+    random_oracle,
     random_tree,
     relabel,
     vset,
@@ -281,7 +281,7 @@ def test_chain_monotone_and_engine_matches_psd_at_q0():
         assert chain[0] == z0_number(g)
         assert chain[0] == zq_number(g, 0, build_strategy=False).value
         assert chain[-1] == z_number(g)
-        assert chain[0] >= vertex_connectivity(g)
+        assert chain[0] >= node_connectivity(g)
 
 
 def test_saturation_at_large_q():
@@ -354,7 +354,7 @@ def test_kneser_connectivity_equals_degree():
     from zqforce.families import kneser2
 
     g = kneser2(6)
-    assert vertex_connectivity(g) == g.min_degree() == 6
+    assert node_connectivity(g) == g.min_degree() == 6
 
 
 def test_independence_number_small():

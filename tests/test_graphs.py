@@ -10,14 +10,11 @@ from zqforce.graphs import (
     build_graph,
     canonical_key,
     ccr_closure,
-    induced_subgraph,
     interchangeable_blocks,
     parse_edge_list,
     parse_graph6,
     to_graph6,
     uncoloured_components,
-    vertex_connectivity,
-    vertex_connectivity_bruteforce,
     vertices_of,
 )
 
@@ -99,21 +96,6 @@ def test_parse_edge_list():
         parse_edge_list("3 2\n0 1\n")
 
 
-def test_induced_subgraph_examples():
-    p3 = build_graph(3, [(0, 1), (1, 2)])
-    sub, remap = induced_subgraph(p3, mask([0, 1]))
-    assert sub.n == 2 and sub.has_edge(0, 1) and remap == {0: 0, 1: 1}
-    k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    sub, _ = induced_subgraph(k4, mask([0]))
-    assert sub.n == 1 and sub.num_edges() == 0
-    pet = build_graph(10, PETERSEN_EDGES)
-    pentagon, remap = induced_subgraph(pet, mask([0, 1, 2, 3, 4]))
-    assert pentagon.num_edges() == 5
-    assert all(pentagon.degree(v) == 2 for v in range(5))
-    with pytest.raises(ValueError):
-        induced_subgraph(p3, 0)
-
-
 def test_uncoloured_components_examples():
     p5 = build_graph(5, [(i, i + 1) for i in range(4)])
     assert uncoloured_components(p5, mask([2])) == [mask([0, 1]), mask([3, 4])]
@@ -185,30 +167,6 @@ def test_ccr_closure_from_closed_state_plus_one_token():
                 got = ccr_closure(g, start, g.full_mask, (1 << v) | (g.adj[v] & b))
                 assert got == ccr_closure(g, start)
                 assert vset(got) == naive_ccr_closure(g, vset(start))
-
-
-def test_vertex_connectivity_examples():
-    k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    assert vertex_connectivity(k4) == 3
-    p5 = build_graph(5, [(i, i + 1) for i in range(4)])
-    assert vertex_connectivity(p5) == 1
-    pet = build_graph(10, PETERSEN_EDGES)
-    assert vertex_connectivity(pet) == 3
-    assert vertex_connectivity_bruteforce(pet) == 3
-    disconnected = build_graph(3, [(0, 1)])
-    assert vertex_connectivity(disconnected) == 0
-    assert vertex_connectivity(build_graph(1, [])) == 0
-
-
-def test_vertex_connectivity_against_bruteforce():
-    rng = Random(23)
-    checked = 0
-    while checked < 40:
-        g = random_graph(rng, rng.randrange(2, 8), 0.5)
-        kappa = vertex_connectivity(g)
-        assert kappa == vertex_connectivity_bruteforce(g)
-        assert kappa <= g.min_degree()
-        checked += 1
 
 
 # ---------------------------------------------------------------------------

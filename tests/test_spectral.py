@@ -55,11 +55,9 @@ def test_eigenvalues_rejects_bad_input():
 
 def test_inertia_examples():
     a = adjacency_matrix(petersen())
-    assert inertia(a + 2 * np.eye(10), 1e-8).as_tuple() == (0, 4, 6)
-    assert inertia(-a + np.eye(10), 1e-8).as_tuple() == (1, 5, 4)
+    assert inertia(a + 2 * np.eye(10)).as_tuple() == (0, 4, 6)
+    assert inertia(-a + np.eye(10)).as_tuple() == (1, 5, 4)
     assert inertia(np.zeros((4, 4))).as_tuple() == (0, 4, 0)
-    with pytest.raises(ValueError):
-        inertia(a, 0.0)
 
 
 def test_in_sq_examples():
@@ -103,8 +101,8 @@ def test_book_certificate_spectra():
 
 def test_srg_certificate_petersen():
     psd, q1 = srg_certificate(petersen(), 1.0, -2.0)
-    assert inertia(psd, 1e-8).as_tuple() == (0, 4, 6)
-    assert inertia(q1, 1e-8).as_tuple() == (1, 5, 4)
+    assert inertia(psd).as_tuple() == (0, 4, 6)
+    assert inertia(q1).as_tuple() == (1, 5, 4)
     assert in_Sq(psd, petersen(), 0)
     assert in_Sq(q1, petersen(), 1)
 
@@ -119,9 +117,9 @@ def test_srg_certificate_errors():
 def test_srg_certificate_kneser6():
     g = kneser2(6)
     psd, q1 = srg_certificate(g, 1.0, -3.0)
-    assert inertia(psd, 1e-8).n_zero == 5  # multiplicity of tau = -3 is n-1
-    assert inertia(psd, 1e-8).n_neg == 0
-    assert nullity(q1, 1e-8) == 15 - 1 - 5
+    assert inertia(psd).n_zero == 5  # multiplicity of tau = -3 is n-1
+    assert inertia(psd).n_neg == 0
+    assert nullity(q1) == 15 - 1 - 5
 
 
 def test_kneser_certificate():

@@ -32,7 +32,6 @@ from .contraction import (
     ContractedBigraph,
     bipartite_contraction,
     degree_one_witness,
-    has_forcing_move,
     max_matching,
 )
 from .threshold import (
@@ -48,7 +47,6 @@ from .spectral import (
     Inertia,
     book_certificate,
     bipartite_prism_certificate,
-    eigenvalues_sym,
     in_Sq,
     inertia,
     kneser_certificate,

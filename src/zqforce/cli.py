@@ -19,14 +19,10 @@ from .game import InfeasibleError, TokenSpend, z_number, zq_chain, zq_number
 from .graphs import Graph, mask_of, parse_edge_list, parse_graph6, to_graph6, vertices_of
 
 
-class UsageError(Exception):
-    pass
-
-
 def _read_graph(args) -> tuple[Graph, dict]:
     sources = [s for s in ("graph6", "edges_file", "seq") if getattr(args, s, None)]
     if len(sources) != 1:
-        raise UsageError("exactly one of --graph6 / --edges-file / --seq is required")
+        raise ValueError("exactly one of --graph6 / --edges-file / --seq is required")
     kind = sources[0]
     if kind == "graph6":
         text = args.graph6
@@ -41,7 +37,7 @@ def _read_graph(args) -> tuple[Graph, dict]:
                 with open(args.edges_file, "r", encoding="utf-8") as fh:
                     text = fh.read()
             except OSError as exc:
-                raise UsageError(
+                raise ValueError(
                     f"cannot read --edges-file {args.edges_file}: {exc.strerror}"
                 ) from exc
         return parse_edge_list(text), {"edges_file": args.edges_file}
@@ -118,13 +114,13 @@ def _emit(args, record: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(record, indent=2))
     elif args.format == "csv":
-        # a list of scalars is one cell, its items joined by "|" as in
-        # reproduce's csv; dicts and nested lists are left out
+        # a list or tuple of scalars is one cell, its items joined by "|" as
+        # in reproduce's csv; dicts and nested lists are left out
         cells = {}
         for k, v in record.items():
-            if isinstance(v, list) and not any(isinstance(x, (dict, list)) for x in v):
+            if isinstance(v, (list, tuple)) and not any(isinstance(x, (dict, list)) for x in v):
                 cells[k] = "|".join(map(str, v))
-            elif not isinstance(v, (dict, list)):
+            elif not isinstance(v, (dict, list, tuple)):
                 cells[k] = v
         print(",".join(cells))
         print(",".join(_csv_cell(v) for v in cells.values()))
@@ -135,17 +131,17 @@ def _emit(args, record: dict, text_lines: list[str]) -> None:
 def _cmd_compute(args) -> int:
     g, source = _read_graph(args)
     if args.q is None and args.chain is None and not args.z:
-        raise UsageError("compute needs --q, --chain, or --z")
+        raise ValueError("compute needs --q, --chain, or --z")
     if not args.z and _game_refused(g, args.force):
         return 1
     record: dict = {"input": source}
     lines = [f"n: {g.n}"]
     if args.z:
-        value = z_number(g, max_subsets=families.Z_SUBSET_BUDGET)
+        value = z_number(g)
         record.update({"q": None, "value": value})
         lines.append(f"z: {value}")
     elif args.chain is not None:
-        chain = zq_chain(g, args.chain, max_subsets=families.Z_SUBSET_BUDGET)
+        chain = zq_chain(g, args.chain)
         record.update({"q": f"0..{args.chain}", "value": chain})
         lines.append(f"chain: {chain}")
     else:
@@ -163,7 +159,7 @@ def _cmd_compute(args) -> int:
 def _cmd_threshold(args) -> int:
     seq = threshold.parse_creation_sequence(args.seq)
     if args.q is None:
-        raise UsageError("threshold needs --q")
+        raise ValueError("threshold needs --q")
     value = threshold.zq_formula(seq, args.q)
     record = {"input": {"seq": seq.to_bits()}, "q": args.q, "value": value}
     lines = [f"seq: {seq.to_bits()}", f"q: {args.q}", f"formula: {value}"]
@@ -196,9 +192,9 @@ def _cmd_contract(args) -> int:
     try:
         vertices = [int(t) for t in args.coloured.split(",") if t != ""]
     except ValueError as exc:
-        raise UsageError(f"bad --coloured list: {exc}") from exc
+        raise ValueError(f"bad --coloured list: {exc}") from exc
     if vertices and min(vertices) < 0:
-        raise UsageError(f"coloured vertex {min(vertices)} is not in the graph (n={g.n})")
+        raise ValueError(f"coloured vertex {min(vertices)} is not in the graph (n={g.n})")
     coloured = mask_of(vertices)
     cb = bipartite_contraction(g, coloured)
     matching = max_matching(cb)
@@ -224,7 +220,7 @@ def _cmd_contract(args) -> int:
 def _cmd_certify(args) -> int:
     name = args.name
     if name in ("book", "kneser2", "bipartite_prism") and args.n is None:
-        raise UsageError(f"{name} certificate needs --n")
+        raise ValueError(f"{name} certificate needs --n")
     if name == "book":
         m = spectral.book_certificate(args.n)
         g = families.book(args.n)
@@ -235,27 +231,25 @@ def _cmd_certify(args) -> int:
         q = 1
     elif name == "bipartite_prism":
         if args.m is None:
-            raise UsageError("bipartite_prism certificate needs --m")
+            raise ValueError("bipartite_prism certificate needs --m")
         m = spectral.bipartite_prism_certificate(args.n, args.m)
         g = families.bipartite_prism(args.n, args.m)
         q = 1
     elif name == "threshold":
         if not args.seq or args.q is None:
-            raise UsageError("threshold certificate needs --seq and --q")
+            raise ValueError("threshold certificate needs --seq and --q")
         seq = threshold.parse_creation_sequence(args.seq)
         m = threshold.certificate_matrix(seq, args.q)
         g = threshold.build_threshold_graph(seq)
         q = args.q
-    elif name == "srg":
+    else:  # srg, the last of the parser's choices
         g, _ = _read_graph(args)
         if args.theta is None or args.tau is None:
-            raise UsageError("srg certificate needs --theta and --tau")
+            raise ValueError("srg certificate needs --theta and --tau")
         psd, m = spectral.srg_certificate(g, args.theta, args.tau)
         q = 1
         if args.psd:
             m, q = psd, 0
-    else:
-        raise UsageError(f"unknown certificate family {name!r}")
     inert = spectral.inertia(m)
     ok = spectral.in_Sq(m, g, q)
     record = {
@@ -284,7 +278,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    spec = _family_spec(args)
+    spec = families.FamilySpec(args.name, tuple(p for p in (args.n, args.m) if p is not None))
     g = families.generate(spec)
     record: dict = {"input": {"family": spec.label(), "n_vertices": g.n}}
     lines = [f"family: {spec.label()}", f"vertices: {g.n}", f"edges: {g.num_edges()}"]
@@ -292,7 +286,7 @@ def _cmd_family(args) -> int:
     if (args.chain is not None or args.q is not None) and _game_refused(g, args.force):
         return 1
     if args.chain is not None:
-        chain = zq_chain(g, args.chain, max_subsets=families.Z_SUBSET_BUDGET)
+        chain = zq_chain(g, args.chain)
         record.update({"q": f"0..{args.chain}", "value": chain})
         lines.append(f"chain: {chain}")
         anchors = [kv.anchor for q in range(args.chain + 1)
@@ -304,7 +298,7 @@ def _cmd_family(args) -> int:
         kv = families.lookup(spec, args.q)
         anchors = [kv.anchor] if kv else []
     elif args.z:
-        value = z_number(g, max_subsets=families.Z_SUBSET_BUDGET)
+        value = z_number(g)
         record.update({"q": None, "value": value})
         lines.append(f"z: {value}")
         kv = families.lookup(spec, None)
@@ -320,14 +314,6 @@ def _cmd_family(args) -> int:
     return 0
 
 
-def _family_spec(args) -> families.FamilySpec:
-    params = [p for p in (args.n, args.m) if p is not None]
-    try:
-        return families.FamilySpec(args.name, tuple(params))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _cmd_reproduce(args) -> int:
     rows = families.reproduce_report(args.max_n, jobs=args.jobs)
     print(families.render_report(rows, args.format), end="")
@@ -337,7 +323,7 @@ def _cmd_reproduce(args) -> int:
 def _cmd_probe(args) -> int:
     if args.name == "kneser_structure":
         if args.n is None:
-            raise UsageError("kneser_structure probe needs --n")
+            raise ValueError("kneser_structure probe needs --n")
         rep = families.kneser_structure_check(args.n, sample=args.sample, seed=args.seed)
         if args.format == "json":
             print(json.dumps({
@@ -356,9 +342,9 @@ def _cmd_probe(args) -> int:
     for opt in ("n", "m"):
         given = getattr(args, opt) is not None
         if opt in wanted and not given:
-            raise UsageError(f"{args.name} probe needs --{opt}")
+            raise ValueError(f"{args.name} probe needs --{opt}")
         if opt not in wanted and given:
-            raise UsageError(f"{args.name} probe takes no --{opt}")
+            raise ValueError(f"{args.name} probe takes no --{opt}")
     rep = families.probe_conjecture(args.name, tuple(getattr(args, opt) for opt in wanted))
     if args.format == "json":
         print(json.dumps({
@@ -469,10 +455,7 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .game import admissible_families
-from .graphs import Graph, bits, ccr_closure, components_within
+from .graphs import Graph, bits, components_within
 
 
 @dataclass(frozen=True)
@@ -26,12 +25,6 @@ class ContractedBigraph:
     coloured_nodes: tuple[int, ...]
     uncoloured_nodes: tuple[int, ...]
     multiplicity: tuple[tuple[int, ...], ...]  # [coloured][uncoloured] edge counts
-
-    def simple_adjacency(self) -> list[list[int]]:
-        """Uncoloured-node neighbour lists with multiplicities collapsed."""
-        return [
-            [j for j, m in enumerate(row) if m > 0] for row in self.multiplicity
-        ]
 
 
 def bipartite_contraction(g: Graph, b: int) -> ContractedBigraph:
@@ -63,7 +56,7 @@ def bipartite_contraction(g: Graph, b: int) -> ContractedBigraph:
 def max_matching(cb: ContractedBigraph) -> int:
     """Maximum matching size of the contraction's collapsed simple bipartite
     graph (augmenting paths)."""
-    adj = cb.simple_adjacency()
+    adj = [[j for j, m in enumerate(row) if m > 0] for row in cb.multiplicity]
     n_unc = len(cb.uncoloured_nodes)
     match_unc = [-1] * n_unc
 
@@ -113,18 +106,6 @@ def all_subsets_have_degree_one_witness(
         for r in range(1, len(nodes) + 1)
         for sub in combinations(nodes, r)
     )
-
-
-def has_forcing_move(g: Graph, b: int, q: int) -> bool:
-    """Ground truth on the original graph: does a rule-3 move at level q
-    guarantee a new force?
-
-    Requires a CCR-closed coloured set (no free force available); checks by
-    exhaustive oracle-response enumeration.
-    """
-    if ccr_closure(g, b) != b:
-        raise ValueError("coloured set must be CCR-closed (no free force left)")
-    return bool(admissible_families(g, b, q))
 
 
 def contraction_forcing_move(cb: ContractedBigraph, q: int) -> bool:

@@ -16,7 +16,9 @@ from random import Random
 from typing import Iterable
 
 from .graphs import Graph, bits, build_graph, components_within
-from .game import InfeasibleError, independence_number, z0_number, z_number, zq_number
+from .game import (
+    Z_SUBSET_BUDGET, InfeasibleError, independence_number, z0_number, z_number, zq_number,
+)
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -283,8 +285,6 @@ def lookup(spec: FamilySpec, q: int | None) -> KnownValue | None:
 # The one game-size limit: reproduce, probe and the CLI refuse an exact game
 # solve on more vertices (the CLI unless it is given --force).
 GAME_MAX_N = 16
-Z_SUBSET_BUDGET = 3_000_000
-Z0_SUBSET_BUDGET = 200_000
 # a registry claim over a range of q is checked at its first PROBE_LEVELS levels
 PROBE_LEVELS = 3
 
@@ -302,14 +302,14 @@ class ReportRow:
 def _solve_value(spec: FamilySpec, q: int | None) -> int:
     g = generate(spec)
     if q is None:
-        return z_number(g, max_subsets=Z_SUBSET_BUDGET)
+        return z_number(g)
     if q == 0:
-        return z0_number(g, max_subsets=Z0_SUBSET_BUDGET)
+        return z0_number(g)
     if g.n > GAME_MAX_N:
         raise InfeasibleError(f"game solve refused for n={g.n} > {GAME_MAX_N}")
     if q >= independence_number(g):
         # never q+1 uncoloured components, so rule 3 never fires (as in zq_chain)
-        return z_number(g, max_subsets=Z_SUBSET_BUDGET)
+        return z_number(g)
     return zq_number(g, q, build_strategy=False).value
 
 

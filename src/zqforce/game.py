@@ -345,24 +345,28 @@ def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
 # ---------------------------------------------------------------------------
 
 
+# subsets the Z and Z_0 searches may test, summed over the sizes they reach
+Z_SUBSET_BUDGET = 3_000_000
+Z0_SUBSET_BUDGET = 200_000
+
+
 def _level_masks(n: int, k: int) -> Iterator[int]:
     """Bitmasks of the k-subsets of range(n), in lexicographic order."""
     return map(sum, combinations([1 << v for v in range(n)], k))
 
 
-def _search_min_forcing(
-    g: Graph, forces: Callable[[int], bool], max_subsets: int | None = None
-) -> int:
+def _search_min_forcing(g: Graph, forces: Callable[[int], bool], budget: int) -> int:
     """Least k with ``forces(k)`` (some k-set has a full closure), searched
     upwards from the minimum degree, which bounds both Z and Z_0 from below
-    (see :func:`z_number` and :func:`z0_number`)."""
+    (see :func:`z_number` and :func:`z0_number`). Refused before a size
+    whose subsets would take the running count past ``budget``."""
     n = g.n
     done = 0
     for k in range(max(1, g.min_degree()), n + 1):
         done += comb(n, k)
-        if max_subsets is not None and done > max_subsets:
+        if done > budget:
             raise InfeasibleError(
-                f"subset search would exceed {max_subsets} sets at size {k} (n={n})"
+                f"subset search would exceed {budget} sets at size {k} (n={n})"
             )
         if forces(k):
             return k
@@ -403,20 +407,22 @@ def _ccr_level_forces(g: Graph, k: int) -> bool:
     return reduce(int.__or__, unc) != full
 
 
-def z_number(g: Graph, max_subsets: int | None = None) -> int:
+def z_number(g: Graph) -> int:
     """Classical zero forcing number: min |S| with full CCR closure.
 
     Increasing-size subset search from the minimum degree (a forcing set must
     contain the first forcer and all but one of its neighbours); each size is
-    tested on all its subsets at once by :func:`_ccr_level_forces`.
+    tested on all its subsets at once by :func:`_ccr_level_forces`. Raises
+    InfeasibleError past ``Z_SUBSET_BUDGET`` subsets.
     """
-    return _search_min_forcing(g, lambda k: _ccr_level_forces(g, k), max_subsets)
+    return _search_min_forcing(g, lambda k: _ccr_level_forces(g, k), Z_SUBSET_BUDGET)
 
 
-def z0_number(g: Graph, max_subsets: int | None = None) -> int:
+def z0_number(g: Graph) -> int:
     """Positive semidefinite zero forcing number: min |S| with full PSD closure.
 
-    Increasing-size subset search, started at the minimum degree δ(G)
+    Increasing-size subset search, refused past ``Z0_SUBSET_BUDGET`` subsets
+    and started at the minimum degree δ(G)
     (δ <= tw <= Z_0; Barioli et al., J. Graph Theory 72, 2013). Direct proof:
     let S have full PSD closure. If S = V, |S| = n > δ. Otherwise let W be
     a component of G - S. Forces into different components never interact, so
@@ -432,7 +438,8 @@ def z0_number(g: Graph, max_subsets: int | None = None) -> int:
     """
     full = g.full_mask
     return _search_min_forcing(
-        g, lambda k: any(psd_closure(g, m) == full for m in _level_masks(g.n, k)), max_subsets
+        g, lambda k: any(psd_closure(g, m) == full for m in _level_masks(g.n, k)),
+        Z0_SUBSET_BUDGET,
     )
 
 
@@ -461,16 +468,15 @@ def independence_number(g: Graph) -> int:
     return mis(g.full_mask)
 
 
-def zq_chain(g: Graph, q_max: int, max_subsets: int | None = None) -> list[int]:
+def zq_chain(g: Graph, q_max: int) -> list[int]:
     """[Z_0, Z_1, ..., Z_{q_max}, Z(G)].
 
     Once q+1 exceeds the maximum possible number of uncoloured components
     (the independence number), rule 3 can never fire and Z_q = Z.
-    ``max_subsets`` bounds the Z subset search as in :func:`z_number`.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
-    z = z_number(g, max_subsets)
+    z = z_number(g)
     alpha = independence_number(g)
     out = []
     for q in range(q_max + 1):

@@ -21,12 +21,7 @@ DEFAULT_TOL = 1e-7
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for i in range(g.n):
-        for j in range(g.n):
-            if g.adj[i] >> j & 1:
-                a[i, j] = 1.0
-    return a
+    return np.array([[a >> j & 1 for j in range(g.n)] for a in g.adj], dtype=float)
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
@@ -38,11 +33,6 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     if not np.array_equal(m, m.T):
         raise ValueError("matrix is not symmetric")
     return m
-
-
-def eigenvalues_sym(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``)."""
-    return np.linalg.eigvalsh(_check_symmetric(m))
 
 
 @dataclass(frozen=True)
@@ -80,13 +70,10 @@ def in_Sq(m: np.ndarray, g: Graph, q: int) -> bool:
     if m.shape[0] != g.n:
         raise ValueError(f"matrix order {m.shape[0]} != graph order {g.n}")
     eig, thr = _spectrum(m)
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.adj[i] >> j & 1:
-                if abs(m[i, j]) <= thr:
-                    return False
-            elif abs(m[i, j]) > thr:
-                return False
+    support = np.abs(m) > thr
+    np.fill_diagonal(support, False)
+    if not np.array_equal(support, adjacency_matrix(g) != 0):
+        return False
     return int(np.sum(eig < -thr)) == q
 
 
@@ -98,19 +85,13 @@ def in_Sq(m: np.ndarray, g: Graph, q: int) -> bool:
 def book_certificate(n: int) -> np.ndarray:
     """One-negative-eigenvalue certificate for the book graph K_{1,n} x K_2.
 
-    With B the book adjacency [[A, I], [I, A]] and D the two-layer shift
-    [[-r/2, 1-r/2], [1-r/2, -r/2]] (x) I for r = sqrt(n), the difference
-    B - D has spectrum {2r, 0^(n), r^(n), -r} and keeps the edge support,
-    so its nullity n is a lower bound for Z_1 of the book.
+    The book is the bipartite prism K_{1,n} x K_2, so this is the prism
+    certificate at (1, n): spectrum {2r, r^(n), 0^(n), -r} with r = sqrt(n),
+    and its nullity n is a lower bound for Z_1 of the book.
     """
     if n < 3:
         raise ValueError("book certificate needs n >= 3")
-    from .families import book
-
-    b = adjacency_matrix(book(n))
-    r = math.sqrt(n)
-    d = np.kron(np.array([[-r / 2, 1 - r / 2], [1 - r / 2, -r / 2]]), np.eye(n + 1))
-    return b - d
+    return _prism_certificate(1, n)
 
 
 def srg_certificate(g: Graph, theta: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -148,15 +129,19 @@ def kneser_certificate(n: int) -> np.ndarray:
 
 
 def bipartite_prism_certificate(n: int, m: int) -> np.ndarray:
-    """One-negative-eigenvalue certificate for K_{n,m} x K_2.
-
-    Mirrors the book construction: add the commuting two-layer shift
-    [[r/2, r/2 - 1], [r/2 - 1, r/2]] (x) I with r = sqrt(n*m) to the prism
-    adjacency. The cross-layer entries become r/2 and the spectrum works out
-    to {2r, r^(n+m-1), 0^(n+m-1), -r}, so the nullity is n + m - 1.
-    """
+    """One-negative-eigenvalue certificate for K_{n,m} x K_2 (see
+    :func:`_prism_certificate`); its nullity is n + m - 1."""
     if n < 2 or m < 2:
         raise ValueError("bipartite prism certificate needs n, m >= 2")
+    return _prism_certificate(n, m)
+
+
+def _prism_certificate(n: int, m: int) -> np.ndarray:
+    """Add the commuting two-layer shift [[r/2, r/2 - 1], [r/2 - 1, r/2]] (x) I
+    with r = sqrt(n*m) to the adjacency of K_{n,m} x K_2. The cross-layer
+    entries become r/2 and the spectrum works out to
+    {2r, r^(n+m-1), 0^(n+m-1), -r}, keeping the edge support.
+    """
     from .families import bipartite_prism
 
     b = adjacency_matrix(bipartite_prism(n, m))

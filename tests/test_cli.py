@@ -292,10 +292,18 @@ def test_family_chain_with_anchors(capsys):
             'q,value,anchors\n0..2,2|3|3|3,'
             '"Z_0(K_{1,n} x K_2) = 2|Z_q(K_{1,n} x K_2) = n for q >= 1"\n',
         ),
+        (
+            ["threshold", "--seq", "00100011", "--q", "1", "--certificate"],
+            "q,value,inertia\n1,4,1|4|3\n",
+        ),
+        (
+            ["certify", "--name", "book", "--n", "3"],
+            "q,value,inertia,edge_support_ok\n1,3,1|3|4,True\n",
+        ),
     ],
 )
 def test_chain_csv_keeps_values(capsys, argv, expected):
-    # a list of scalars is one csv cell, its items joined by "|"
+    # a list or tuple of scalars is one csv cell, its items joined by "|"
     assert run_cli(capsys, argv + ["--format", "csv"]).out == expected
 
 

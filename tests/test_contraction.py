@@ -8,9 +8,9 @@ from zqforce.contraction import (
     bipartite_contraction,
     contraction_forcing_move,
     degree_one_witness,
-    has_forcing_move,
     max_matching,
 )
+from zqforce.game import admissible_families
 from zqforce.graphs import Graph, build_graph, ccr_closure
 
 from helpers import mask, random_connected_graph, random_tree
@@ -96,11 +96,11 @@ def test_degree_one_witness_respects_multiplicity():
 
 
 def test_has_forcing_move_examples():
-    assert has_forcing_move(path(5), mask([2]), 0) is True
-    assert has_forcing_move(path(5), mask([2]), 1) is False
-    assert has_forcing_move(star(3), mask([0]), 0) is True
+    assert bool(admissible_families(path(5), mask([2]), 0)) is True
+    assert bool(admissible_families(path(5), mask([2]), 1)) is False
+    assert bool(admissible_families(star(3), mask([0]), 0)) is True
     with pytest.raises(ValueError):
-        has_forcing_move(path(5), mask([0]), 0)  # endpoint forces: not closed
+        admissible_families(path(5), mask([0]), 0)  # endpoint forces: not closed
 
 
 def test_contraction_idempotent():
@@ -152,7 +152,7 @@ def test_tree_matching_gives_graph_move():
             matching = max_matching(bipartite_contraction(g, b))
             for q in range(g.n):
                 if matching >= q + 1:
-                    assert has_forcing_move(g, b, q)
+                    assert admissible_families(g, b, q)
 
 
 def test_contraction_move_implies_graph_move():
@@ -163,7 +163,7 @@ def test_contraction_move_implies_graph_move():
             cb = bipartite_contraction(g, b)
             for q in range(g.n):
                 if contraction_forcing_move(cb, q):
-                    assert has_forcing_move(g, b, q)
+                    assert admissible_families(g, b, q)
 
 
 def test_graph_move_is_strictly_weaker_than_matching():
@@ -174,7 +174,7 @@ def test_graph_move_is_strictly_weaker_than_matching():
     g = build_graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])
     b = mask([0, 3])
     assert ccr_closure(g, b) == b
-    assert has_forcing_move(g, b, 1) is True
+    assert bool(admissible_families(g, b, 1)) is True
     cb = bipartite_contraction(g, b)
     assert max_matching(cb) == 1
     assert contraction_forcing_move(cb, 1) is False
@@ -191,4 +191,4 @@ def test_degree_one_witness_guarantee_soundness():
                 for nodes in combinations(range(node_count), r):
                     if all_subsets_have_degree_one_witness(cb, nodes):
                         for q in range(len(nodes)):
-                            assert has_forcing_move(g, b, q)
+                            assert admissible_families(g, b, q)

@@ -30,7 +30,7 @@ from zqforce.families import (
     star,
 )
 from zqforce.game import InfeasibleError
-from zqforce.spectral import adjacency_matrix, eigenvalues_sym
+from zqforce.spectral import adjacency_matrix
 
 
 def test_generate_examples():
@@ -45,7 +45,7 @@ def test_kneser5_is_petersen():
     g = kneser2(5)
     pet = petersen()
     for graph in (g, pet):
-        eig = eigenvalues_sym(adjacency_matrix(graph))
+        eig = np.linalg.eigvalsh(adjacency_matrix(graph))
         assert np.allclose(eig, sorted([3] + [1] * 5 + [-2] * 4), atol=1e-9)
         # strongly regular (10, 3, 0, 1): A^2 + A - 2I = J
         a = adjacency_matrix(graph)
@@ -113,19 +113,21 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_reproduce_report_small():
-    rows = reproduce_report(max_n=4)
-    assert rows
-    bad = [r for r in rows if r.status == "FAIL" or r.status == "DIFFER"]
-    assert not bad, bad
-    text = render_report(rows, "text")
-    assert "PASS" in text
-    assert text == (GOLDEN / "reproduce_max_n4.txt").read_text(encoding="utf-8")
-    csv = render_report(rows, "csv")
-    assert csv.splitlines()[0] == "family,q,expected,computed,status,anchor"
+    # max_n=5 also pins the SKIP rows: the game-size guard and the Z_0 subset budget
     import json
 
-    parsed = json.loads(render_report(rows, "json"))
-    assert parsed[0]["status"] in ("PASS", "AGREE", "SKIP") or parsed[0]["status"].startswith("SKIP")
+    for max_n in (4, 5):
+        rows = reproduce_report(max_n=max_n)
+        assert rows
+        bad = [r for r in rows if r.status == "FAIL" or r.status == "DIFFER"]
+        assert not bad, bad
+        text = render_report(rows, "text")
+        assert "PASS" in text
+        assert text == (GOLDEN / f"reproduce_max_n{max_n}.txt").read_text(encoding="utf-8")
+        csv = render_report(rows, "csv")
+        assert csv.splitlines()[0] == "family,q,expected,computed,status,anchor"
+        parsed = json.loads(render_report(rows, "json"))
+        assert parsed[0]["status"] in ("PASS", "AGREE", "SKIP") or parsed[0]["status"].startswith("SKIP")
 
 
 def test_reproduce_report_solves_each_family_level_once(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zqforce import game
 from zqforce.families import book, complete_multipartite, cycle, prism
 from zqforce.game import (
     CacheStats,
@@ -300,17 +301,21 @@ def test_subset_search_matches_set_reference():
             assert z0_number(g) == naive_min_forcing(g, naive_psd_closure), g.edges()
 
 
-def test_subset_budget_boundary():
+def test_subset_budget_boundary(monkeypatch):
     # Both searches start at the minimum degree 3 of Petersen:
     # Z_0 = 4 after C(10,3..4) = 330 sets, Z = 5 after C(10,3..5) = 582
     pet = petersen()
-    assert z0_number(pet, max_subsets=330) == 4
+    monkeypatch.setattr(game, "Z0_SUBSET_BUDGET", 330)
+    assert z0_number(pet) == 4
+    monkeypatch.setattr(game, "Z0_SUBSET_BUDGET", 329)
     with pytest.raises(InfeasibleError) as exc:
-        z0_number(pet, max_subsets=329)
+        z0_number(pet)
     assert str(exc.value) == "subset search would exceed 329 sets at size 4 (n=10)"
-    assert z_number(pet, max_subsets=582) == 5
+    monkeypatch.setattr(game, "Z_SUBSET_BUDGET", 582)
+    assert z_number(pet) == 5
+    monkeypatch.setattr(game, "Z_SUBSET_BUDGET", 581)
     with pytest.raises(InfeasibleError) as exc:
-        z_number(pet, max_subsets=581)
+        z_number(pet)
     assert str(exc.value) == "subset search would exceed 581 sets at size 5 (n=10)"
 
 

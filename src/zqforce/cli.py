@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import families, spectral, threshold
 from .contraction import bipartite_contraction, max_matching
 from .game import InfeasibleError, TokenSpend, z_number, zq_chain, zq_number
@@ -183,8 +181,8 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
-def _matrix_lines(m: np.ndarray) -> list[str]:
-    return [" ".join(f"{x:.6g}" for x in row) for row in np.asarray(m)]
+def _matrix_lines(m) -> list[str]:
+    return [" ".join(f"{x:.6g}" for x in row) for row in m]
 
 
 def _cmd_contract(args) -> int:
@@ -270,7 +268,7 @@ def _cmd_certify(args) -> int:
         lines += _matrix_lines(m)
     if args.matrix and args.format == "csv":
         _emit(args, record, lines)
-        for row in np.asarray(m):
+        for row in m:
             print(",".join(f"{x:.12g}" for x in row))
         return 0
     _emit(args, record, lines)
@@ -321,10 +319,16 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    takes = {"kneser_structure": ("n", "sample", "seed"), "kneser_z0": ("n",)}
+    wanted = takes.get(args.name, ("n", "m"))
+    for opt in ("n", "m", "sample", "seed"):
+        given = getattr(args, opt) is not None
+        if opt in wanted and opt in ("n", "m") and not given:
+            raise ValueError(f"{args.name} probe needs --{opt}")
+        if opt not in wanted and given:
+            raise ValueError(f"{args.name} probe takes no --{opt}")
     if args.name == "kneser_structure":
-        if args.n is None:
-            raise ValueError("kneser_structure probe needs --n")
-        rep = families.kneser_structure_check(args.n, sample=args.sample, seed=args.seed)
+        rep = families.kneser_structure_check(args.n, sample=args.sample, seed=args.seed or 0)
         if args.format == "json":
             print(json.dumps({
                 "input": {"probe": "kneser_structure", "n": rep.n},
@@ -338,13 +342,6 @@ def _cmd_probe(args) -> int:
             for v in rep.violations:
                 print("  " + v)
         return 0
-    wanted = ("n",) if args.name == "kneser_z0" else ("n", "m")
-    for opt in ("n", "m"):
-        given = getattr(args, opt) is not None
-        if opt in wanted and not given:
-            raise ValueError(f"{args.name} probe needs --{opt}")
-        if opt not in wanted and given:
-            raise ValueError(f"{args.name} probe takes no --{opt}")
     rep = families.probe_conjecture(args.name, tuple(getattr(args, opt) for opt in wanted))
     if args.format == "json":
         print(json.dumps({
@@ -441,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--sample", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_probe)
     return parser

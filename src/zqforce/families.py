@@ -16,9 +16,7 @@ from random import Random
 from typing import Iterable
 
 from .graphs import Graph, bits, build_graph, components_within
-from .game import (
-    Z_SUBSET_BUDGET, InfeasibleError, independence_number, z0_number, z_number, zq_number,
-)
+from .game import Z_SUBSET_BUDGET, InfeasibleError, z0_number, z_number, zq_number
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -307,8 +305,9 @@ def _solve_value(spec: FamilySpec, q: int | None) -> int:
         return z0_number(g)
     if g.n > GAME_MAX_N:
         raise InfeasibleError(f"game solve refused for n={g.n} > {GAME_MAX_N}")
-    if q >= independence_number(g):
-        # never q+1 uncoloured components, so rule 3 never fires (as in zq_chain)
+    if q >= g.n - g.min_degree():
+        # one vertex per uncoloured component is independent, so there are at
+        # most n - δ of them and rule 3 never fires: Z_q = Z (see zq_chain)
         return z_number(g)
     return zq_number(g, q, build_strategy=False).value
 

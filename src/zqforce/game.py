@@ -314,6 +314,13 @@ class _Solver:
         raise AssertionError("no move achieves the memoised game value")
 
 
+def _symmetry(g: Graph) -> tuple[list[BlockClass], list[tuple[int, ...]]]:
+    """The block classes of ``g`` and one automorphism per coset of their
+    group: the symmetry every ``_Solver`` on ``g`` shares, whatever its q."""
+    classes = interchangeable_blocks(g)
+    return classes, block_coset_automorphisms(g, classes)
+
+
 def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
     """Exact Z_q(G) by memoised minimax over CCR-closed colourings.
 
@@ -332,8 +339,7 @@ def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    classes = interchangeable_blocks(g)
-    solver = _Solver(g, q, classes, block_coset_automorphisms(g, classes))
+    solver = _Solver(g, q, *_symmetry(g))
     start = ccr_closure(g, 0)
     value = solver.value(start)
     strategy = solver.strategy(start) if build_strategy else None
@@ -443,49 +449,27 @@ def z0_number(g: Graph) -> int:
     )
 
 
-def independence_number(g: Graph) -> int:
-    """Maximum independent set size (simple branch and bound)."""
-
-    def mis(mask: int) -> int:
-        if not mask:
-            return 0
-        # branch on a maximum-degree vertex within mask
-        v_best, d_best = -1, -1
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            d = (g.adj[v] & mask).bit_count()
-            if d > d_best:
-                v_best, d_best = v, d
-        if d_best == 0:
-            return mask.bit_count()
-        without = mis(mask & ~(1 << v_best))
-        with_v = 1 + mis(mask & ~(g.adj[v_best] | (1 << v_best)))
-        return max(without, with_v)
-
-    return mis(g.full_mask)
-
-
 def zq_chain(g: Graph, q_max: int) -> list[int]:
     """[Z_0, Z_1, ..., Z_{q_max}, Z(G)].
 
-    Once q+1 exceeds the maximum possible number of uncoloured components
-    (the independence number), rule 3 can never fire and Z_q = Z.
+    Levels q >= n - δ(G) are Z(G) with no game solve. One vertex from each
+    uncoloured component gives an independent set, and each vertex of an
+    independent set has its δ or more neighbours outside it, so at most
+    n - δ components are ever uncoloured. From q = n - δ on, rule 3 (which
+    offers q+1 of them) never fires, and the game is classical zero forcing.
+    The levels below are solved one ``_Solver`` each, sharing one search for
+    the block classes and coset automorphisms.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
     z = z_number(g)
-    alpha = independence_number(g)
-    out = []
-    for q in range(q_max + 1):
-        if q >= alpha:
-            out.append(z)
-        else:
-            out.append(zq_number(g, q, build_strategy=False).value)
-    out.append(z)
-    return out
+    symmetry = _symmetry(g)
+    start = ccr_closure(g, 0)
+    levels = [
+        _Solver(g, q, *symmetry).value(start)
+        for q in range(min(q_max + 1, g.n - g.min_degree()))
+    ]
+    return levels + [z] * (q_max + 2 - len(levels))
 
 
 # ---------------------------------------------------------------------------

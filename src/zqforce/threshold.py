@@ -82,11 +82,11 @@ def parse_creation_sequence(text: str) -> CreationSequence:
     if " " in text or "^" in text:
         bits = []
         for token in text.split():
-            if "^" in token:
-                ch, _, count = token.partition("^")
-                reps = int(count)
-            else:
-                ch, reps = token, 1
+            ch, caret, count = token.partition("^")
+            try:
+                reps = int(count) if caret else 1
+            except ValueError:
+                reps = 0  # not a count: refused below with the token
             if ch not in ("0", "1") or reps < 1:
                 raise ValueError(f"bad run token {token!r}")
             bits.append(ch * reps)

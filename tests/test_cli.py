@@ -208,6 +208,19 @@ def test_threshold_bad_sequence(capsys):
     assert "start with 0" in cap.err
 
 
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["threshold", "--seq", "0^x 1", "--q", "1"], "0^x"),
+        (["compute", "--seq", "0^ 1", "--q", "0"], "0^"),
+    ],
+)
+def test_run_token_count_not_an_integer(capsys, argv, token):
+    cap = run_cli(capsys, argv, expect=2)
+    assert cap.err == f"error: bad run token {token!r}\n"
+    assert cap.out == ""
+
+
 def test_threshold_certificate_output(capsys):
     out = run_cli(
         capsys, ["threshold", "--seq", "0001", "--q", "1", "--certificate"]
@@ -397,6 +410,48 @@ def test_certify_book(capsys):
     assert "nullity: 3" in out and "OK" in out
 
 
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        (
+            "text",
+            """\
+certificate: book
+inertia (neg, zero, pos): (1, 3, 4)
+nullity: 3
+edge support + q negative eigenvalues: OK
+0.866025 1 1 1 0.866025 0 0 0
+1 0.866025 0 0 0 0.866025 0 0
+1 0 0.866025 0 0 0 0.866025 0
+1 0 0 0.866025 0 0 0 0.866025
+0.866025 0 0 0 0.866025 1 1 1
+0 0.866025 0 0 1 0.866025 0 0
+0 0 0.866025 0 1 0 0.866025 0
+0 0 0 0.866025 1 0 0 0.866025
+""",
+        ),
+        (
+            "csv",
+            """\
+q,value,inertia,edge_support_ok
+1,3,1|3|4,True
+0.866025403784,1,1,1,0.866025403784,0,0,0
+1,0.866025403784,0,0,0,0.866025403784,0,0
+1,0,0.866025403784,0,0,0,0.866025403784,0
+1,0,0,0.866025403784,0,0,0,0.866025403784
+0.866025403784,0,0,0,0.866025403784,1,1,1
+0,0.866025403784,0,0,1,0.866025403784,0,0
+0,0,0.866025403784,0,1,0,0.866025403784,0
+0,0,0,0.866025403784,1,0,0,0.866025403784
+""",
+        ),
+    ],
+)
+def test_certify_matrix_bytes(capsys, fmt, expected):
+    argv = ["certify", "--name", "book", "--n", "3", "--matrix", "--format", fmt]
+    assert run_cli(capsys, argv).out == expected
+
+
 @pytest.mark.parametrize("name", ["book", "kneser2", "bipartite_prism"])
 def test_certify_needs_n(capsys, name):
     cap = run_cli(capsys, ["certify", "--name", name, "--m", "3"], expect=2)
@@ -470,6 +525,11 @@ def test_probe_kneser_structure_rejects_empty_sample(capsys, sample):
         (["--name", "multipartite", "--n", "2"], "multipartite probe needs --m"),
         (["--name", "bipartite_prism", "--m", "3"], "bipartite_prism probe needs --n"),
         (["--name", "kneser_z0", "--n", "5", "--m", "3"], "kneser_z0 probe takes no --m"),
+        (["--name", "kneser_structure", "--n", "5", "--m", "9"],
+         "kneser_structure probe takes no --m"),
+        (["--name", "multipartite", "--n", "2", "--m", "3", "--sample", "5"],
+         "multipartite probe takes no --sample"),
+        (["--name", "kneser_z0", "--n", "5", "--seed", "7"], "kneser_z0 probe takes no --seed"),
     ],
 )
 def test_probe_options_checked(capsys, argv, message):

@@ -13,7 +13,6 @@ from zqforce.game import (
     TokenSpend,
     _Solver,
     admissible_families,
-    independence_number,
     psd_closure,
     replay_strategy,
     rule3_closure,
@@ -28,6 +27,7 @@ from zqforce.graphs import (
     ccr_closure,
     interchangeable_blocks,
 )
+from zqforce.threshold import build_threshold_graph, iter_creation_sequences, zq_formula
 
 from helpers import (
     PETERSEN_EDGES,
@@ -285,6 +285,21 @@ def test_chain_monotone_and_engine_matches_psd_at_q0():
         assert chain[0] >= node_connectivity(g)
 
 
+def test_chain_levels_match_independent_values():
+    """zq_chain answers levels q >= n - δ as Z; every level must still equal
+    a separate game solve (every graph on at most 6 vertices) and the
+    threshold closed form (every creation sequence on at most 9 vertices)."""
+    for n in range(1, 7):
+        for g in all_graphs_up_to_iso(n):
+            chain = zq_chain(g, g.n)
+            for q in range(g.n + 1):
+                assert chain[q] == zq_number(g, q, build_strategy=False).value, (g.edges(), q)
+    for n in range(2, 10):
+        for seq in iter_creation_sequences(n):
+            chain = zq_chain(build_threshold_graph(seq), n)
+            assert chain[:-1] == [zq_formula(seq, q) for q in range(n + 1)], seq.to_bits()
+
+
 def test_saturation_at_large_q():
     rng = Random(43)
     for _ in range(15):
@@ -360,12 +375,6 @@ def test_kneser_connectivity_equals_degree():
 
     g = kneser2(6)
     assert node_connectivity(g) == g.min_degree() == 6
-
-
-def test_independence_number_small():
-    assert independence_number(complete(5)) == 1
-    assert independence_number(path(5)) == 3
-    assert independence_number(petersen()) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,12 @@ offering exactly q+1 components is never worse
 values with a reference that offers every size). Families where some oracle
 response forces nothing are pruned as dominated, which also guarantees the
 recursion terminates: every expanded move strictly grows the coloured set.
+
+Z(G) and Z_0(G) come from subset searches of increasing size. Z tests every
+k-subset at once, bit-sliced. Z_0 tests one k-subset per orbit of the block
+group (``graphs.block_orbit_subsets``), since an automorphism carries a set's
+PSD closure to the closure of its image. Both budgets count the C(n, k)
+subsets that each size covers.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .graphs import (
     Graph,
     bits,
     block_coset_automorphisms,
+    block_orbit_subsets,
     canonical_key,
     ccr_closure,
     interchangeable_blocks,
@@ -182,6 +189,7 @@ class _Solver:
             for v in range(g.n)
         ]
         self.memo: dict[int, int] = {}
+        self.widest = 0  # the most uncoloured components ``families`` has met
         self.solved = 0
         self.hits = 0
 
@@ -214,6 +222,7 @@ class _Solver:
         """
         g = self.g
         comps = uncoloured_components(g, b)
+        self.widest = max(self.widest, len(comps))
         rcache: dict[int, int | None] = {}
 
         def responses(fam: MoveFamily) -> Iterator[tuple[int, int | None]]:
@@ -356,11 +365,6 @@ Z_SUBSET_BUDGET = 3_000_000
 Z0_SUBSET_BUDGET = 200_000
 
 
-def _level_masks(n: int, k: int) -> Iterator[int]:
-    """Bitmasks of the k-subsets of range(n), in lexicographic order."""
-    return map(sum, combinations([1 << v for v in range(n)], k))
-
-
 def _search_min_forcing(g: Graph, forces: Callable[[int], bool], budget: int) -> int:
     """Least k with ``forces(k)`` (some k-set has a full closure), searched
     upwards from the minimum degree, which bounds both Z and Z_0 from below
@@ -427,8 +431,12 @@ def z_number(g: Graph) -> int:
 def z0_number(g: Graph) -> int:
     """Positive semidefinite zero forcing number: min |S| with full PSD closure.
 
-    Increasing-size subset search, refused past ``Z0_SUBSET_BUDGET`` subsets
-    and started at the minimum degree δ(G)
+    Increasing-size subset search over one k-set per orbit of the block group
+    of ``interchangeable_blocks(g)``: an automorphism σ has
+    psd_closure(σ(S)) = σ(psd_closure(S)), so the set's closure is full exactly
+    when its image's is. The search is refused past ``Z0_SUBSET_BUDGET``
+    subsets, counting all C(n, k) that each size covers, and starts at the
+    minimum degree δ(G)
     (δ <= tw <= Z_0; Barioli et al., J. Graph Theory 72, 2013). Direct proof:
     let S have full PSD closure. If S = V, |S| = n > δ. Otherwise let W be
     a component of G - S. Forces into different components never interact, so
@@ -443,8 +451,10 @@ def z0_number(g: Graph) -> int:
     least degree.
     """
     full = g.full_mask
+    classes = interchangeable_blocks(g)
     return _search_min_forcing(
-        g, lambda k: any(psd_closure(g, m) == full for m in _level_masks(g.n, k)),
+        g,
+        lambda k: any(psd_closure(g, m) == full for m in block_orbit_subsets(g, classes, k)),
         Z0_SUBSET_BUDGET,
     )
 
@@ -452,22 +462,30 @@ def z0_number(g: Graph) -> int:
 def zq_chain(g: Graph, q_max: int) -> list[int]:
     """[Z_0, Z_1, ..., Z_{q_max}, Z(G)].
 
-    Levels q >= n - δ(G) are Z(G) with no game solve. One vertex from each
-    uncoloured component gives an independent set, and each vertex of an
-    independent set has its δ or more neighbours outside it, so at most
-    n - δ components are ever uncoloured. From q = n - δ on, rule 3 (which
-    offers q+1 of them) never fires, and the game is classical zero forcing.
-    The levels below are solved one ``_Solver`` each, sharing one search for
-    the block classes and coset automorphisms.
+    Level 0 is solved first, and levels q >= c are Z(G) with no game solve,
+    where c is the most uncoloured components any state of that solve has.
+    Every state of the game at any q is a closed superset of the start, and
+    tokens alone reach each of them: spend the missing vertices one at a
+    time. The q = 0 solve expands every token move of every state it solves,
+    and a memo hit stands for a state of the same Aut(G)-orbit, which has as
+    many components. So no state of any level has more than c components,
+    and from q = c on rule 3 (which offers q+1 of them) never fires: the game
+    is classical zero forcing. c is at most n - δ(G), the bound
+    ``families._solve_value`` uses: one vertex from each uncoloured component
+    gives an independent set, and each vertex of an independent set has its
+    δ or more neighbours outside it. The levels between are solved one
+    ``_Solver`` each, sharing one search for the block classes and coset
+    automorphisms.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
     z = z_number(g)
     symmetry = _symmetry(g)
     start = ccr_closure(g, 0)
-    levels = [
+    base = _Solver(g, 0, *symmetry)
+    levels = [base.value(start)] + [
         _Solver(g, q, *symmetry).value(start)
-        for q in range(min(q_max + 1, g.n - g.min_degree()))
+        for q in range(1, min(q_max + 1, base.widest))
     ]
     return levels + [z] * (q_max + 2 - len(levels))
 

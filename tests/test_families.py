@@ -113,10 +113,11 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_reproduce_report_small():
-    # max_n=5 also pins the SKIP rows: the game-size guard and the Z_0 subset budget
+    # max_n=5 and 6 also pin the SKIP rows: the game-size guard and the Z_0
+    # subset budget
     import json
 
-    for max_n in (4, 5):
+    for max_n in (4, 5, 6):
         rows = reproduce_report(max_n=max_n)
         assert rows
         bad = [r for r in rows if r.status == "FAIL" or r.status == "DIFFER"]

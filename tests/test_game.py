@@ -316,6 +316,33 @@ def test_subset_search_matches_set_reference():
             assert z0_number(g) == naive_min_forcing(g, naive_psd_closure), g.edges()
 
 
+def _inflate_twins(rng, g, n):
+    """``g`` grown to ``n`` vertices by adding a twin (true or false) of a
+    random vertex at a time, so twins of twins form larger classes."""
+    edges = g.edges()
+    for w in range(g.n, n):
+        v = rng.randrange(w)
+        nbrs = [b if a == v else a for a, b in edges if v in (a, b)]
+        edges += [(u, w) for u in nbrs] + ([(v, w)] if rng.random() < 0.5 else [])
+    return build_graph(n, edges)
+
+
+def test_z0_number_on_block_rich_graphs():
+    # z0_number tests one set per block orbit; check it against every subset
+    # on graphs above 6 vertices whose block groups are large
+    from zqforce.families import bipartite_prism
+
+    k34 = build_graph(7, [(i, 3 + j) for i in range(3) for j in range(4)])
+    graphs = [book(3), bipartite_prism(2, 3), complete_multipartite(3, 3), k34]
+    rng = Random(61)
+    for _ in range(30):
+        n = rng.randrange(7, 11)
+        graphs.append(_inflate_twins(rng, random_graph(rng, rng.randrange(3, 6), 0.5), n))
+    assert sum(len(interchangeable_blocks(g)) for g in graphs) >= 60
+    for g in graphs:
+        assert z0_number(g) == naive_min_forcing(g, naive_psd_closure), g.edges()
+
+
 def test_subset_budget_boundary(monkeypatch):
     # Both searches start at the minimum degree 3 of Petersen:
     # Z_0 = 4 after C(10,3..4) = 330 sets, Z = 5 after C(10,3..5) = 582

@@ -1,5 +1,6 @@
+from collections import Counter
 from itertools import combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 from random import Random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from zqforce.families import bipartite_prism, book, complete_multipartite, kneser2, prism
 from zqforce.graphs import (
     block_coset_automorphisms,
+    block_orbit_subsets,
     build_graph,
     canonical_key,
     ccr_closure,
@@ -256,6 +258,37 @@ def test_canonical_key_is_a_canonical_image():
                         frontier.append(d)
             assert key in orbit
     assert canonical_key([], 0b1011) == 0b1011
+
+
+def _block_orbit_size(classes, b):
+    """|H·b|: each class's blocks can be arranged in m! / Π mult! ways, one
+    multiplicity per distinct block pattern of ``b``."""
+    size = 1
+    for blocks in classes:
+        pats = Counter(tuple(b >> w & 1 for w in blk) for blk in blocks)
+        size *= factorial(len(blocks)) // prod(map(factorial, pats.values()))
+    return size
+
+
+def test_block_orbit_subsets_are_the_canonical_sets():
+    # each k-set that canonical_key fixes, once, and nothing else. Up to 12
+    # vertices against every subset; on the larger graphs the sets must be
+    # distinct and fixed, and their orbits must cover all C(n, k) k-sets
+    for g in _block_corpus() + all_graphs_up_to_iso(6):
+        classes = interchangeable_blocks(g)
+        fixed = [[] for _ in range(g.n + 1)]
+        if g.n <= 12:
+            for b in range(1 << g.n):
+                if canonical_key(classes, b) == b:
+                    fixed[b.bit_count()].append(b)
+        for k in range(g.n + 1):
+            got = list(block_orbit_subsets(g, classes, k))
+            if g.n <= 12:
+                assert sorted(got) == fixed[k], (g.edges(), k)
+            else:
+                assert len(set(got)) == len(got)
+                assert all(canonical_key(classes, b) == b for b in got)
+                assert sum(_block_orbit_size(classes, b) for b in got) == comb(g.n, k)
 
 
 def _nx_automorphisms_enumerated(g):

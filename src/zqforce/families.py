@@ -305,9 +305,11 @@ def _solve_value(spec: FamilySpec, q: int | None) -> int:
         return z0_number(g)
     if g.n > GAME_MAX_N:
         raise InfeasibleError(f"game solve refused for n={g.n} > {GAME_MAX_N}")
-    if q >= g.n - g.min_degree():
+    if q >= g.n - g.min_degree() - 1:
         # one vertex per uncoloured component is independent, so there are at
-        # most n - δ of them and rule 3 never fires: Z_q = Z (see zq_chain)
+        # most n - δ of them. A family of n - δ holds every component, and the
+        # oracle can return all of them, which on a closed state forces
+        # nothing, so the family is pruned and Z_q = Z (see zq_chain)
         return z_number(g)
     return zq_number(g, q, build_strategy=False).value
 

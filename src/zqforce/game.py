@@ -26,11 +26,12 @@ values with a reference that offers every size). Families where some oracle
 response forces nothing are pruned as dominated, which also guarantees the
 recursion terminates: every expanded move strictly grows the coloured set.
 
-Z(G) and Z_0(G) come from subset searches of increasing size. Z tests every
-k-subset at once, bit-sliced. Z_0 tests one k-subset per orbit of the block
-group (``graphs.block_orbit_subsets``), since an automorphism carries a set's
-PSD closure to the closure of its image. Both budgets count the C(n, k)
-subsets that each size covers.
+Z(G) and Z_0(G) come from subset searches of decreasing size from a greedy
+forcing set; only the first size with no forcing set is tested in full. Z
+tests every k-subset at once, bit-sliced. Z_0 tests one k-subset per orbit
+of the block group (``graphs.block_orbit_subsets``), since an automorphism
+carries a set's PSD closure to the closure of its image. Both budgets count
+the sets tested.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -75,7 +76,9 @@ def psd_closure(g: Graph, b: int) -> int:
 
     Least fixpoint of: for each component W of the uncoloured subgraph, apply
     the colour change rule within G[b + W]. Independent of the game engine;
-    used as the q = 0 oracle.
+    used as the q = 0 oracle. Monotone in ``b``: colouring more vertices
+    splits each uncoloured component W into parts, and a vertex whose only
+    uncoloured neighbour in G[b + W] is w has no other in the part holding w.
     """
     full = g.full_mask
     prev = None
@@ -356,50 +359,66 @@ def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
 
 
 # ---------------------------------------------------------------------------
-# Z(G) and Z_0(G) by increasing-size subset search
+# Z(G) and Z_0(G) by decreasing-size subset search
 # ---------------------------------------------------------------------------
 
 
-# subsets the Z and Z_0 searches may test, summed over the sizes they reach
+# sets the Z and Z_0 searches may test, summed over the sizes they test
 Z_SUBSET_BUDGET = 3_000_000
 Z0_SUBSET_BUDGET = 200_000
 
 
-def _search_min_forcing(g: Graph, forces: Callable[[int], bool], budget: int) -> int:
-    """Least k with ``forces(k)`` (some k-set has a full closure), searched
-    upwards from the minimum degree, which bounds both Z and Z_0 from below
-    (see :func:`z_number` and :func:`z0_number`). Refused before a size
-    whose subsets would take the running count past ``budget``."""
+def _greedy_forcing_set(g: Graph, close: Callable[[Graph, list[int]], list[int]]) -> int:
+    """A set with a full closure: add the vertex of largest closure (the
+    lowest on ties) until it is full, then drop each vertex it can spare.
+    ``close`` closes a list of sets; the closure is monotone and idempotent,
+    so s + v closes as its closure c + v does."""
+    full = g.full_mask
+    s = 0
+    while (c := close(g, [s])[0]) != full:
+        free = list(bits(full & ~c))
+        sizes = [m.bit_count() for m in close(g, [c | 1 << v for v in free])]
+        s |= 1 << free[sizes.index(max(sizes))]
+    # one batch per dropped vertex: a vertex the set could not spare before a
+    # drop cannot be spared after it, by monotonicity
+    rest = list(bits(s))
+    while spare := [v for v, m in zip(rest, close(g, [s & ~(1 << v) for v in rest])) if m == full]:
+        s &= ~(1 << spare[0])
+        rest = rest[rest.index(spare[0]) + 1 :]
+    return s
+
+
+def _search_min_forcing(
+    g: Graph, close: Callable[[Graph, list[int]], list[int]], forces: Callable[[int], bool],
+    budget: int, classes: Sequence[BlockClass] = (),
+) -> int:
+    """Least k with ``forces(k)`` (some k-set has a full closure). A
+    superset of a forcing set forces, so sizes are tested downwards from the
+    greedy set's to the minimum degree, a lower bound for Z and Z_0 (see
+    :func:`z_number` and :func:`z0_number`); the first with no forcing set is
+    the only one tested in full. ``budget`` counts the sets tested, the
+    ``block_orbit_subsets`` (all C(n, k) with no ``classes``): a size that
+    would exceed it is refused before any of its sets is tested."""
     n = g.n
-    done = 0
-    for k in range(max(1, g.min_degree()), n + 1):
-        done += comb(n, k)
-        if done > budget:
+    k = _greedy_forcing_set(g, close).bit_count()
+    tested = 0
+    while k > max(1, g.min_degree()):
+        sets = islice(block_orbit_subsets(g, classes, k - 1), budget - tested + 1)
+        tested += sum(1 for _ in sets) if classes else comb(n, k - 1)
+        if tested > budget:
             raise InfeasibleError(
-                f"subset search would exceed {budget} sets at size {k} (n={n})"
+                f"subset search would exceed {budget} sets at size {k - 1} (n={n})"
             )
-        if forces(k):
-            return k
-    return n
+        if not forces(k - 1):
+            break
+        k -= 1
+    return k
 
 
-def _ccr_level_forces(g: Graph, k: int) -> bool:
-    """Does some k-subset have full CCR closure? Bit-sliced: lane i of
-    ``unc[v]`` is set when v is uncoloured in the i-th k-subset in
-    lexicographic order (the j-subsets of {s..n-1}: those holding s, then
-    the rest), and the colour change rule runs on every lane at once."""
-    n = g.n
-    level: dict[int, list[int]] = {}  # j -> columns of s..n-1 over the j-subsets
-    for s in range(n - 1, -1, -1):
-        zeros = [0] * (n - s - 1)
-        nxt = {}
-        for j in range(max(0, k - s), min(k, n - s) + 1):
-            held = comb(n - s - 1, j - 1) if j else 0
-            pairs = zip(level.pop(j - 1, zeros), level.get(j, zeros))
-            nxt[j] = [(1 << held) - 1] + [a | b << held for a, b in pairs]
-        level = nxt
-    full = (1 << comb(n, k)) - 1
-    unc = [full ^ col for col in level.pop(k)]
+def _ccr_lanes(g: Graph, unc: list[int]) -> list[int]:
+    """The colour change rule on many sets at once, bit-sliced: lane i of
+    ``unc[v]`` is set when v is uncoloured in the i-th set. Closes every
+    lane in place and returns ``unc``."""
     nbrs = [list(bits(a)) for a in g.adj]
     changed = True
     while changed:
@@ -414,29 +433,56 @@ def _ccr_level_forces(g: Graph, k: int) -> bool:
                 changed = True
                 for w in around:
                     unc[w] &= ~fire
-    return reduce(int.__or__, unc) != full
+    return unc
+
+
+def _ccr_closures(g: Graph, masks: list[int]) -> list[int]:
+    """``ccr_closure`` of every set in ``masks``, one lane each: the Z
+    search closes its greedy candidates this way, with no scalar closure."""
+    lanes = range(len(masks))
+    unc = _ccr_lanes(g, [sum(1 << i for i in lanes if not masks[i] >> v & 1) for v in range(g.n)])
+    return [sum(1 << v for v in range(g.n) if not unc[v] >> i & 1) for i in lanes]
+
+
+def _ccr_level_forces(g: Graph, k: int) -> bool:
+    """Does some k-subset have full CCR closure? Bit-sliced by
+    :func:`_ccr_lanes`, lane i holding the i-th k-subset in lexicographic
+    order (the j-subsets of {s..n-1}: those holding s, then the rest)."""
+    n = g.n
+    level: dict[int, list[int]] = {}  # j -> columns of s..n-1 over the j-subsets
+    for s in range(n - 1, -1, -1):
+        zeros = [0] * (n - s - 1)
+        nxt = {}
+        for j in range(max(0, k - s), min(k, n - s) + 1):
+            held = comb(n - s - 1, j - 1) if j else 0
+            pairs = zip(level.pop(j - 1, zeros), level.get(j, zeros))
+            nxt[j] = [(1 << held) - 1] + [a | b << held for a, b in pairs]
+        level = nxt
+    full = (1 << comb(n, k)) - 1
+    return reduce(int.__or__, _ccr_lanes(g, [full ^ col for col in level.pop(k)])) != full
 
 
 def z_number(g: Graph) -> int:
     """Classical zero forcing number: min |S| with full CCR closure.
 
-    Increasing-size subset search from the minimum degree (a forcing set must
-    contain the first forcer and all but one of its neighbours); each size is
-    tested on all its subsets at once by :func:`_ccr_level_forces`. Raises
-    InfeasibleError past ``Z_SUBSET_BUDGET`` subsets.
+    Decreasing-size subset search from a greedy forcing set down to the
+    minimum degree (a forcing set must contain the first forcer and all but
+    one of its neighbours); each size is tested on all its subsets at once
+    by :func:`_ccr_level_forces`. Raises InfeasibleError past
+    ``Z_SUBSET_BUDGET`` subsets tested.
     """
-    return _search_min_forcing(g, lambda k: _ccr_level_forces(g, k), Z_SUBSET_BUDGET)
+    return _search_min_forcing(g, _ccr_closures, lambda k: _ccr_level_forces(g, k), Z_SUBSET_BUDGET)
 
 
 def z0_number(g: Graph) -> int:
     """Positive semidefinite zero forcing number: min |S| with full PSD closure.
 
-    Increasing-size subset search over one k-set per orbit of the block group
-    of ``interchangeable_blocks(g)``: an automorphism σ has
-    psd_closure(σ(S)) = σ(psd_closure(S)), so the set's closure is full exactly
-    when its image's is. The search is refused past ``Z0_SUBSET_BUDGET``
-    subsets, counting all C(n, k) that each size covers, and starts at the
-    minimum degree δ(G)
+    Decreasing-size subset search from a greedy PSD forcing set, over one
+    k-set per orbit of the block group of ``interchangeable_blocks(g)``: an
+    automorphism σ has psd_closure(σ(S)) = σ(psd_closure(S)), so the set's
+    closure is full exactly when its image's is. The search is refused
+    before a size that would take the orbit sets tested past
+    ``Z0_SUBSET_BUDGET``, and stops at the minimum degree δ(G)
     (δ <= tw <= Z_0; Barioli et al., J. Graph Theory 72, 2013). Direct proof:
     let S have full PSD closure. If S = V, |S| = n > δ. Otherwise let W be
     a component of G - S. Forces into different components never interact, so
@@ -454,28 +500,32 @@ def z0_number(g: Graph) -> int:
     classes = interchangeable_blocks(g)
     return _search_min_forcing(
         g,
+        lambda g, masks: [psd_closure(g, m) for m in masks],
         lambda k: any(psd_closure(g, m) == full for m in block_orbit_subsets(g, classes, k)),
         Z0_SUBSET_BUDGET,
+        classes,
     )
 
 
 def zq_chain(g: Graph, q_max: int) -> list[int]:
     """[Z_0, Z_1, ..., Z_{q_max}, Z(G)].
 
-    Level 0 is solved first, and levels q >= c are Z(G) with no game solve,
-    where c is the most uncoloured components any state of that solve has.
-    Every state of the game at any q is a closed superset of the start, and
-    tokens alone reach each of them: spend the missing vertices one at a
+    Level 0 is solved first, and levels q >= c - 1 are Z(G) with no game
+    solve, where c is the most uncoloured components any state of that solve
+    has. Every state of the game at any q is a closed superset of the start,
+    and tokens alone reach each of them: spend the missing vertices one at a
     time. The q = 0 solve expands every token move of every state it solves,
     and a memo hit stands for a state of the same Aut(G)-orbit, which has as
-    many components. So no state of any level has more than c components,
-    and from q = c on rule 3 (which offers q+1 of them) never fires: the game
-    is classical zero forcing. c is at most n - δ(G), the bound
-    ``families._solve_value`` uses: one vertex from each uncoloured component
-    gives an independent set, and each vertex of an independent set has its
-    δ or more neighbours outside it. The levels between are solved one
-    ``_Solver`` each, sharing one search for the block classes and coset
-    automorphisms.
+    many components. So no state of any level has more than c components.
+    From q = c - 1 on, a family of q+1 >= c components can only hold every
+    component of its state, so the oracle can return all of them; that is
+    plain CCR on a closed state, which forces nothing, so the family is
+    pruned and the game is classical zero forcing. c is at most n - δ(G), which gives the bound
+    q >= n - δ(G) - 1 that ``families._solve_value`` uses: one vertex from
+    each uncoloured component gives an independent set, and each vertex of
+    an independent set has its δ or more neighbours outside it. The levels
+    between are solved one ``_Solver`` each, sharing one search for the
+    block classes and coset automorphisms.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
@@ -485,7 +535,7 @@ def zq_chain(g: Graph, q_max: int) -> list[int]:
     base = _Solver(g, 0, *symmetry)
     levels = [base.value(start)] + [
         _Solver(g, q, *symmetry).value(start)
-        for q in range(1, min(q_max + 1, base.widest))
+        for q in range(1, min(q_max + 1, base.widest - 1))
     ]
     return levels + [z] * (q_max + 2 - len(levels))
 

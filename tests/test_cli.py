@@ -358,10 +358,12 @@ def test_contract_rejects_negative_vertex(capsys):
 
 
 def test_compute_z_subset_budget(capsys):
+    # 19 edges and 2 isolated vertices: the greedy forcing set has 21
+    # vertices, and the C(40, 20) sets of size 20 exceed the budget
     matching = build_graph(40, [(i, i + 1) for i in range(0, 38, 2)])
     cap = run_cli(capsys, ["compute", "--graph6", to_graph6(matching), "--z"], expect=1)
     assert cap.err == (
-        "infeasible: subset search would exceed 3000000 sets at size 6 (n=40)\n"
+        "infeasible: subset search would exceed 3000000 sets at size 20 (n=40)\n"
     )
 
 
@@ -371,13 +373,14 @@ MATCHING_40 = to_graph6(build_graph(40, [(i, i + 1) for i in range(0, 40, 2)]))
 @pytest.mark.parametrize(
     "argv, size",
     [
-        (["compute", "--graph6", MATCHING_40], 6),
-        (["family", "--name", "complete_bipartite", "--n", "20", "--m", "20"], 20),
+        (["compute", "--graph6", MATCHING_40], 19),
+        (["family", "--name", "bipartite_prism", "--n", "10", "--m", "10"], 19),
     ],
     ids=["compute", "family"],
 )
 def test_chain_subset_budget(capsys, argv, size):
-    # --force lifts only the game-size guard; --chain's Z search keeps its budget
+    # --force lifts only the game-size guard; --chain's Z search keeps its
+    # budget. Both greedy forcing sets have 20 vertices, and C(40, 19) > 3M.
     cap = run_cli(capsys, argv + ["--chain", "0", "--force"], expect=1)
     assert cap.err == (
         f"infeasible: subset search would exceed 3000000 sets at size {size} (n=40)\n"
@@ -488,6 +491,21 @@ def test_probe_cli(capsys):
     assert "agrees" in out
     out = run_cli(capsys, ["probe", "--name", "kneser_structure", "--n", "5"]).out
     assert "0 violations" in out
+
+
+def test_probe_kneser_z0(capsys, monkeypatch):
+    from zqforce import game
+
+    out = run_cli(capsys, ["probe", "--name", "kneser_z0", "--n", "7"]).out
+    assert out == "probe kneser_z0(7)\n  Z_0: conjectured 15, computed 15 -> agrees\n"
+    # n = 8 is refused at the first size below the greedy bound, before any
+    # of its sets is closed: only the greedy's few hundred closures run
+    closures = []
+    psd_closure = game.psd_closure
+    monkeypatch.setattr(game, "psd_closure", lambda g, b: closures.append(b) or psd_closure(g, b))
+    cap = run_cli(capsys, ["probe", "--name", "kneser_z0", "--n", "8"], expect=1)
+    assert cap.err == "infeasible: subset search would exceed 200000 sets at size 21 (n=28)\n"
+    assert len(closures) < 28 * 28
 
 
 def test_probe_rejects_csv(capsys):

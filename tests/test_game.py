@@ -86,6 +86,30 @@ def test_psd_closure_matches_reference():
         assert psd_closure(g, c) == c
 
 
+def test_psd_closure_is_monotone():
+    # the subset searches descend in size, which is sound only if a
+    # superset of a PSD forcing set forces: check b + v against b on every
+    # graph of at most 6 vertices
+    for n in range(1, 7):
+        for g in all_graphs_up_to_iso(n):
+            for b in range(1 << n):
+                c = psd_closure(g, b)
+                for v in range(n):
+                    assert psd_closure(g, b | 1 << v) & c == c, (g.edges(), b, v)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_psd_closure_is_monotone_sampled(data):
+    n = data.draw(st.integers(7, 10))
+    pairs = list(combinations(range(n), 2))
+    g = build_graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    b = data.draw(st.integers(0, g.full_mask))
+    c = psd_closure(g, b)
+    for v in range(n):
+        assert psd_closure(g, b | 1 << v) & c == c
+
+
 # ---------------------------------------------------------------------------
 # rule3_closure / admissible_families
 # ---------------------------------------------------------------------------
@@ -286,7 +310,7 @@ def test_chain_monotone_and_engine_matches_psd_at_q0():
 
 
 def test_chain_levels_match_independent_values():
-    """zq_chain answers levels q >= n - δ as Z; every level must still equal
+    """zq_chain answers levels q >= c - 1 as Z; every level must still equal
     a separate game solve (every graph on at most 6 vertices) and the
     threshold closed form (every creation sequence on at most 9 vertices)."""
     for n in range(1, 7):
@@ -298,6 +322,29 @@ def test_chain_levels_match_independent_values():
         for seq in iter_creation_sequences(n):
             chain = zq_chain(build_threshold_graph(seq), n)
             assert chain[:-1] == [zq_formula(seq, q) for q in range(n + 1)], seq.to_bits()
+
+
+def test_zq_chain_skips_the_level_below_widest(monkeypatch):
+    # level c - 1, c the q = 0 solve's most uncoloured components, is Z: a
+    # family of c components holds them all and is pruned. It gets no solver.
+    from zqforce.families import ladder
+
+    built = []
+
+    class Recording(_Solver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(game, "_Solver", Recording)
+    for g in (petersen(), ladder(6)):
+        built.clear()
+        chain = zq_chain(g, g.n)
+        c = built[0].widest
+        assert 2 <= c <= g.n
+        assert [s.q for s in built] == list(range(c - 1)), c
+        for q in range(g.n + 1):
+            assert chain[q] == zq_number(g, q, build_strategy=False).value, q
 
 
 def test_saturation_at_large_q():
@@ -343,22 +390,56 @@ def test_z0_number_on_block_rich_graphs():
         assert z0_number(g) == naive_min_forcing(g, naive_psd_closure), g.edges()
 
 
+def psd_closures(g, masks):
+    return [psd_closure(g, m) for m in masks]
+
+
+def test_descent_matches_set_reference_beyond_6_vertices(monkeypatch):
+    # z_number and z0_number test sizes downwards from a greedy forcing set;
+    # check them against every subset on 7-11 vertices, twin-rich graphs
+    # among them, and again descending from n, since the greedy seldom
+    # overshoots by 2 or more
+    rng = Random(67)
+    graphs = [random_graph(rng, rng.randrange(7, 12), rng.random()) for _ in range(30)]
+    for _ in range(30):
+        n = rng.randrange(7, 12)
+        graphs.append(_inflate_twins(rng, random_graph(rng, rng.randrange(3, 7), 0.5), n))
+    want = [
+        (naive_min_forcing(g, naive_ccr_closure), naive_min_forcing(g, naive_psd_closure))
+        for g in graphs
+    ]
+    for g, values in zip(graphs, want):
+        assert (z_number(g), z0_number(g)) == values, g.edges()
+        everything = set(range(g.n))
+        for close, naive in (
+            (game._ccr_closures, naive_ccr_closure),
+            (psd_closures, naive_psd_closure),
+        ):
+            s = vset(game._greedy_forcing_set(g, close))
+            assert naive(g, s) == everything, g.edges()
+            assert all(naive(g, s - {v}) != everything for v in s), g.edges()
+    monkeypatch.setattr(game, "_greedy_forcing_set", lambda g, close: g.full_mask)
+    for g, values in zip(graphs, want):
+        assert (z_number(g), z0_number(g)) == values, g.edges()
+
+
 def test_subset_budget_boundary(monkeypatch):
-    # Both searches start at the minimum degree 3 of Petersen:
-    # Z_0 = 4 after C(10,3..4) = 330 sets, Z = 5 after C(10,3..5) = 582
+    # Petersen has no block classes. The greedy sets have 4 vertices for Z_0
+    # and 5 for Z, the least sizes, so each search tests one size in full:
+    # Z_0 the C(10,3) = 120 sets of size 3, Z the C(10,4) = 210 of size 4
     pet = petersen()
-    monkeypatch.setattr(game, "Z0_SUBSET_BUDGET", 330)
+    monkeypatch.setattr(game, "Z0_SUBSET_BUDGET", 120)
     assert z0_number(pet) == 4
-    monkeypatch.setattr(game, "Z0_SUBSET_BUDGET", 329)
+    monkeypatch.setattr(game, "Z0_SUBSET_BUDGET", 119)
     with pytest.raises(InfeasibleError) as exc:
         z0_number(pet)
-    assert str(exc.value) == "subset search would exceed 329 sets at size 4 (n=10)"
-    monkeypatch.setattr(game, "Z_SUBSET_BUDGET", 582)
+    assert str(exc.value) == "subset search would exceed 119 sets at size 3 (n=10)"
+    monkeypatch.setattr(game, "Z_SUBSET_BUDGET", 210)
     assert z_number(pet) == 5
-    monkeypatch.setattr(game, "Z_SUBSET_BUDGET", 581)
+    monkeypatch.setattr(game, "Z_SUBSET_BUDGET", 209)
     with pytest.raises(InfeasibleError) as exc:
         z_number(pet)
-    assert str(exc.value) == "subset search would exceed 581 sets at size 5 (n=10)"
+    assert str(exc.value) == "subset search would exceed 209 sets at size 4 (n=10)"
 
 
 def test_z0_at_least_min_degree_exhaustive():
@@ -395,6 +476,9 @@ def test_batch_closure_path_matches_scalar():
         z = naive_min_forcing(g, naive_ccr_closure)
         for k in range(g.n + 1):
             assert _ccr_level_forces(g, k) is (k >= z), (g.edges(), k)
+        # the greedy's lanes: any sets at once, as ccr_closure closes each
+        masks = [rng.randrange(1 << g.n) for _ in range(rng.randrange(1, 9))]
+        assert game._ccr_closures(g, masks) == [ccr_closure(g, m) for m in masks], g.edges()
 
 
 def test_kneser_connectivity_equals_degree():

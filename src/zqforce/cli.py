@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import families, spectral, threshold
 from .contraction import bipartite_contraction, max_matching
@@ -156,8 +157,6 @@ def _cmd_compute(args) -> int:
 
 def _cmd_threshold(args) -> int:
     seq = threshold.parse_creation_sequence(args.seq)
-    if args.q is None:
-        raise ValueError("threshold needs --q")
     value = threshold.zq_formula(seq, args.q)
     record = {"input": {"seq": seq.to_bits()}, "q": args.q, "value": value}
     lines = [f"seq: {seq.to_bits()}", f"q: {args.q}", f"formula: {value}"]
@@ -217,22 +216,20 @@ def _cmd_contract(args) -> int:
 
 def _cmd_certify(args) -> int:
     name = args.name
-    if name in ("book", "kneser2", "bipartite_prism") and args.n is None:
-        raise ValueError(f"{name} certificate needs --n")
-    if name == "book":
-        m = spectral.book_certificate(args.n)
-        g = families.book(args.n)
-        q = 1
-    elif name == "kneser2":
-        m = spectral.kneser_certificate(args.n)
-        g = families.kneser2(args.n)
-        q = 1
-    elif name == "bipartite_prism":
-        if args.m is None:
-            raise ValueError("bipartite_prism certificate needs --m")
-        m = spectral.bipartite_prism_certificate(args.n, args.m)
-        g = families.bipartite_prism(args.n, args.m)
-        q = 1
+    # name -> (certificate, generator, the options both take)
+    named = {
+        "book": (spectral.book_certificate, families.book, ("n",)),
+        "kneser2": (spectral.kneser_certificate, families.kneser2, ("n",)),
+        "bipartite_prism": (spectral.bipartite_prism_certificate, families.bipartite_prism,
+                            ("n", "m")),
+    }
+    if name in named:
+        certificate, generator, opts = named[name]
+        for opt in opts:
+            if getattr(args, opt) is None:
+                raise ValueError(f"{name} certificate needs --{opt}")
+        params = [getattr(args, opt) for opt in opts]
+        m, g, q = certificate(*params), generator(*params), 1
     elif name == "threshold":
         if not args.seq or args.q is None:
             raise ValueError("threshold certificate needs --seq and --q")
@@ -266,12 +263,10 @@ def _cmd_certify(args) -> int:
     if args.matrix:
         record["matrix"] = [list(map(float, row)) for row in m]
         lines += _matrix_lines(m)
+    _emit(args, record, lines)
     if args.matrix and args.format == "csv":
-        _emit(args, record, lines)
         for row in m:
             print(",".join(f"{x:.12g}" for x in row))
-        return 0
-    _emit(args, record, lines)
     return 0
 
 
@@ -329,31 +324,20 @@ def _cmd_probe(args) -> int:
             raise ValueError(f"{args.name} probe takes no --{opt}")
     if args.name == "kneser_structure":
         rep = families.kneser_structure_check(args.n, sample=args.sample, seed=args.seed or 0)
-        if args.format == "json":
-            print(json.dumps({
-                "input": {"probe": "kneser_structure", "n": rep.n},
-                "mode": rep.mode,
-                "subsets_checked": rep.subsets_checked,
-                "violations": list(rep.violations),
-            }, indent=2))
-        else:
-            print(f"kneser structure n={rep.n}: {rep.mode}, {rep.subsets_checked} subsets, "
-                  f"{len(rep.violations)} violations")
-            for v in rep.violations:
-                print("  " + v)
-        return 0
-    rep = families.probe_conjecture(args.name, tuple(getattr(args, opt) for opt in wanted))
-    if args.format == "json":
-        print(json.dumps({
-            "input": {"probe": rep.name, "params": list(rep.params)},
-            "lines": [
-                {"label": ln.label, "conjectured": ln.conjectured,
-                 "computed": ln.computed, "agree": ln.agree}
-                for ln in rep.lines
-            ],
-        }, indent=2))
+        record = {
+            "input": {"probe": "kneser_structure", "n": rep.n},
+            "mode": rep.mode,
+            "subsets_checked": rep.subsets_checked,
+            "violations": list(rep.violations),
+        }
+        lines = [f"kneser structure n={rep.n}: {rep.mode}, {rep.subsets_checked} subsets, "
+                 f"{len(rep.violations)} violations"] + ["  " + v for v in rep.violations]
     else:
-        print(rep.render(), end="")
+        rep = families.probe_conjecture(args.name, tuple(getattr(args, opt) for opt in wanted))
+        record = {"input": {"probe": rep.name, "params": list(rep.params)},
+                  "lines": [asdict(ln) for ln in rep.lines]}
+        lines = rep.render().splitlines()
+    _emit(args, record, lines)
     return 0
 
 

@@ -9,7 +9,7 @@ complete bipartite / multipartite parts are consecutive index blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb
 from random import Random
@@ -261,19 +261,21 @@ def known_values(max_n: int = 8) -> list[KnownValue]:
     return out
 
 
+def _claims(spec: FamilySpec, q: int | None) -> list[KnownValue]:
+    """The registry rows about the family at level q (q=None for the
+    classical Z-number), in registry order."""
+    return [
+        kv
+        for kv in known_values(max_n=max(spec.params, default=0))
+        if kv.family == spec
+        and (kv.q_min is None if q is None else
+             kv.q_min is not None and kv.q_min <= q and (kv.q_max is None or q <= kv.q_max))
+    ]
+
+
 def lookup(spec: FamilySpec, q: int | None) -> KnownValue | None:
-    """First non-conjecture registry row covering the family at level q
-    (q=None for the classical Z-number)."""
-    top = max(spec.params, default=8)
-    for kv in known_values(max_n=max(8, top)):
-        if kv.family != spec or kv.conjecture:
-            continue
-        if q is None:
-            if kv.q_min is None:
-                return kv
-        elif kv.q_min is not None and kv.q_min <= q and (kv.q_max is None or q <= kv.q_max):
-            return kv
-    return None
+    """First non-conjecture registry row covering the family at level q."""
+    return next((kv for kv in _claims(spec, q) if not kv.conjecture), None)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +305,15 @@ def _solve_value(spec: FamilySpec, q: int | None) -> int:
         return z_number(g)
     if q == 0:
         return z0_number(g)
-    if g.n > GAME_MAX_N:
-        raise InfeasibleError(f"game solve refused for n={g.n} > {GAME_MAX_N}")
     if q >= g.n - g.min_degree() - 1:
         # one vertex per uncoloured component is independent, so there are at
         # most n - δ of them. A family of n - δ holds every component, and the
         # oracle can return all of them, which on a closed state forces
-        # nothing, so the family is pruned and Z_q = Z (see zq_chain)
+        # nothing, so the family is pruned and Z_q = Z (see zq_chain). This is
+        # no game solve, so the game-size limit does not apply.
         return z_number(g)
+    if g.n > GAME_MAX_N:
+        raise InfeasibleError(f"game solve refused for n={g.n} > {GAME_MAX_N}")
     return zq_number(g, q, build_strategy=False).value
 
 
@@ -370,20 +373,7 @@ def render_report(rows: Iterable[ReportRow], fmt: str = "text") -> str:
     if fmt == "json":
         import json
 
-        return json.dumps(
-            [
-                {
-                    "family": r.family,
-                    "q": r.q,
-                    "expected": list(r.expected),
-                    "computed": r.computed,
-                    "status": r.status,
-                    "anchor": r.anchor,
-                }
-                for r in rows
-            ],
-            indent=2,
-        )
+        return json.dumps([asdict(r) for r in rows], indent=2)
     if fmt == "csv":
         out = ["family,q,expected,computed,status,anchor"]
         for r in rows:
@@ -431,40 +421,38 @@ class ProbeReport:
         return "\n".join([head] + body) + "\n"
 
 
-# name -> (family, conjectured Z_0, conjectured Z_1), all taking (n, m)
-_GAME_PROBES = {
-    "bipartite_prism": ("bipartite_prism", lambda n, m: 2 * min(n, m), lambda n, m: n + m),
-    "multipartite": (
-        "complete_multipartite",
-        lambda n, parts: n * (parts - 1),
-        lambda n, parts: n * parts - 2,
-    ),
+# name -> (family, the levels it compares)
+_PROBES = {
+    "bipartite_prism": ("bipartite_prism", (0, 1)),
+    "multipartite": ("complete_multipartite", (0, 1)),
+    "kneser_z0": ("kneser2", (0,)),
 }
 
 
 def probe_conjecture(name: str, params: tuple[int, ...]) -> ProbeReport:
-    """Exact small-instance comparison against a conjectured formula.
+    """Exact small-instance comparison with the registry's value at each level,
+    its conjecture row where it has one.
 
     Reports agreement only; conjectures are open and never asserted.
-    Raises InfeasibleError when the instance is too large to solve exactly,
+    Raises ValueError for an instance the registry states no single value
+    for, and InfeasibleError when the instance is too large to solve exactly,
     as :func:`reproduce_report` would refuse it.
     """
-    if name in _GAME_PROBES:
-        family, z0_conj, z1_conj = _GAME_PROBES[name]
-        n, m = params
-        spec = FamilySpec(family, (n, m))
-        # Z_1 first: an instance over GAME_MAX_N is refused before any search
-        z1 = _solve_value(spec, 1)
-        z0 = _solve_value(spec, 0)
-        c0, c1 = z0_conj(n, m), z1_conj(n, m)
-        lines = (ProbeLine("Z_0", c0, z0, z0 == c0), ProbeLine("Z_1", c1, z1, z1 == c1))
-        return ProbeReport(name, tuple(params), lines)
-    if name == "kneser_z0":
-        (n,) = params
-        conj = comb(n, 2) - 6 if n <= 7 else comb(n - 1, 2)
-        z0 = _solve_value(FamilySpec("kneser2", (n,)), 0)
-        return ProbeReport(name, tuple(params), (ProbeLine("Z_0", conj, z0, z0 == conj),))
-    raise ValueError(f"unknown conjecture probe {name!r}")
+    if name not in _PROBES:
+        raise ValueError(f"unknown conjecture probe {name!r}")
+    family, levels = _PROBES[name]
+    spec = FamilySpec(family, tuple(params))
+    generate(spec)  # the family's own parameter checks come first
+    claimed = {}
+    for q in levels:
+        rows = [kv for kv in _claims(spec, q) if len(kv.values) == 1]
+        if not rows:
+            raise ValueError(f"the registry states no value for {spec.label()} at q={q}")
+        (claimed[q],) = min(rows, key=lambda kv: not kv.conjecture).values
+    # the game level first: an instance over GAME_MAX_N is refused before any search
+    computed = {q: _solve_value(spec, q) for q in reversed(levels)}
+    lines = tuple(ProbeLine(f"Z_{q}", c, computed[q], computed[q] == c) for q, c in claimed.items())
+    return ProbeReport(name, tuple(params), lines)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ edges, exactly q negative eigenvalues, nullity equal to the formula.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,18 +61,8 @@ class CreationSequence:
             raise ValueError("creation sequence must start with 0")
         if bits[-1] != "1":
             raise ValueError("creation sequence must end with 1 (connected)")
-        runs = []
-        i = 0
-        while i < len(bits):
-            j = i
-            while j < len(bits) and bits[j] == "0":
-                j += 1
-            k = i
-            i = j
-            while i < len(bits) and bits[i] == "1":
-                i += 1
-            runs.append((j - k, i - j))
-        return CreationSequence(tuple(runs))
+        runs = re.findall("(0+)(1+)", bits)
+        return CreationSequence(tuple((len(zeros), len(ones)) for zeros, ones in runs))
 
 
 def parse_creation_sequence(text: str) -> CreationSequence:

@@ -508,6 +508,20 @@ def test_probe_kneser_z0(capsys, monkeypatch):
     assert len(closures) < 28 * 28
 
 
+@pytest.mark.parametrize(
+    "name, n, m",
+    [("multipartite", 1, 3), ("multipartite", 2, 2), ("bipartite_prism", 1, 3),
+     ("bipartite_prism", 3, 2)],
+)
+def test_probe_outside_registry_exit_2(capsys, name, n, m):
+    # the probes compare with the registry's rows, which state the paper's
+    # conjectures only for n >= 2, l >= 3 parts and K_{n,m} with n <= m
+    cap = run_cli(capsys, ["probe", "--name", name, "--n", str(n), "--m", str(m)], expect=2)
+    family = "complete_multipartite" if name == "multipartite" else name
+    assert cap.err == f"error: the registry states no value for {family}({n},{m}) at q=0\n"
+    assert cap.out == ""
+
+
 def test_probe_rejects_csv(capsys):
     argv = ["probe", "--name", "multipartite", "--n", "2", "--m", "3", "--format", "csv"]
     cap = run_cli(capsys, argv, expect=2)

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zqforce import families
+from zqforce import families, threshold
 from zqforce.families import (
     FamilySpec,
     bipartite_prism,
@@ -129,6 +129,10 @@ def test_reproduce_report_small():
         assert csv.splitlines()[0] == "family,q,expected,computed,status,anchor"
         parsed = json.loads(render_report(rows, "json"))
         assert parsed[0]["status"] in ("PASS", "AGREE", "SKIP") or parsed[0]["status"].startswith("SKIP")
+        if max_n == 4:
+            for fmt in ("json", "csv"):
+                golden = (GOLDEN / f"reproduce_max_n4.{fmt}").read_text(encoding="utf-8")
+                assert render_report(rows, fmt) == golden, fmt
 
 
 def test_reproduce_report_solves_each_family_level_once(monkeypatch):
@@ -147,6 +151,21 @@ def test_reproduce_report_solves_each_family_level_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 55
 
 
+@pytest.mark.parametrize(
+    "bits, chain",
+    [("00010001", [2, 3, 4]), ("000100011", [3, 4, 5]), ("0001000111", [4, 5, 6])],
+)
+def test_solve_value_tells_zq_from_z(monkeypatch, bits, chain):
+    # the report's level rule must answer a level below n - δ - 1 by the game,
+    # not by Z: on these threshold graphs Z_q grows with q up to Z at q = s
+    seq = threshold.parse_creation_sequence(bits)
+    monkeypatch.setattr(families, "generate", lambda spec: threshold.build_threshold_graph(seq))
+    spec = FamilySpec("path", (1,))
+    computed = [families._solve_value(spec, q) for q in range(seq.s + 1)]
+    assert computed == [threshold.zq_formula(seq, q) for q in range(seq.s + 1)] == chain
+    assert families._solve_value(spec, None) == threshold.z_classical(seq) == chain[-1]
+
+
 def test_probe_reports():
     rep = probe_conjecture("bipartite_prism", (2, 2))
     assert all(ln.agree for ln in rep.lines)
@@ -159,6 +178,11 @@ def test_probe_reports():
         probe_conjecture("bipartite_prism", (4, 5))
     with pytest.raises(ValueError):
         probe_conjecture("nosuch", (1,))
+    # K_3 and book(3) are outside the registry's ranges, so no claim covers them
+    with pytest.raises(ValueError, match=r"complete_multipartite\(1,3\) at q=0"):
+        probe_conjecture("multipartite", (1, 3))
+    with pytest.raises(ValueError, match=r"bipartite_prism\(1,3\) at q=0"):
+        probe_conjecture("bipartite_prism", (1, 3))
 
 
 def test_kneser_structure_exhaustive_n5():

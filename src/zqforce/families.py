@@ -10,13 +10,13 @@ complete bipartite / multipartite parts are consecutive index blocks.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import combinations
+from itertools import combinations, repeat, starmap
 from math import comb
 from random import Random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graphs import Graph, bits, build_graph, components_within
-from .game import Z_SUBSET_BUDGET, InfeasibleError, z0_number, z_number, zq_number
+from .game import Z_SUBSET_BUDGET, InfeasibleError, z0_number, z_number, zq_levels, zq_saturation
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -263,7 +263,10 @@ def known_values(max_n: int = 8) -> list[KnownValue]:
 
 def _claims(spec: FamilySpec, q: int | None) -> list[KnownValue]:
     """The registry rows about the family at level q (q=None for the
-    classical Z-number), in registry order."""
+    classical Z-number), in registry order. The registry lists K_{n,m} and
+    K_{n,m} x K_2 as (min, max), so their parameters match in either order."""
+    if spec.name in ("complete_bipartite", "bipartite_prism"):
+        spec = FamilySpec(spec.name, tuple(sorted(spec.params)))
     return [
         kv
         for kv in known_values(max_n=max(spec.params, default=0))
@@ -299,22 +302,28 @@ class ReportRow:
     anchor: str
 
 
-def _solve_value(spec: FamilySpec, q: int | None) -> int:
+def _solve(spec: FamilySpec, qs: Sequence[int | None]) -> dict[int | None, int | InfeasibleError]:
+    """The value of ``spec`` at each level of ``qs`` (None = Z), or the
+    InfeasibleError that refused it. Z_0 is ``z0_number``; Z and every level
+    from ``zq_saturation`` on are ``z_number``. The levels between are one game
+    traversal, refused over GAME_MAX_N vertices before any subset search."""
     g = generate(spec)
-    if q is None:
-        return z_number(g)
-    if q == 0:
-        return z0_number(g)
-    if q >= g.n - g.min_degree() - 1:
-        # one vertex per uncoloured component is independent, so there are at
-        # most n - δ of them. A family of n - δ holds every component, and the
-        # oracle can return all of them, which on a closed state forces
-        # nothing, so the family is pruned and Z_q = Z (see zq_chain). This is
-        # no game solve, so the game-size limit does not apply.
-        return z_number(g)
-    if g.n > GAME_MAX_N:
-        raise InfeasibleError(f"game solve refused for n={g.n} > {GAME_MAX_N}")
-    return zq_number(g, q, build_strategy=False).value
+    games = sorted(q for q in {*qs} - {None, 0} if q < zq_saturation(g))
+
+    def game():
+        if g.n > GAME_MAX_N:
+            raise InfeasibleError(f"game solve refused for n={g.n} > {GAME_MAX_N}")
+        return zq_levels(g, games)
+
+    out: dict[int | None, int | InfeasibleError] = {}
+    for levels, solve in ((games, game), ({0} & {*qs}, lambda: [z0_number(g)]),
+                          ({*qs} - {0, *games}, lambda: repeat(z_number(g)))):
+        if levels:
+            try:
+                out.update(zip(levels, solve()))
+            except InfeasibleError as exc:  # kept without the frames its traceback holds
+                out.update(dict.fromkeys(levels, exc.with_traceback(None)))
+    return out
 
 
 def _row_checks(kv: KnownValue) -> list[tuple[FamilySpec, int | None]]:
@@ -325,18 +334,10 @@ def _row_checks(kv: KnownValue) -> list[tuple[FamilySpec, int | None]]:
     return [(kv.family, q) for q in range(kv.q_min, hi + 1)]
 
 
-def _solve(key: tuple[FamilySpec, int | None]) -> int | str:
-    """The value of one (family, q), or the SKIP status when it is refused."""
-    try:
-        return _solve_value(*key)
-    except InfeasibleError as exc:
-        return f"SKIP ({exc})"
-
-
-def _row(kv: KnownValue, spec: FamilySpec, q: int | None, outcome: int | str) -> ReportRow:
+def _row(kv: KnownValue, spec: FamilySpec, q: int | None, outcome: int | InfeasibleError) -> ReportRow:
     expected = tuple(sorted(kv.values))
-    if isinstance(outcome, str):
-        return ReportRow(spec.label(), q, expected, None, outcome, kv.anchor)
+    if isinstance(outcome, InfeasibleError):
+        return ReportRow(spec.label(), q, expected, None, f"SKIP ({outcome})", kv.anchor)
     if kv.conjecture:
         status = "AGREE" if outcome in kv.values else "DIFFER"
     else:
@@ -349,23 +350,26 @@ def reproduce_report(max_n: int, jobs: int = 1) -> list[ReportRow]:
 
     Known rows get PASS/FAIL, conjecture rows AGREE/DIFFER, entries too large
     for an exact solve SKIP. Each range claim is sampled at its first
-    ``PROBE_LEVELS`` levels; a (family, q) that several rows check is solved once.
+    ``PROBE_LEVELS`` levels; each family is solved once, at every level its
+    rows check, and ``jobs`` processes share the families.
     """
     checks = [
         (kv, spec, q)
         for kv in known_values(max_n=max_n)
         for spec, q in _row_checks(kv)
     ]
-    keys = list(dict.fromkeys((spec, q) for _, spec, q in checks))
+    levels: dict[FamilySpec, list[int | None]] = {}
+    for _, spec, q in checks:
+        levels.setdefault(spec, []).append(q)
     if jobs > 1:
         from multiprocessing import Pool
 
         with Pool(jobs) as pool:
-            outcomes = pool.map(_solve, keys)
+            outcomes = pool.starmap(_solve, levels.items())
     else:
-        outcomes = list(map(_solve, keys))
-    solved = dict(zip(keys, outcomes))
-    return [_row(kv, spec, q, solved[spec, q]) for kv, spec, q in checks]
+        outcomes = list(starmap(_solve, levels.items()))
+    solved = dict(zip(levels, outcomes))
+    return [_row(kv, spec, q, solved[spec][q]) for kv, spec, q in checks]
 
 
 def render_report(rows: Iterable[ReportRow], fmt: str = "text") -> str:
@@ -450,7 +454,11 @@ def probe_conjecture(name: str, params: tuple[int, ...]) -> ProbeReport:
             raise ValueError(f"the registry states no value for {spec.label()} at q={q}")
         (claimed[q],) = min(rows, key=lambda kv: not kv.conjecture).values
     # the game level first: an instance over GAME_MAX_N is refused before any search
-    computed = {q: _solve_value(spec, q) for q in reversed(levels)}
+    computed = {}
+    for q in reversed(levels):
+        computed.update(_solve(spec, (q,)))
+        if isinstance(computed[q], InfeasibleError):
+            raise computed[q]
     lines = tuple(ProbeLine(f"Z_{q}", c, computed[q], computed[q] == c) for q, c in claimed.items())
     return ProbeReport(name, tuple(params), lines)
 

@@ -18,6 +18,11 @@ per coset H·r (``graphs.block_coset_automorphisms``), so every state of b's
 orbit finds it. ``CacheStats.states`` counts the states solved. Moves and
 strategies are still derived from the concrete states.
 
+One traversal answers every level q: tokens alone reach each closed superset
+of the start and every token move is expanded, so every level solves the same
+states, and the memo holds one tuple of values per state. ``zq_number`` solves
+one level, ``zq_levels`` many; every level from ``zq_saturation`` on is Z(G).
+
 Rule-3 families are enumerated at size exactly q+1: the responses to any
 (q+1)-subfamily are a subset of the responses to the whole family, so
 offering exactly q+1 components is never worse
@@ -58,8 +63,6 @@ from .graphs import (
 
 # A rule-3 move family: component bitmasks, sorted ascending (by min vertex).
 MoveFamily = tuple[int, ...]
-
-_INF = float("inf")
 
 
 class InfeasibleError(RuntimeError):
@@ -108,6 +111,36 @@ def rule3_closure(g: Graph, b: int, returned: Sequence[int]) -> int:
     return ccr_closure(g, b, b | union)
 
 
+def _families(
+    g: Graph, b: int
+) -> Callable[[int], Iterator[tuple[MoveFamily, Iterator[tuple[int, int | None]]]]]:
+    """Rule-3 moves from the closed state ``b``, as a function of q: the
+    families of q+1 uncoloured components, in lexicographic order (shared by
+    value, strategy and ``admissible_families``).
+
+    Each family comes with a lazy iterator over the oracle's responses:
+    (subset of family positions as a bitmask, closed next state), where the
+    state is None if the response forces nothing. Responses are closed once
+    per state and union, however many families and levels share them.
+    """
+    comps = uncoloured_components(g, b)
+    rcache: dict[int, int | None] = {}
+
+    def responses(fam: MoveFamily) -> Iterator[tuple[int, int | None]]:
+        for r in range(1, 1 << len(fam)):
+            union = 0
+            for i in bits(r):
+                union |= fam[i]
+            s = rcache.get(union, -1)
+            if s == -1:
+                s = ccr_closure(g, b, b | union)
+                s = None if s == b else ccr_closure(g, s)
+                rcache[union] = s
+            yield r, s
+
+    return lambda q: ((fam, responses(fam)) for fam in combinations(comps, q + 1))
+
+
 def admissible_families(g: Graph, b: int, q: int) -> list[MoveFamily]:
     """All rule-3 families of exactly q+1 uncoloured components that are
     guaranteed to force: every nonempty oracle response strictly enlarges the
@@ -118,7 +151,7 @@ def admissible_families(g: Graph, b: int, q: int) -> list[MoveFamily]:
         raise ValueError("coloured set is not CCR-closed")
     return [
         fam
-        for fam, responses in _Solver(g, q).families(b)
+        for fam, responses in _families(g, b)(q)
         if all(state is not None for _, state in responses)
     ]
 
@@ -169,34 +202,27 @@ class ZqResult:
 
 
 class _Solver:
-    def __init__(
-        self,
-        g: Graph,
-        q: int,
-        classes: Sequence[BlockClass] = (),
-        automorphisms: Sequence[tuple[int, ...]] = (),
-    ):
+    """One game traversal on ``g`` that answers every q in ``levels``."""
+
+    def __init__(self, g: Graph, levels: Sequence[int]):
         self.g = g
-        self.q = q
+        self.levels = tuple(levels)
         self.full = g.full_mask
-        self.classes = classes
+        self.classes = interchangeable_blocks(g)
         # Lane i of images[v] is v's image bit under the i-th coset
         # automorphism after the identity (which comes first), in the
         # narrowest array item that holds n bits: OR-ing images[v] over the
         # vertices of b packs every r(b) at once.
-        others = automorphisms[1:]
+        others = block_coset_automorphisms(g, self.classes)[1:]
         self.lane = next(t for t in "BHIQ" if 8 * array(t).itemsize >= g.n)
         self.orbit_bytes = len(others) * array(self.lane).itemsize
         self.images = [
             int.from_bytes(array(self.lane, [1 << r[v] for r in others]), sys.byteorder)
             for v in range(g.n)
         ]
-        self.memo: dict[int, int] = {}
-        self.widest = 0  # the most uncoloured components ``families`` has met
+        self.memo: dict[int, tuple[int, ...]] = {}
         self.solved = 0
         self.hits = 0
-
-    # -- move generators (shared by value, strategy and admissible_families) --
 
     def tokens(self, b: int) -> Iterator[tuple[int, int]]:
         """Rule-1 moves from ``b``: (vertex, closed next state), one per
@@ -212,48 +238,15 @@ class _Solver:
                 seen.add(nb)
                 yield v, nb
 
-    def families(
-        self, b: int
-    ) -> Iterator[tuple[MoveFamily, Iterator[tuple[int, int | None]]]]:
-        """Rule-3 moves from the closed state ``b``: the families of q+1
-        uncoloured components, in lexicographic order.
+    def value(self, b: int) -> tuple[int, ...]:
+        """Game values of the CCR-closed state ``b``, one per level.
 
-        Each family comes with a lazy iterator over the oracle's responses:
-        (subset of family positions as a bitmask, closed next state), where
-        the state is None if the response forces nothing. Responses are
-        closed once per state and union, however many families share them.
-        """
-        g = self.g
-        comps = uncoloured_components(g, b)
-        self.widest = max(self.widest, len(comps))
-        rcache: dict[int, int | None] = {}
-
-        def responses(fam: MoveFamily) -> Iterator[tuple[int, int | None]]:
-            for r in range(1, 1 << len(fam)):
-                union = 0
-                for i in bits(r):
-                    union |= fam[i]
-                s = rcache.get(union, -1)
-                if s == -1:
-                    s = ccr_closure(g, b, b | union)
-                    s = None if s == b else ccr_closure(g, s)
-                    rcache[union] = s
-                yield r, s
-
-        for fam in combinations(comps, self.q + 1):
-            yield fam, responses(fam)
-
-    def value(self, b: int) -> int:
-        """Game value of the CCR-closed state ``b``.
-
-        The memo is keyed on ``canonical_key(classes, b)``, one key per
-        orbit of the block group H. A solved value is stored under the key
-        of r(b) for every coset automorphism r too: each automorphism of G
-        is h·r with h in H, so every state of b's Aut(G)-orbit hits, and
-        automorphisms keep the value.
-        """
+        The memo is keyed on ``canonical_key(classes, b)``, one key per orbit
+        of the block group H, and a solved state is stored under the key of
+        r(b) for every coset automorphism r too: each automorphism of G is h·r
+        with h in H, so every state of b's Aut(G)-orbit hits."""
         if b == self.full:
-            return 0
+            return (0,) * len(self.levels)
         memo = self.memo
         classes = self.classes
         key = canonical_key(classes, b)
@@ -261,22 +254,24 @@ class _Solver:
         if cached is not None:
             self.hits += 1
             return cached
-        best = _INF
-        for _, nb in self.tokens(b):
-            best = min(best, self.value(nb) + 1)
-        # A family is abandoned as soon as one response forces nothing
-        # (dominated) or the oracle's partial max already reaches ``best``.
-        for _, responses in self.families(b):
-            worst = 0
-            for _, state in responses:
-                if state is None:
-                    break
-                worst = max(worst, self.value(state))
-                if worst >= best:
-                    break
-            else:
-                best = worst
-        memo[key] = best
+        # b is not full, so it has a token move
+        best = [min(vals) + 1 for vals in zip(*[self.value(nb) for _, nb in self.tokens(b)])]
+        families = _families(self.g, b)
+        # At each level, a family is abandoned as soon as one response forces
+        # nothing (dominated) or the oracle's partial max already reaches
+        # that level's ``best``.
+        for i, q in enumerate(self.levels):
+            for _, responses in families(q):
+                worst = 0
+                for _, state in responses:
+                    if state is None:
+                        break
+                    worst = max(worst, self.value(state)[i])
+                    if worst >= best[i]:
+                        break
+                else:
+                    best[i] = worst
+        values = memo[key] = tuple(best)
         self.solved += 1
         if self.orbit_bytes:  # some coset automorphism besides the identity
             images = self.images
@@ -286,12 +281,13 @@ class _Solver:
             orbit = array(self.lane, packed.to_bytes(self.orbit_bytes, sys.byteorder))
             if classes:
                 orbit = [canonical_key(classes, c) for c in orbit]
-            memo.update(dict.fromkeys(orbit, best))
-        return best
+            memo.update(dict.fromkeys(orbit, values))
+        return values
 
     # -- strategy extraction (re-derives optimal moves from memoised values) --
 
     def strategy(self, b: int, _memo=None) -> Strategy:
+        """An optimal strategy from ``b`` at the solver's first level."""
         if _memo is None:
             _memo = {}
         if b == self.full:
@@ -299,21 +295,21 @@ class _Solver:
         got = _memo.get(b)
         if got is not None:
             return got
-        val = self.value(b)
+        val = self.value(b)[0]
         # Token spends first (lowest vertex), then the first family in
         # enumeration order whose worst response achieves the value.
         for v, nb in self.tokens(b):
-            if 1 + self.value(nb) == val:
+            if 1 + self.value(nb)[0] == val:
                 out = (TokenSpend(v),) + self.strategy(nb, _memo)
                 _memo[b] = out
                 return out
-        for fam, responses in self.families(b):
+        for fam, responses in _families(self.g, b)(self.levels[0]):
             branches = {}
             worst = 0
             for r, state in responses:
                 if state is None:
                     break
-                worst = max(worst, self.value(state))
+                worst = max(worst, self.value(state)[0])
                 branches[tuple(fam[i] for i in bits(r))] = state
             else:
                 if worst == val:
@@ -324,13 +320,6 @@ class _Solver:
                     _memo[b] = out
                     return out
         raise AssertionError("no move achieves the memoised game value")
-
-
-def _symmetry(g: Graph) -> tuple[list[BlockClass], list[tuple[int, ...]]]:
-    """The block classes of ``g`` and one automorphism per coset of their
-    group: the symmetry every ``_Solver`` on ``g`` shares, whatever its q."""
-    classes = interchangeable_blocks(g)
-    return classes, block_coset_automorphisms(g, classes)
 
 
 def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
@@ -351,9 +340,9 @@ def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    solver = _Solver(g, q, *_symmetry(g))
+    solver = _Solver(g, (q,))
     start = ccr_closure(g, 0)
-    value = solver.value(start)
+    (value,) = solver.value(start)
     strategy = solver.strategy(start) if build_strategy else None
     return ZqResult(value, strategy, CacheStats(solver.solved, solver.hits))
 
@@ -507,36 +496,37 @@ def z0_number(g: Graph) -> int:
     )
 
 
-def zq_chain(g: Graph, q_max: int) -> list[int]:
-    """[Z_0, Z_1, ..., Z_{q_max}, Z(G)].
+def zq_saturation(g: Graph) -> int:
+    """The level n - δ(G) - 1 from which Z_q(G) = Z(G), δ the minimum degree.
 
-    Level 0 is solved first, and levels q >= c - 1 are Z(G) with no game
-    solve, where c is the most uncoloured components any state of that solve
-    has. Every state of the game at any q is a closed superset of the start,
-    and tokens alone reach each of them: spend the missing vertices one at a
-    time. The q = 0 solve expands every token move of every state it solves,
-    and a memo hit stands for a state of the same Aut(G)-orbit, which has as
-    many components. So no state of any level has more than c components.
-    From q = c - 1 on, a family of q+1 >= c components can only hold every
-    component of its state, so the oracle can return all of them; that is
-    plain CCR on a closed state, which forces nothing, so the family is
-    pruned and the game is classical zero forcing. c is at most n - δ(G), which gives the bound
-    q >= n - δ(G) - 1 that ``families._solve_value`` uses: one vertex from
-    each uncoloured component gives an independent set, and each vertex of
-    an independent set has its δ or more neighbours outside it. The levels
-    between are solved one ``_Solver`` each, sharing one search for the
-    block classes and coset automorphisms.
+    One vertex from each uncoloured component of a state is an independent
+    set, and each vertex of an independent set has its δ or more neighbours
+    outside it, so no state has more than n - δ components. From q = n - δ - 1
+    on, a family of q+1 components holds every component of its state, and
+    the oracle can return them all: that is plain CCR on a closed state,
+    which forces nothing, so the family is pruned and the game is classical
+    zero forcing.
     """
+    return g.n - g.min_degree() - 1
+
+
+def zq_levels(g: Graph, levels: Sequence[int]) -> tuple[int, ...]:
+    """Z_q(G) for each q in ``levels``, by one traversal of the game (see
+    ``_Solver``); the values of :func:`zq_number` at those levels."""
+    if any(q < 0 for q in levels):
+        raise ValueError("q must be nonnegative")
+    if not levels:
+        return ()
+    return _Solver(g, levels).value(ccr_closure(g, 0))
+
+
+def zq_chain(g: Graph, q_max: int) -> list[int]:
+    """[Z_0, Z_1, ..., Z_{q_max}, Z(G)]: the levels below :func:`zq_saturation`
+    by one game traversal, the rest by the subset search for Z(G)."""
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
     z = z_number(g)
-    symmetry = _symmetry(g)
-    start = ccr_closure(g, 0)
-    base = _Solver(g, 0, *symmetry)
-    levels = [base.value(start)] + [
-        _Solver(g, q, *symmetry).value(start)
-        for q in range(1, min(q_max + 1, base.widest - 1))
-    ]
+    levels = list(zq_levels(g, range(min(q_max + 1, zq_saturation(g)))))
     return levels + [z] * (q_max + 2 - len(levels))
 
 

@@ -510,16 +510,43 @@ def test_probe_kneser_z0(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "name, n, m",
-    [("multipartite", 1, 3), ("multipartite", 2, 2), ("bipartite_prism", 1, 3),
-     ("bipartite_prism", 3, 2)],
+    [("multipartite", 1, 3), ("multipartite", 2, 2), ("bipartite_prism", 1, 3)],
 )
 def test_probe_outside_registry_exit_2(capsys, name, n, m):
     # the probes compare with the registry's rows, which state the paper's
-    # conjectures only for n >= 2, l >= 3 parts and K_{n,m} with n <= m
+    # conjectures only for n >= 2 and l >= 3 parts, and K_{n,m} x K_2 for n, m >= 2
     cap = run_cli(capsys, ["probe", "--name", name, "--n", str(n), "--m", str(m)], expect=2)
     family = "complete_multipartite" if name == "multipartite" else name
     assert cap.err == f"error: the registry states no value for {family}({n},{m}) at q=0\n"
     assert cap.out == ""
+
+
+def test_symmetric_families_match_the_registry_in_either_order(capsys):
+    # the registry lists K_{n,m} and K_{n,m} x K_2 as (min, max); the same
+    # graph with its parameters swapped gets the same claims
+    for argv in (["--name", "bipartite_prism", "--q", "1"], ["--name", "complete_bipartite", "--q", "0"]):
+        outs = [run_cli(capsys, ["family", *argv, "--n", n, "--m", m]).out for n, m in ("23", "32")]
+        known = [[ln for ln in out.splitlines() if ln.startswith("known:")] for out in outs]
+        assert len(known[0]) == 1 and known[0] == known[1], outs
+    out = run_cli(capsys, ["probe", "--name", "bipartite_prism", "--n", "3", "--m", "2"]).out
+    assert out == (
+        "probe bipartite_prism(3,2)\n"
+        "  Z_0: conjectured 4, computed 4 -> agrees\n"
+        "  Z_1: conjectured 5, computed 5 -> agrees\n"
+    )
+
+
+def test_probe_game_refusal_before_any_search(capsys, monkeypatch):
+    # K_{5,5,5,5,5} has 25 vertices: its Z_1 game is refused before the Z_0
+    # subset search closes a single set
+    from zqforce import game
+
+    closures = []
+    psd_closure = game.psd_closure
+    monkeypatch.setattr(game, "psd_closure", lambda g, b: closures.append(b) or psd_closure(g, b))
+    cap = run_cli(capsys, ["probe", "--name", "multipartite", "--n", "5", "--m", "5"], expect=1)
+    assert cap.err == "infeasible: game solve refused for n=25 > 16\n"
+    assert cap.out == "" and closures == []
 
 
 def test_probe_rejects_csv(capsys):

@@ -137,18 +137,21 @@ def test_reproduce_report_small():
 
 def test_reproduce_report_solves_each_family_level_once(monkeypatch):
     # bipartite_prism(2,2) and (2,3) at q=1..3 are each both a known-range row
-    # and a conjecture row: 64 rows, 55 distinct (family, q)
-    calls = []
-    solve = families._solve_value
+    # and a conjecture row: 64 rows, 55 distinct (family, q), and each family
+    # is one task holding all of its levels
+    tasks = []
+    solve = families._solve
 
-    def counting(spec, q):
-        calls.append((spec, q))
-        return solve(spec, q)
+    def counting(spec, qs):
+        tasks.append((spec, qs))
+        return solve(spec, qs)
 
-    monkeypatch.setattr(families, "_solve_value", counting)
+    monkeypatch.setattr(families, "_solve", counting)
     rows = reproduce_report(max_n=3)
     assert len(rows) == 64
-    assert len(calls) == len(set(calls)) == 55
+    specs = [spec for spec, _ in tasks]
+    assert len(specs) == len(set(specs))
+    assert len({(spec, q) for spec, qs in tasks for q in qs}) == 55
 
 
 @pytest.mark.parametrize(
@@ -161,9 +164,10 @@ def test_solve_value_tells_zq_from_z(monkeypatch, bits, chain):
     seq = threshold.parse_creation_sequence(bits)
     monkeypatch.setattr(families, "generate", lambda spec: threshold.build_threshold_graph(seq))
     spec = FamilySpec("path", (1,))
-    computed = [families._solve_value(spec, q) for q in range(seq.s + 1)]
-    assert computed == [threshold.zq_formula(seq, q) for q in range(seq.s + 1)] == chain
-    assert families._solve_value(spec, None) == threshold.z_classical(seq) == chain[-1]
+    computed = families._solve(spec, (*range(seq.s + 1), None))
+    levels = [computed[q] for q in range(seq.s + 1)]
+    assert levels == [threshold.zq_formula(seq, q) for q in range(seq.s + 1)] == chain
+    assert computed[None] == threshold.z_classical(seq) == chain[-1]
 
 
 def test_probe_reports():

@@ -22,7 +22,6 @@ from zqforce.game import (
     zq_number,
 )
 from zqforce.graphs import (
-    block_coset_automorphisms,
     build_graph,
     ccr_closure,
     interchangeable_blocks,
@@ -201,18 +200,18 @@ def test_admissible_families_match_set_reference():
 
 
 def _check_every_closed_state(g, qs):
-    """The value of every CCR-closed state of ``g`` at each q in ``qs``,
-    through the solver as ``zq_number`` builds it (blocks and coset
-    automorphisms), against the set-based reference; and ``zq_number``."""
+    """The values of every CCR-closed state of ``g`` at the levels ``qs``,
+    through one solver over all of them as ``zq_number`` builds it (blocks
+    and coset automorphisms), against the set-based reference at each level;
+    and ``zq_number`` at each level."""
     closed = sorted({ccr_closure(g, b) for b in range(1 << g.n)})
-    classes = interchangeable_blocks(g)
-    automorphisms = block_coset_automorphisms(g, classes)
-    for q in qs:
-        reference = naive_game(g, q)
+    references = [naive_game(g, q) for q in qs]
+    for q, reference in zip(qs, references):
         assert zq_number(g, q, build_strategy=False).value == reference(), (g.edges(), q)
-        solver = _Solver(g, q, classes, automorphisms)
-        for b in closed:
-            assert solver.value(b) == reference(vset(b)), (g.edges(), q, b)
+    solver = _Solver(g, qs)
+    for b in closed:
+        want = tuple(reference(vset(b)) for reference in references)
+        assert solver.value(b) == want, (g.edges(), b)
 
 
 def test_zq_number_matches_set_reference():
@@ -226,7 +225,7 @@ def test_zq_number_matches_set_reference():
             perm = list(range(n))
             rng.shuffle(perm)
             for h in (g, relabel(g, perm)):
-                _check_every_closed_state(h, range(n))
+                _check_every_closed_state(h, range(n + 1))
 
 
 @st.composite
@@ -249,7 +248,7 @@ def _relabelled_graphs(draw, max_n=8):
 def test_orbit_memo_matches_set_reference_up_to_8_vertices(graphs):
     # graphs above 6 vertices have groups that the exhaustive sweep misses
     for g in graphs:
-        _check_every_closed_state(g, range(min(g.n, 4)))
+        _check_every_closed_state(g, range(g.n + 1))
 
 
 @pytest.mark.parametrize(
@@ -262,7 +261,7 @@ def test_orbit_memo_matches_set_reference_on_symmetric_graphs(g):
     perm = list(range(g.n))
     Random(g.n).shuffle(perm)
     for h in (g, relabel(g, perm)):
-        _check_every_closed_state(h, range(4))
+        _check_every_closed_state(h, range(h.n + 1))
 
 
 def test_zq_number_examples():
@@ -324,27 +323,41 @@ def test_chain_levels_match_independent_values():
             assert chain[:-1] == [zq_formula(seq, q) for q in range(n + 1)], seq.to_bits()
 
 
-def test_zq_chain_skips_the_level_below_widest(monkeypatch):
-    # level c - 1, c the q = 0 solve's most uncoloured components, is Z: a
-    # family of c components holds them all and is pruned. It gets no solver.
-    from zqforce.families import ladder
+def test_one_solver_per_graph(monkeypatch):
+    # every game level of a graph is one traversal: zq_chain, the report and
+    # the probes build one solver for each graph that has game levels, and
+    # none for a graph whose levels are all Z
+    from zqforce.families import generate, known_values, ladder, probe_conjecture, reproduce_report
 
+    graphs = (petersen(), ladder(6), complete(4))
+    separate = [[zq_number(g, q, build_strategy=False).value for q in range(g.n + 1)] for g in graphs]
     built = []
 
     class Recording(_Solver):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
+        def __init__(self, g, *args):
+            super().__init__(g, *args)
+            built.append(g)
 
     monkeypatch.setattr(game, "_Solver", Recording)
-    for g in (petersen(), ladder(6)):
+    for g, levels in zip(graphs, separate):
         built.clear()
-        chain = zq_chain(g, g.n)
-        c = built[0].widest
-        assert 2 <= c <= g.n
-        assert [s.q for s in built] == list(range(c - 1)), c
-        for q in range(g.n + 1):
-            assert chain[q] == zq_number(g, q, build_strategy=False).value, q
+        assert zq_chain(g, g.n)[:-1] == levels, g.edges()
+        assert built == ([g] if game.zq_saturation(g) > 0 else []), g.edges()
+    built.clear()
+    rows = reproduce_report(4)
+    specs = {kv.family.label(): kv.family for kv in known_values(4)}
+    games = {
+        r.family
+        for r in rows
+        if r.q and r.computed is not None and r.q < game.zq_saturation(generate(specs[r.family]))
+    }
+    assert len(built) == len({tuple(g.adj) for g in built}) == len(games) > 10
+    # K_{2,2,2} has n - δ - 1 = 1, so its Z_1 is Z; kneser_z0 probes Z_0 alone
+    for name, params, solvers in (("multipartite", (3, 3), 1), ("bipartite_prism", (2, 3), 1),
+                                  ("multipartite", (2, 3), 0), ("kneser_z0", (5,), 0)):
+        built.clear()
+        probe_conjecture(name, params)
+        assert len(built) == solvers, name
 
 
 def test_saturation_at_large_q():

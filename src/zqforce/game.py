@@ -12,16 +12,23 @@ Solver states are normalised to CCR closure, so a single bitmask of coloured
 vertices names a state. Every automorphism of G keeps the game value, so
 one state is solved per Aut(G)-orbit. The memo is keyed on a state's
 canonical form under interchangeable vertex blocks
-(``graphs.interchangeable_blocks``, a subgroup H of Aut(G)); when a state b
-is solved, its value is stored under the key of r(b) for one automorphism r
-per coset H·r (``graphs.block_coset_automorphisms``), so every state of b's
-orbit finds it. ``CacheStats.states`` counts the states solved. Moves and
-strategies are still derived from the concrete states.
+(``graphs.interchangeable_blocks``, a subgroup H of Aut(G)), read from
+per-class key tables that the solver fills as it meets each class pattern;
+when a state b is solved, its value is stored under the key of r(b) for one
+automorphism r per coset H·r (``graphs.block_coset_automorphisms``), so
+every state of b's orbit finds it. ``CacheStats.states`` counts the states
+solved. One token is spent per stabiliser orbit of the state, as far as its
+known stabiliser elements show (swaps of blocks with equal patterns, and the
+coset automorphisms that fix it): a vertex that one of them maps to a lower
+vertex is skipped, since its next state is an automorphic image of the lower
+vertex's. Strategies are derived from the concrete states and spend the
+lowest vertex that reaches the value, which is always kept.
 
-One traversal answers every level q: tokens alone reach each closed superset
-of the start and every token move is expanded, so every level solves the same
-states, and the memo holds one tuple of values per state. ``zq_number`` solves
-one level, ``zq_levels`` many; every level from ``zq_saturation`` on is Z(G).
+One traversal answers every level q: tokens alone reach a member of every
+orbit of closed supersets of the start, and the pruning does not depend on
+q, so every level solves the same states, and the memo holds one tuple of
+values per state. ``zq_number`` solves one level, ``zq_levels`` many; every
+level from ``zq_saturation`` on is Z(G).
 
 Rule-3 families are enumerated at size exactly q+1: the responses to any
 (q+1)-subfamily are a subset of the responses to the whole family, so
@@ -58,6 +65,7 @@ from .graphs import (
     canonical_key,
     ccr_closure,
     interchangeable_blocks,
+    mask_of,
     uncoloured_components,
 )
 
@@ -109,6 +117,20 @@ def rule3_closure(g: Graph, b: int, returned: Sequence[int]) -> int:
             raise ValueError(f"mask {r:#x} is not an uncoloured component")
         union |= r
     return ccr_closure(g, b, b | union)
+
+
+def _swap_lowered(blocks: BlockClass, part: int) -> int:
+    """The vertices of ``blocks`` that a swap of two blocks with the same
+    pattern on ``part`` maps to a lower vertex: every vertex but the lowest
+    at each position of each set of blocks with one pattern."""
+    same: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for blk in blocks:
+        same.setdefault(tuple(part >> w & 1 for w in blk), []).append(blk)
+    out = 0
+    for group in same.values():
+        for column in zip(*group):
+            out |= mask_of(column) & ~(1 << min(column))
+    return out
 
 
 def _families(
@@ -208,31 +230,95 @@ class _Solver:
         self.g = g
         self.levels = tuple(levels)
         self.full = g.full_mask
-        self.classes = interchangeable_blocks(g)
+        classes = interchangeable_blocks(g)
+        # Per class: its vertices, its blocks, and two tables from the class's
+        # bits of a state, filled on first sight: to their canonical form
+        # (``canonical_key`` on the class alone) and to the vertices that a
+        # swap of two blocks with the same pattern maps to a lower vertex.
+        self.classes = [
+            (mask_of(w for blk in blocks for w in blk), blocks, {}, {}) for blocks in classes
+        ]
+        self.outside = self.full & ~sum(m for m, *_ in self.classes)
         # Lane i of images[v] is v's image bit under the i-th coset
         # automorphism after the identity (which comes first), in the
         # narrowest array item that holds n bits: OR-ing images[v] over the
         # vertices of b packs every r(b) at once.
-        others = block_coset_automorphisms(g, self.classes)[1:]
+        others = block_coset_automorphisms(g, classes)[1:]
         self.lane = next(t for t in "BHIQ" if 8 * array(t).itemsize >= g.n)
-        self.orbit_bytes = len(others) * array(self.lane).itemsize
+        self.width = array(self.lane).itemsize
+        self.orbit_bytes = len(others) * self.width
         self.images = [
             int.from_bytes(array(self.lane, [1 << r[v] for r in others]), sys.byteorder)
             for v in range(g.n)
         ]
+        # the vertices that each of those automorphisms maps to a lower vertex
+        self.lowered = [mask_of(v for v in range(g.n) if r[v] < v) for r in others]
         self.memo: dict[int, tuple[int, ...]] = {}
         self.solved = 0
         self.hits = 0
 
-    def tokens(self, b: int) -> Iterator[tuple[int, int]]:
-        """Rule-1 moves from ``b``: (vertex, closed next state), one per
-        distinct next state, lowest vertex first."""
+    def key(self, b: int) -> int:
+        """``canonical_key(classes, b)``, by one table lookup per class."""
+        k = b & self.outside
+        for mask, blocks, keys, _ in self.classes:
+            part = b & mask
+            got = keys.get(part)
+            if got is None:
+                got = keys[part] = canonical_key((blocks,), part)
+            k |= got
+        return k
+
+    def orbit(self, b: int) -> bytes:
+        """r(b) for every coset automorphism r after the identity, packed
+        one lane each."""
+        if not self.orbit_bytes:
+            return b""
+        packed = 0
+        images = self.images
+        for v in bits(b):
+            packed |= images[v]
+        return packed.to_bytes(self.orbit_bytes, sys.byteorder)
+
+    def tokens(self, b: int, orbit: bytes | None = None) -> Iterator[tuple[int, int]]:
+        """Rule-1 moves from ``b``: (vertex, closed next state), lowest
+        vertex first, one per distinct next state and one per stabiliser
+        orbit as far as the known elements of Stab(b) show. ``orbit`` is
+        ``self.orbit(b)``.
+
+        A vertex is skipped when a swap of two blocks with the same pattern
+        on ``b``, or a coset automorphism r with r(b) = b, maps it to a
+        lower vertex u: its next state is the image of u's, so both have one
+        value. Following lower images ends at a vertex that is kept, and the
+        lowest vertex that reaches a value is kept, so strategies do not
+        change. The skipped vertices do not depend on q, so every level
+        still solves the same states.
+        """
         g = self.g
         adj = g.adj
         full = self.full
+        skip = 0
+        for mask, blocks, _, lower in self.classes:
+            part = b & mask
+            got = lower.get(part)
+            if got is None:
+                got = lower[part] = _swap_lowered(blocks, part)
+            skip |= got
+        if orbit is None:
+            orbit = self.orbit(b)
+        if orbit:
+            # the lanes equal to b, by a byte search kept to lane boundaries
+            width = self.width
+            lowered = self.lowered
+            target = b.to_bytes(width, sys.byteorder)
+            at = orbit.find(target)
+            while at >= 0:
+                lane, off = divmod(at, width)
+                if not off:
+                    skip |= lowered[lane]
+                at = orbit.find(target, (lane + 1) * width)
         seen = set()
         # ``b`` is closed, so only ``v`` and its coloured neighbours can force
-        for v in bits(full & ~b):
+        for v in bits(full & ~b & ~skip):
             nb = ccr_closure(g, b | (1 << v), full, (1 << v) | (adj[v] & b))
             if nb not in seen:
                 seen.add(nb)
@@ -241,21 +327,23 @@ class _Solver:
     def value(self, b: int) -> tuple[int, ...]:
         """Game values of the CCR-closed state ``b``, one per level.
 
-        The memo is keyed on ``canonical_key(classes, b)``, one key per orbit
-        of the block group H, and a solved state is stored under the key of
-        r(b) for every coset automorphism r too: each automorphism of G is h·r
-        with h in H, so every state of b's Aut(G)-orbit hits."""
+        The memo is keyed on ``self.key(b)``, one key per orbit of the block
+        group H, and a solved state is stored under the key of r(b) for every
+        coset automorphism r too: each automorphism of G is h·r with h in H,
+        so every state of b's Aut(G)-orbit hits."""
         if b == self.full:
             return (0,) * len(self.levels)
         memo = self.memo
-        classes = self.classes
-        key = canonical_key(classes, b)
+        key = self.key(b)
         cached = memo.get(key)
         if cached is not None:
             self.hits += 1
             return cached
+        orbit = self.orbit(b)
         # b is not full, so it has a token move
-        best = [min(vals) + 1 for vals in zip(*[self.value(nb) for _, nb in self.tokens(b)])]
+        best = [
+            min(vals) + 1 for vals in zip(*[self.value(nb) for _, nb in self.tokens(b, orbit)])
+        ]
         families = _families(self.g, b)
         # At each level, a family is abandoned as soon as one response forces
         # nothing (dominated) or the oracle's partial max already reaches
@@ -273,15 +361,9 @@ class _Solver:
                     best[i] = worst
         values = memo[key] = tuple(best)
         self.solved += 1
-        if self.orbit_bytes:  # some coset automorphism besides the identity
-            images = self.images
-            packed = 0
-            for v in bits(b):
-                packed |= images[v]
-            orbit = array(self.lane, packed.to_bytes(self.orbit_bytes, sys.byteorder))
-            if classes:
-                orbit = [canonical_key(classes, c) for c in orbit]
-            memo.update(dict.fromkeys(orbit, values))
+        if orbit:  # some coset automorphism besides the identity
+            lanes = array(self.lane, orbit)
+            memo.update(dict.fromkeys(map(self.key, lanes) if self.classes else lanes, values))
         return values
 
     # -- strategy extraction (re-derives optimal moves from memoised values) --
@@ -327,11 +409,14 @@ def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
 
     One colouring is solved per orbit of Aut(G): the memo is keyed on the
     canonical form under permutations of interchangeable vertex blocks
-    (twins, book pages, the columns of ``K_{n,m} x K_2``), and each value is
-    also stored under the images of the colouring by one automorphism per
-    coset of the block group, so ``cache_stats.states`` counts the
-    colourings solved. A graph whose only symmetries are block permutations
-    gets the identity alone.
+    (twins, book pages, the columns of ``K_{n,m} x K_2``), read from
+    per-class key tables, and each value is also stored under the images of
+    the colouring by one automorphism per coset of the block group, so
+    ``cache_stats.states`` counts the colourings solved. A graph whose only
+    symmetries are block permutations gets the identity alone. One token is
+    spent per stabiliser orbit of each colouring, as far as block swaps and
+    the coset automorphisms that fix it show, so ``cache_stats.hits`` does
+    not count the symmetric duplicates those skip.
 
     Rule-3 families are offered at size exactly q+1, which gives the same
     value as every size >= q+1 because a (q+1)-subfamily's responses are a

@@ -370,47 +370,60 @@ def block_orbit_subsets(g: Graph, classes: Sequence[BlockClass], k: int) -> Iter
     These are the sets whose block patterns ascend in block order within
     every class, together with any choice of the vertices outside every
     class. Sets are built lazily, so a caller that stops early pays only
-    for what it took.
+    for what it took. The generators recurse through module-level functions,
+    not closures, so a call leaves no reference cycle behind.
     """
     inside = mask_of(w for blocks in classes for blk in blocks for w in blk)
     free = [1 << v for v in bits(g.full_mask & ~inside)]
     sizes = [len(blocks) * len(blocks[0]) for blocks in classes]
     # spare[c]: the vertices of classes c.. and outside every class
     spare = [sum(sizes[c:]) + len(free) for c in range(len(classes) + 1)]
+    return _orbit_sets(classes, sizes, spare, free, 0, k)
 
-    def ascending(blocks: BlockClass, x: int) -> Iterator[int]:
-        # A block may span a whole component, so only the nonzero patterns of
-        # at most x bits are listed, ascending. most[i] is the widest among
-        # pats[:i + 1]: blocks 0..j-1 can take up to j * most[i] more.
-        width = len(blocks[0])
-        pats = sorted(
-            mask_of(c) for j in range(1, min(x, width) + 1) for c in combinations(range(width), j)
-        )
-        most = list(accumulate((p.bit_count() for p in pats), max))
 
-        def down(j: int, top: int, w: int) -> Iterator[int]:  # blocks j, j-1, ..., 0
-            if not w:
-                yield 0
-                return
-            for i in range(top):
-                c = pats[i].bit_count()
-                if c <= w <= c + j * most[i]:
-                    head = mask_of(blocks[j][t] for t in bits(pats[i]))
-                    for tail in down(j - 1, i + 1, w - c):
-                        yield head | tail
+def _orbit_sets(
+    classes: Sequence[BlockClass], sizes: list[int], spare: list[int], free: list[int],
+    c: int, w: int,
+) -> Iterator[int]:
+    """The sets of :func:`block_orbit_subsets` with w vertices from classes
+    c.. and outside every class."""
+    if c == len(classes):
+        yield from map(sum, combinations(free, w))
+        return
+    for x in range(max(0, w - spare[c + 1]), min(w, sizes[c]) + 1):
+        for m in _ascending(classes[c], x):
+            for r in _orbit_sets(classes, sizes, spare, free, c + 1, w - x):
+                yield m | r
 
-        return down(len(blocks) - 1, len(pats), x)
 
-    def rest(c: int, w: int) -> Iterator[int]:  # w vertices from classes c.. and outside
-        if c == len(classes):
-            yield from map(sum, combinations(free, w))
-            return
-        for x in range(max(0, w - spare[c + 1]), min(w, sizes[c]) + 1):
-            for m in ascending(classes[c], x):
-                for r in rest(c + 1, w - x):
-                    yield m | r
+def _ascending(blocks: BlockClass, x: int) -> Iterator[int]:
+    """The sets of x vertices of ``blocks`` whose block patterns ascend in
+    block order."""
+    # A block may span a whole component, so only the nonzero patterns of
+    # at most x bits are listed, ascending. most[i] is the widest among
+    # pats[:i + 1]: blocks 0..j-1 can take up to j * most[i] more.
+    width = len(blocks[0])
+    pats = sorted(
+        mask_of(c) for j in range(1, min(x, width) + 1) for c in combinations(range(width), j)
+    )
+    most = list(accumulate((p.bit_count() for p in pats), max))
+    return _descending(blocks, pats, most, len(blocks) - 1, len(pats), x)
 
-    return rest(0, k)
+
+def _descending(
+    blocks: BlockClass, pats: list[int], most: list[int], j: int, top: int, w: int
+) -> Iterator[int]:
+    """w vertices of blocks j, j-1, ..., 0, each block's pattern one of
+    ``pats[:top]`` and no later than the pattern of the block after it."""
+    if not w:
+        yield 0
+        return
+    for i in range(top):
+        c = pats[i].bit_count()
+        if c <= w <= c + j * most[i]:
+            head = mask_of(blocks[j][t] for t in bits(pats[i]))
+            for tail in _descending(blocks, pats, most, j - 1, i + 1, w - c):
+                yield head | tail
 
 
 def block_coset_automorphisms(

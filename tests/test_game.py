@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zqforce import game
-from zqforce.families import book, complete_multipartite, cycle, prism
+from zqforce.families import bipartite_prism, book, complete_multipartite, cycle, kneser2, prism
 from zqforce.game import (
     CacheStats,
     InfeasibleError,
@@ -573,10 +573,132 @@ def test_cache_stats_populated():
     # states counts the states solved, one per Aut(G)-orbit reached: Petersen
     # has no interchangeable blocks, and its 120 automorphisms leave 14
     res = zq_number(petersen(), 1, build_strategy=False)
-    assert res.cache_stats == CacheStats(14, 59)
+    assert res.cache_stats == CacheStats(14, 19)
     assert res.strategy is None
     # with strategy extraction, whose memo lookups count as hits too; the
     # orbits are those of twins and pages, and of the parts of K_{3,3,3} and
     # the two copies of the star in the book
-    assert zq_number(complete_multipartite(3, 3), 1).cache_stats == CacheStats(16, 81)
-    assert zq_number(book(5), 1).cache_stats == CacheStats(22, 135)
+    assert zq_number(complete_multipartite(3, 3), 1).cache_stats == CacheStats(16, 29)
+    assert zq_number(book(5), 1).cache_stats == CacheStats(22, 79)
+
+
+@pytest.mark.parametrize(
+    "g, stats",
+    [
+        # with every token expanded, the hits were 4,594, 494 and 720
+        (bipartite_prism(4, 5), CacheStats(497, 2206)),
+        (complete_multipartite(4, 4), CacheStats(65, 86)),
+        (kneser2(6), CacheStats(107, 298)),
+    ],
+    ids=["bipartite_prism-4-5", "complete_multipartite-4-4", "kneser2-6"],
+)
+def test_cache_stats_of_headline_solves(g, stats):
+    # orbit-pruned tokens reach the same orbits, so the states solved do not
+    # change; the hits drop with the tokens no longer spent
+    assert zq_number(g, 1, build_strategy=False).cache_stats == stats
+
+
+# ---------------------------------------------------------------------------
+# Orbit-pruned tokens
+# ---------------------------------------------------------------------------
+
+
+def _orbit_numbers(g, states):
+    """A number per Aut(G)-orbit for each state. Two states share an orbit
+    exactly when their vertex-coloured graphs are isomorphic, which networkx
+    decides, after a Weisfeiler-Lehman hash has sorted them into buckets."""
+    import networkx as nx
+
+    same = lambda x, y: x["coloured"] == y["coloured"]  # noqa: E731
+    buckets: dict[str, list] = {}
+    numbers = {}
+    orbits = 0
+    for state in states:
+        h = nx.Graph()
+        h.add_nodes_from((v, {"coloured": v in state}) for v in range(g.n))
+        h.add_edges_from(g.edges())
+        bucket = buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h, node_attr="coloured"), [])
+        number = next((k for rep, k in bucket if nx.is_isomorphic(h, rep, node_match=same)), None)
+        if number is None:
+            number = orbits
+            orbits += 1
+            bucket.append((h, number))
+        numbers[state] = number
+    return numbers
+
+
+def _check_pruned_tokens_reach_every_orbit(g):
+    """At every closed state, the next states of the pruned tokens meet the
+    same Aut(G)-orbits as those of every uncoloured vertex."""
+    everything = set(range(g.n))
+    closed = sorted({frozenset(naive_ccr_closure(g, vset(b))) for b in range(1 << g.n)}, key=sorted)
+    orbit = _orbit_numbers(g, closed)
+    solver = _Solver(g, (0,))
+    for coloured in closed:
+        pruned = set()
+        for v, nb in solver.tokens(mask(coloured)):
+            nxt = frozenset(naive_ccr_closure(g, coloured | {v}))
+            assert nb == mask(nxt)
+            pruned.add(orbit[nxt])
+        every = {orbit[frozenset(naive_ccr_closure(g, coloured | {v}))] for v in everything - coloured}
+        assert pruned == every, (g.edges(), sorted(coloured))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [petersen(), prism(4), complete_multipartite(3, 3), book(4), bipartite_prism(3, 3)],
+    ids=["petersen", "prism-4", "complete_multipartite-3-3", "book-4", "bipartite_prism-3-3"],
+)
+def test_pruned_tokens_reach_every_orbit(g):
+    perm = list(range(g.n))
+    Random(g.n).shuffle(perm)
+    _check_pruned_tokens_reach_every_orbit(relabel(g, perm))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(_relabelled_graphs(max_n=7))
+def test_pruned_tokens_reach_every_orbit_sampled(graphs):
+    for g in graphs:
+        _check_pruned_tokens_reach_every_orbit(g)
+
+
+@pytest.mark.parametrize(
+    "g", [petersen(), kneser2(6), prism(8)], ids=["petersen", "kneser2-6", "prism-8"]
+)
+def test_vertex_transitive_start_spends_one_token(g):
+    solver = _Solver(g, (1,))
+    assert [v for v, _ in solver.tokens(ccr_closure(g, 0))] == [0]
+
+
+def _check_strategy_contract(g, moves, coloured, value):
+    """Each token spend is the lowest uncoloured vertex v with
+    1 + value(closure(b + v)) = value(b), and an oracle move comes only where
+    no token reaches the value; every branch ends fully coloured."""
+    everything = set(range(g.n))
+    while moves:
+        want = value(coloured)
+        reach = [v for v in sorted(everything - coloured) if 1 + value(coloured | {v}) == want]
+        move = moves[0]
+        if isinstance(move, TokenSpend):
+            assert reach and move.vertex == reach[0], (g.edges(), coloured)
+            coloured = naive_ccr_closure(g, coloured | {move.vertex})
+            moves = moves[1:]
+        else:
+            assert not reach, (g.edges(), coloured)
+            for resp, cont in move.responses.items():
+                inside = coloured.union(*map(vset, resp))
+                nxt = naive_ccr_closure(g, naive_induced_ccr(g, coloured, inside))
+                _check_strategy_contract(g, cont, nxt, value)
+            return
+    assert coloured == everything
+
+
+def test_strategy_spends_the_lowest_token_that_reaches_the_value():
+    # the contract that keeps the CLI's strategy bytes stable, with values
+    # from the set-based reference
+    for n in range(1, 7):
+        for g in all_graphs_up_to_iso(n):
+            for q in (0, 1):
+                value = naive_game(g, q)
+                start = naive_ccr_closure(g, set())
+                _check_strategy_contract(g, zq_number(g, q).strategy, start, value)

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from itertools import combinations
 from math import comb, factorial, prod
@@ -289,6 +290,21 @@ def test_block_orbit_subsets_are_the_canonical_sets():
                 assert len(set(got)) == len(got)
                 assert all(canonical_key(classes, b) == b for b in got)
                 assert sum(_block_orbit_size(classes, b) for b in got) == comb(g.n, k)
+
+
+def test_block_orbit_subsets_leave_no_reference_cycle():
+    # recursive nested generators would reference themselves through their
+    # closure cells, leaving garbage for the cycle collector on every call
+    for g in (complete_multipartite(4, 4), book(5)):
+        classes = interchangeable_blocks(g)
+        gc.collect()
+        gc.disable()
+        try:
+            for k in range(g.n + 1):
+                list(block_orbit_subsets(g, classes, k))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _nx_automorphisms_enumerated(g):

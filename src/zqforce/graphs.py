@@ -433,24 +433,40 @@ def block_coset_automorphisms(
     ``classes`` in Aut(G), the identity first; a map is the tuple of vertex
     images.
 
-    Backtracks over the vertices in breadth-first order, v itself tried
-    first as v's image. An unused w may be v's image only if w's neighbours
-    among the images so far are the images of v's earlier neighbours, so a
-    complete map keeps every adjacency and every non-adjacency: it is an
-    automorphism by construction.
-    Number the blocks of each class in the order in which the vertex order
-    first reaches them; a partial map that first maps onto block j of a
-    class before blocks 0..j-1 of that class is pruned. The members h·r of
-    one coset map onto the blocks of each class in orders that differ by
-    h's permutation of the blocks, and every vertex is mapped, so exactly
-    one member of each coset survives; in H itself that is the identity.
-    As every automorphism of G is some h·r,
+    The maps are the leaves of a backtrack over the vertices in
+    breadth-first order (:func:`_coset_images`): a partial map keeps every
+    adjacency and non-adjacency among the vertices mapped so far, so a leaf
+    is an automorphism, and it first maps onto the blocks of each class in
+    rank order, the order in which the vertex order itself first reaches
+    them. The members h·r of one coset map onto the blocks of each class in
+    orders that differ by h's permutation of the blocks, so exactly one
+    member of each coset is a leaf, its canonical member; in H that is the
+    identity. As every automorphism of G is some h·r,
     ``canonical_key(classes, r(b))`` over the returned r takes the key of
     every state in the Aut(G)-orbit of b.
+
+    The leaves are built level by level, as in Schreier and Sims. P_k, the
+    leaves that fix the first k vertices of the order, is P_{k+1} and, for
+    each image w != v of the k-th vertex v that the backtrack accepts after
+    the identity on the first k, the leaves L_w that map v to w; P_n is the
+    identity and P_0 the answer. Let a be the first leaf of L_w. If a
+    carries the blocks of each class onto the blocks of one class, position
+    for position, it normalises H (a∘H∘a⁻¹ = H), and L_w is
+    {a∘x : x in P_{k+1}}, where (a∘x)(u) = a(x(u)):
+    - a∘x is a leaf: it is an automorphism that agrees with a on the first
+      k + 1 vertices, and it reaches the blocks of each class in rank
+      order, because x reaches them in rank order and a maps them onto
+      blocks in the order in which it maps the identity's, which is rank
+      order since a is a leaf;
+    - every r in L_w is one: y = a⁻¹∘r fixes the first k + 1 vertices, and
+      the h in H that makes h∘y a leaf moves only blocks they do not reach,
+      so x = h∘y is in P_{k+1}. Then r = (a∘h⁻¹∘a⁻¹)∘(a∘x) is in the coset
+      H·(a∘x), and a coset has one leaf, so r = a∘x.
+    Otherwise L_w is searched in full. So a map costs about one composition
+    rather than one descent of the backtrack.
     """
     n = g.n
     adj = g.adj
-    full = g.full_mask
     order: list[int] = []
     seen = i = 0
     for root in range(n):
@@ -468,50 +484,97 @@ def block_coset_automorphisms(
     for v in order:
         earlier.append(vertices_of(adj[v] & placed))
         placed |= 1 << v
-    # each vertex's class, its block as a mask, and the block's number: the
-    # identity maps onto the blocks of a class in the order 1, 2, ...
+    # Rank the blocks of each class in the order in which the vertex order
+    # first reaches them. The blocks a partial map reaches have ranks 1, 2,
+    # ..., so it may reach a block of rank j > 1 only once the block of rank
+    # j - 1 is reached: gate[w] is w's block and that one.
+    block_class = {blk: c for c, blocks in enumerate(classes) for blk in blocks}
     cls = [-1] * n
     block = [0] * n
-    rank = [0] * n
-    for c, blocks in enumerate(classes):
-        for blk in blocks:
-            for w in blk:
-                cls[w], block[w] = c, mask_of(blk)
-    ranked = [0] * len(classes)
+    for blk, c in block_class.items():
+        for w in blk:
+            cls[w], block[w] = c, mask_of(blk)
+    gate = [0] * n
+    last = [0] * len(classes)  # the block of each class ranked last so far
+    reached = 0
     for v in order:
         c = cls[v]
-        if c >= 0 and not rank[v]:
-            ranked[c] += 1
-            for w in bits(block[v]):
-                rank[w] = ranked[c]
-    image = [0] * n
-    touched = [0] * len(classes)  # blocks of each class the partial map reaches
-    out: list[tuple[int, ...]] = []
-
-    def extend(k: int, used: int) -> None:
-        if k == n:
-            out.append(tuple(image))
-            return
+        if c >= 0 and not block[v] & reached:
+            if last[c]:
+                for w in bits(block[v]):
+                    gate[w] = block[v] | last[c]
+            last[c] = block[v]
+            reached |= block[v]
+    search = (adj, order, earlier, gate)
+    maps = [tuple(range(n))]
+    for k in range(n - 1, -1, -1):
         v = order[k]
-        want = 0  # the images of v's earlier neighbours
-        for u in earlier[k]:
-            want |= 1 << image[u]
-        # only a neighbour of one of them can pass the test below
-        pool = (adj[image[earlier[k][0]]] if earlier[k] else full) & ~used
-        for w in ([v] if pool >> v & 1 else []) + vertices_of(pool & ~(1 << v)):
-            if adj[w] & used != want:
+        image = list(range(n))
+        used = mask_of(order[:k])
+        new: list[tuple[int, ...]] = []
+        for w in _coset_images(search, k, image, used):
+            if w == v:
                 continue
-            c = cls[w]
-            first = c >= 0 and not block[w] & used
-            if first:
-                if rank[w] != touched[c] + 1:
-                    continue
-                touched[c] += 1
             image[v] = w
-            extend(k + 1, used | 1 << w)
-            if first:
-                touched[c] -= 1
+            leaves = _coset_leaves(search, k + 1, image, used | 1 << w)
+            a = next(leaves, None)
+            if a is None:
+                continue
+            if _permutes_blocks(a, block_class):
+                # tuple() of a list allocates at the final size; of an
+                # iterator it over-allocates and shrinks, which kept the
+                # process's resident memory higher after the search
+                new += [tuple([a[u] for u in x]) for x in maps]
+            else:
+                new.append(a)
+                new += leaves
+        maps += new
+    return maps
 
-    extend(0, 0)
-    del extend  # a recursive closure is a reference cycle: free ``out`` with the caller
-    return out
+
+def _coset_images(
+    search: tuple, k: int, image: list[int], used: int
+) -> list[int]:
+    """The images that :func:`block_coset_automorphisms`' backtrack accepts
+    for the k-th vertex v of the order after ``image`` on the first k
+    (``used`` the mask of their images), v first and then ascending: an
+    unused w whose neighbours among the images so far are the images of
+    v's earlier neighbours, and that reaches a new block only at the next
+    rank."""
+    adj, order, earlier, gate = search
+    v = order[k]
+    want = 0  # the images of v's earlier neighbours
+    for u in earlier[k]:
+        want |= 1 << image[u]
+    # only a neighbour of one of them can pass the test below
+    pool = (adj[image[earlier[k][0]]] if earlier[k] else (1 << len(order)) - 1) & ~used
+    tried = ([v] if pool >> v & 1 else []) + vertices_of(pool & ~(1 << v))
+    return [w for w in tried if adj[w] & used == want and (not gate[w] or gate[w] & used)]
+
+
+def _coset_leaves(
+    search: tuple, k: int, image: list[int], used: int
+) -> Iterator[tuple[int, ...]]:
+    """The leaves of :func:`block_coset_automorphisms`' backtrack that
+    extend ``image`` on the first k vertices of the order, in search order.
+    ``image`` is overwritten past them. A module-level generator, not a
+    closure, so no reference cycle outlives the search."""
+    if k == len(search[1]):
+        yield tuple(image)
+        return
+    v = search[1][k]
+    for w in _coset_images(search, k, image, used):
+        image[v] = w
+        yield from _coset_leaves(search, k + 1, image, used | 1 << w)
+
+
+def _permutes_blocks(a: tuple[int, ...], block_class: dict[tuple[int, ...], int]) -> bool:
+    """Does the map ``a`` carry the blocks of each class onto the blocks of
+    one class, position for position? ``block_class`` maps each block to
+    its class."""
+    to: dict[int, int] = {}
+    for blk, c in block_class.items():
+        d = block_class.get(tuple([a[w] for w in blk]))
+        if d is None or to.setdefault(c, d) != d:
+            return False
+    return True

@@ -377,6 +377,9 @@ def _check_block_cosets(g, expected):
     assert maps[0] == tuple(range(g.n))
     for r in maps:
         assert sorted(r) == list(range(g.n))
+    # every map is tested to be an automorphism, or past 8,000 maps (the
+    # 40,320 of kneser2(8)) every k-th, the fewest k that test at most 8,000
+    for r in maps[:: -(-len(maps) // 8000)]:
         for v in range(g.n):
             assert adj[r[v]] == {r[w] for w in adj[v]}, (g.edges(), r)
     assert len({_coset_of(classes, r) for r in maps}) == len(maps), g.edges()
@@ -407,15 +410,47 @@ def test_block_coset_automorphisms_small_graphs():
         # too large for VF2 to count: Aut is S_6 wr S_6 and S_7
         (complete_multipartite(6, 6), 720, lambda g: factorial(6) ** 7),
         (kneser2(7), 5040, lambda g: factorial(7)),
+        (kneser2(8), 40320, lambda g: factorial(8)),
     ],
     ids=["kneser2-6", "prism-8", "petersen", "complete_multipartite-4-4",
-         "bipartite_prism-4-5", "book-8", "complete_multipartite-6-6", "kneser2-7"],
+         "bipartite_prism-4-5", "book-8", "complete_multipartite-6-6", "kneser2-7",
+         "kneser2-8"],
 )
 def test_block_coset_automorphisms_paper_families(g, cosets, expected):
     assert _check_block_cosets(g, expected) == cosets
     perm = list(range(g.n))
     Random(g.n).shuffle(perm)
     assert _check_block_cosets(relabel(g, perm), expected) == cosets
+
+
+def test_block_coset_automorphisms_non_normal_block_group():
+    # The 5-cycle 0-3-2-1-4-0 has the blocks (0, 3) and (1, 2): their swap is
+    # the reflection that fixes 4. A rotation does not normalise the group
+    # of that one swap, so the maps that move vertex 0 cannot all be built
+    # from the first one; the same holds for the 6-cycle 0-4-2-3-1-5-0 and
+    # its blocks (0, 4) and (1, 3).
+    for n, edges, blocks, cosets in [
+        (5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)], ((0, 3), (1, 2)), 5),
+        (6, [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)], ((0, 4), (1, 3)), 6),
+    ]:
+        g = build_graph(n, edges)
+        assert interchangeable_blocks(g) == [blocks]
+        assert _check_block_cosets(g, _nx_automorphisms_enumerated) == cosets
+
+
+def test_block_coset_automorphisms_leave_no_reference_cycle():
+    # a recursive nested search function would reference itself through its
+    # closure cell, leaving garbage for the cycle collector on every call
+    cycle = build_graph(5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)])
+    for g in (complete_multipartite(4, 4), kneser2(6), cycle):
+        classes = interchangeable_blocks(g)
+        gc.collect()
+        gc.disable()
+        try:
+            block_coset_automorphisms(g, classes)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_orbit_count_matches_enumeration():

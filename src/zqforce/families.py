@@ -351,8 +351,11 @@ def reproduce_report(max_n: int, jobs: int = 1) -> list[ReportRow]:
     Known rows get PASS/FAIL, conjecture rows AGREE/DIFFER, entries too large
     for an exact solve SKIP. Each range claim is sampled at its first
     ``PROBE_LEVELS`` levels; each family is solved once, at every level its
-    rows check, and ``jobs`` processes share the families.
+    rows check, and at most ``jobs`` processes, one per family, share the
+    families.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     checks = [
         (kv, spec, q)
         for kv in known_values(max_n=max_n)
@@ -361,6 +364,7 @@ def reproduce_report(max_n: int, jobs: int = 1) -> list[ReportRow]:
     levels: dict[FamilySpec, list[int | None]] = {}
     for _, spec, q in checks:
         levels.setdefault(spec, []).append(q)
+    jobs = min(jobs, len(levels))
     if jobs > 1:
         from multiprocessing import Pool
 

@@ -11,7 +11,9 @@ matrices with exactly q negative eigenvalues coincide:
 and at q = s this equals the classical Z(G) = n - 2T + s_1 + 2 s_0 = n - s - p.
 :func:`certificate_matrix` builds an explicit symmetric integer matrix
 witnessing the lower bound at every 0 <= q <= s: supported exactly on the
-edges, exactly q negative eigenvalues, nullity equal to the formula.
+edges, exactly q negative eigenvalues, nullity equal to the formula. One
+recursion builds every q, one bordering step per peeled run; at q = 0 every
+step is the diagonal-1 bordering, which is the clique-cover Gram matrix.
 """
 
 from __future__ import annotations
@@ -124,8 +126,7 @@ def zq_formula(seq: CreationSequence, q: int) -> int:
     if q < 0:
         raise ValueError("q must be nonnegative")
     st = stats(seq)
-    take = min(q, seq.s)
-    return st.trace + sum(sorted(st.a, reverse=True)[:take])
+    return st.trace + _sum_largest(st.a, q)
 
 
 def z_classical(seq: CreationSequence) -> int:
@@ -159,11 +160,12 @@ def certificate_matrix(seq: CreationSequence, q: int) -> np.ndarray:
     """Symmetric integer matrix on the threshold graph with exactly q
     negative eigenvalues and nullity ``zq_formula(seq, q)``, for 0 <= q <= s.
 
-    q = 0 gives the clique-cover Gram matrix :func:`_psd_certificate`. Above
-    that, one recursion peels the sequence's tail, one peeling step at a
-    time, down to the star base ``(0^k, 1)`` or to q = 0. Rows/columns follow
-    the creation order, so the last vertex is always universal and always
-    carries a nonzero diagonal entry.
+    One recursion builds every q: it peels the sequence's tail down to the
+    star base ``(0^k, 1)``, and each step re-adds the peeled vertices with
+    one :func:`_border`. At q = 0 every step is the diagonal-1 bordering, which
+    builds the clique-cover Gram matrix. Rows/columns follow the creation
+    order, so the last vertex is always universal and always carries a
+    nonzero diagonal entry.
     """
     if not 0 <= q <= seq.s:
         raise ValueError(f"q must be in 0..{seq.s}, got {q}")
@@ -172,147 +174,68 @@ def certificate_matrix(seq: CreationSequence, q: int) -> np.ndarray:
 
 def _certificate(runs: tuple[tuple[int, int], ...], q: int) -> np.ndarray:
     s = len(runs)
-    if q == 0:
-        return _psd_certificate(runs)
     k1, t1 = runs[0]
     if s == 1 and t1 == 1:
-        return _star_base(k1)
+        # the star with its centre last: at q = 0 the Gram matrix of its k1
+        # edges (PSD, rank k1); at k1 = 1, [[-1, 1], [1, -1]] (eigenvalues -2,
+        # 0); else rank 2, and the minor [[0, 1], [1, c]] has one negative
+        if q == 0:
+            return _border(_EMPTY, k1, 1.0, 1.0, (), k1)
+        if k1 == 1:
+            return _border(_EMPTY, 1, -1.0, 1.0, (), -1.0)
+        return _border(_EMPTY, k1, 0.0, 1.0, (), k1 - 1)
     ks, ts = runs[-1]
     if ts >= 2:
-        child = runs[:-1] + ((ks, ts - 1),)
-        return _duplicate_universal(_certificate(child, q))
-    # last one-run is a single 1; decide whether a_s must be in the sum
+        # a copy of the universal row and column leaves the rank unchanged:
+        # negatives kept, nullity + 1
+        b = _certificate(runs[:-1] + ((ks, ts - 1),), q)
+        return _border(b, 0, 0.0, 0.0, b[-1], b[-1, -1])
+    # the last one-run is a single 1; decide whether a_s must be in the sum
     a = [max(k - 2, 0) for k, _ in runs]
-    with_last = _sum_largest(a[:-1], q - 1) + a[-1]
-    if q <= s - 1 and _sum_largest(a[:-1], q) >= with_last:
-        return _border_zero_run(_certificate(runs[:-1], q), ks)
-    child = _certificate(runs[:-1], q - 1)
+    if q == 0 or (
+        q < s and _sum_largest(a[:-1], q) >= _sum_largest(a[:-1], q - 1) + a[-1]
+    ):
+        # the new row minus the isolated rows is the old universal row, so
+        # this is congruent to b with that row copied, plus d*I_ks: negatives
+        # kept, nullity + 1; d = 2 only keeps the corner nonzero
+        b = _certificate(runs[:-1], q)
+        d = 1.0 if b[-1, -1] + ks != 0 else 2.0
+        return _border(b, ks, d, d, b[-1], b[-1, -1] + ks * d)
+    b = _certificate(runs[:-1], q - 1)
     if ks >= 2:
-        return _append_null_block(child, ks)
-    return _bridge_single_zero(child)
+        # congruent to b + [[0, 1], [1, 1]] + 0_(ks-1): one more negative,
+        # nullity + ks - 1
+        return _border(b, ks, 0.0, 1.0, 1.0, 1.0)
+    # on the old vertices the new row is t times the old universal row, so
+    # this is congruent to b + [[-1, 1], [1, -1]]: one more negative,
+    # nullity + 1; t only keeps the corner nonzero
+    bk = b[-1, -1]
+    t = next(t for t in (1.0, 2.0, 3.0) if t * t * bk - 1.0 != 0.0)
+    return _border(b, 1, -1.0, 1.0, t * b[-1], t * t * bk - 1.0)
+
+
+_EMPTY = np.zeros((0, 0))
+
+
+def _border(b: np.ndarray, ks: int, diagonal, border, row, corner) -> np.ndarray:
+    """Append ks isolated vertices and then one dominating vertex to ``b``.
+
+    Each isolated vertex gets ``diagonal`` and the entry ``border`` to the
+    dominating vertex, which gets ``row`` to the old vertices and ``corner``
+    on its diagonal.
+    """
+    nh = b.shape[0]
+    n = nh + ks + 1
+    out = np.zeros((n, n))
+    out[:nh, :nh] = b
+    out.ravel()[nh * (n + 1) : (n - 1) * (n + 1) : n + 1] = diagonal  # (j, j), nh <= j < n - 1
+    last = out[n - 1]  # written as a row, then mirrored into the last column
+    last[:nh] = row
+    last[nh:] = border
+    last[n - 1] = corner
+    out[:, n - 1] = last
+    return out
 
 
 def _sum_largest(values, m: int) -> int:
     return sum(sorted(values, reverse=True)[:m])
-
-
-def _psd_certificate(runs) -> np.ndarray:
-    """Clique-cover Gram matrix: PSD, edge support, nullity = trace.
-
-    Each isolated vertex together with all later dominating vertices is a
-    clique; these cliques cover every edge, one per isolated vertex, and the
-    indicator vectors are independent, so the rank is the number of zeros.
-    """
-    bits = "".join("0" * k + "1" * t for k, t in runs)
-    n = len(bits)
-    a = np.zeros((n, n))
-    for u, ch in enumerate(bits):
-        if ch == "0":
-            x = np.zeros(n)
-            x[u] = 1.0
-            for d in range(u + 1, n):
-                if bits[d] == "1":
-                    x[d] = 1.0
-            a += np.outer(x, x)
-    return a
-
-
-def _star_base(k1: int) -> np.ndarray:
-    # (0^(k1), 1): a star whose centre is the last vertex
-    n = k1 + 1
-    if k1 == 1:
-        return np.array([[-1.0, 1.0], [1.0, -1.0]])
-    a = np.zeros((n, n))
-    a[n - 1, n - 1] = n - 2
-    a[: n - 1, n - 1] = 1.0
-    a[n - 1, : n - 1] = 1.0
-    return a
-
-
-def _duplicate_universal(b: np.ndarray) -> np.ndarray:
-    """Append a dominating vertex by duplicating the universal row/column.
-
-    The rank is unchanged, so the nullity grows by one while the negative
-    count is preserved (the new matrix is congruent to the old one padded
-    with a zero row).
-    """
-    nh = b.shape[0]
-    out = np.zeros((nh + 1, nh + 1))
-    out[:nh, :nh] = b
-    out[nh, :nh] = b[nh - 1, :nh]
-    out[:nh, nh] = b[nh - 1, :nh]
-    out[nh, nh] = b[nh - 1, nh - 1]
-    return out
-
-
-def _border_zero_run(b: np.ndarray, ks: int) -> np.ndarray:
-    """Append ks isolated vertices plus a dominating vertex, carrying the
-    negative count unchanged.
-
-    The isolated block gets a positive diagonal ``a``; the dominating row
-    repeats the old universal row and closes with ``c = b_k + ks*a`` so the
-    new row is the sum of the old universal row and the isolated rows,
-    adding exactly ks to the rank.
-    """
-    nh = b.shape[0]
-    bk = b[nh - 1, nh - 1]
-    shift = 1.0 if bk + ks != 0 else 2.0
-    c = bk + ks * shift
-    n = nh + ks + 1
-    out = np.zeros((n, n))
-    out[:nh, :nh] = b
-    for j in range(nh, nh + ks):
-        out[j, j] = shift
-        out[j, n - 1] = shift
-        out[n - 1, j] = shift
-    out[n - 1, :nh] = b[nh - 1, :nh]
-    out[:nh, n - 1] = b[nh - 1, :nh]
-    out[n - 1, n - 1] = c
-    return out
-
-
-def _append_null_block(b1: np.ndarray, ks: int) -> np.ndarray:
-    """Append ks isolated vertices (zero diagonal) plus a dominating vertex,
-    raising the negative count by one.
-
-    The two new independent rows add exactly 2 to the rank, so the nullity
-    grows by ks - 1; interlacing against the block-diagonal minor pins the
-    extra nonzero eigenvalue to be negative.
-    """
-    nh = b1.shape[0]
-    n = nh + ks + 1
-    out = np.zeros((n, n))
-    out[:nh, :nh] = b1
-    out[nh:, n - 1] = 1.0
-    out[n - 1, nh:] = 1.0
-    out[:nh, n - 1] = 1.0
-    out[n - 1, :nh] = 1.0
-    out[n - 1, n - 1] = 1.0
-    return out
-
-
-def _bridge_single_zero(b1: np.ndarray) -> np.ndarray:
-    """Append one isolated vertex plus a dominating vertex, raising the
-    negative count by one and the nullity by one.
-
-    Unlike :func:`_append_null_block` (which gains nothing at ks = 1), the
-    dominating row is a multiple of the old universal column, which makes
-    the matrix congruent to diag(B1, [[-1, 1], [1, -1]]): one new negative,
-    one new null vector.
-    """
-    nh = b1.shape[0]
-    bk = b1[nh - 1, nh - 1]
-    for t in (1.0, 2.0, 3.0):
-        c = t * t * bk - 1.0
-        if c != 0.0:
-            break
-    n = nh + 2
-    out = np.zeros((n, n))
-    out[:nh, :nh] = b1
-    out[nh, nh] = -1.0
-    out[nh, n - 1] = 1.0
-    out[n - 1, nh] = 1.0
-    out[n - 1, :nh] = t * b1[:, nh - 1]
-    out[:nh, n - 1] = t * b1[:, nh - 1]
-    out[n - 1, n - 1] = c
-    return out

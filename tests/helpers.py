@@ -295,3 +295,23 @@ def exact_inertia(rows) -> tuple[int, int, int]:
         rest = [k for k in range(m) if k != i]
         a = [[a[r][c] - a[r][i] * a[i][c] / p for c in rest] for r in rest]
     return neg, n - neg - pos, pos
+
+
+def clique_cover_gram(bits: str) -> list[list[int]]:
+    """The PSD matrix of a threshold creation sequence, as a sum of outer
+    products of clique indicators.
+
+    Each isolated vertex (a 0) together with every later dominating vertex
+    (a 1) is a clique; these cliques cover every edge, and their indicator
+    vectors are independent, so the sum is PSD, supported on the edges, and
+    of rank the number of zeros.
+    """
+    n = len(bits)
+    gram = [[0] * n for _ in range(n)]
+    for u, ch in enumerate(bits):
+        if ch == "0":
+            clique = [u] + [d for d in range(u + 1, n) if bits[d] == "1"]
+            for i in clique:
+                for j in clique:
+                    gram[i][j] += 1
+    return gram

@@ -486,6 +486,47 @@ def test_reproduce_jobs_identical_output(capsys):
     assert sequential == parallel
 
 
+def test_reproduce_jobs_below_one_is_a_usage_error(capsys, monkeypatch):
+    import multiprocessing
+
+    def no_pool(size):
+        raise AssertionError(f"Pool({size}) started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for jobs in ("0", "-3"):
+        err = run_cli(capsys, ["reproduce", "--max-n", "3", "--jobs", jobs], expect=2).err
+        assert "jobs" in err
+
+
+def test_reproduce_pool_has_at_most_one_worker_per_family(capsys, monkeypatch):
+    # a stand-in Pool that records its size and runs the tasks in process
+    import multiprocessing
+    from itertools import starmap
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, items):
+            return list(starmap(func, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    sequential = run_cli(capsys, ["reproduce", "--max-n", "3"]).out
+    assert sizes == []
+    pooled = run_cli(capsys, ["reproduce", "--max-n", "3", "--jobs", "64"]).out
+    assert pooled == sequential
+    family_count = len({line.split()[0] for line in sequential.splitlines()})
+    assert family_count == 14 and sizes == [family_count]
+
+
 def test_probe_cli(capsys):
     out = run_cli(capsys, ["probe", "--name", "multipartite", "--n", "2", "--m", "3"]).out
     assert "agrees" in out

@@ -3,7 +3,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from helpers import exact_inertia
+from helpers import clique_cover_gram, exact_inertia
 from zqforce.game import zq_number
 from zqforce.spectral import in_Sq, inertia, nullity
 from zqforce.threshold import (
@@ -156,8 +156,6 @@ def test_certificate_universal_diagonal_nonzero():
 def test_certificate_exact_every_sequence_to_10():
     # one recursion builds every certificate, q = 0 included; checked with
     # exact rational inertia and the edge pattern read off the bits
-    from zqforce.threshold import _psd_certificate
-
     for n in range(2, 11):
         for s in iter_creation_sequences(n):
             bits = s.to_bits()
@@ -173,7 +171,7 @@ def test_certificate_exact_every_sequence_to_10():
                     for j in range(i + 1, n):
                         assert m[i, j] == m[j, i], where
                         assert (m[i, j] != 0) == (bits[j] == "1"), where
-            assert np.array_equal(certificate_matrix(s, 0), _psd_certificate(s.runs))
+            assert np.array_equal(certificate_matrix(s, 0), clique_cover_gram(bits))
 
 
 def test_exact_inertia_helper():
@@ -193,15 +191,36 @@ def test_exact_inertia_helper():
 
 
 def test_psd_gram_internal():
-    from zqforce.threshold import _psd_certificate
-
+    # the q = 0 recursion against the clique-cover Gram reference
     rng = Random(17)
     for _ in range(25):
         s = random_sequence(rng, rng.randrange(2, 11))
-        m = _psd_certificate(s.runs)
+        m = certificate_matrix(s, 0)
+        assert np.array_equal(m, clique_cover_gram(s.to_bits()))
         g = build_threshold_graph(s)
         assert in_Sq(m, g, 0)
         assert nullity(m) == s.trace
+
+
+def test_sum_largest_never_takes_a_negative_count(monkeypatch):
+    # a negative count would slice from the end: [:-1] drops the smallest a_j
+    from zqforce import threshold
+
+    counts = []
+    real = threshold._sum_largest
+
+    def recording(values, m):
+        counts.append(m)
+        return real(values, m)
+
+    monkeypatch.setattr(threshold, "_sum_largest", recording)
+    for n in range(2, 9):
+        for s in iter_creation_sequences(n):
+            for q in range(s.s + 2):
+                zq_formula(s, q)
+                if q <= s.s:
+                    certificate_matrix(s, q)
+    assert counts and min(counts) == 0
 
 
 def test_enumeration_counts():

@@ -15,7 +15,7 @@ from math import comb
 from random import Random
 from typing import Iterable, Sequence
 
-from .graphs import Graph, bits, build_graph, components_within
+from .graphs import MAX_VERTICES, Graph, bits, build_graph, components_within
 from .game import Z_SUBSET_BUDGET, InfeasibleError, z0_number, z_number, zq_levels, zq_saturation
 
 # ---------------------------------------------------------------------------
@@ -128,20 +128,21 @@ def bipartite_prism(n: int, m: int) -> Graph:
     return cartesian_product(complete_bipartite(n, m), complete(2))
 
 
+# name -> (parameter count, generator, vertex count)
 _FAMILIES = {
-    "path": (1, path),
-    "cycle": (1, cycle),
-    "complete": (1, complete),
-    "star": (1, star),
-    "complete_bipartite": (2, complete_bipartite),
-    "complete_multipartite": (2, complete_multipartite),
-    "kneser2": (1, kneser2),
-    "petersen": (0, petersen),
-    "book": (1, book),
-    "ladder": (1, ladder),
-    "prism": (1, prism),
-    "complete_prism": (1, complete_prism),
-    "bipartite_prism": (2, bipartite_prism),
+    "path": (1, path, lambda n: n),
+    "cycle": (1, cycle, lambda n: n),
+    "complete": (1, complete, lambda n: n),
+    "star": (1, star, lambda n: n + 1),
+    "complete_bipartite": (2, complete_bipartite, lambda n, m: n + m),
+    "complete_multipartite": (2, complete_multipartite, lambda n, parts: n * parts),
+    "kneser2": (1, kneser2, lambda n: comb(n, 2)),
+    "petersen": (0, petersen, lambda: 10),
+    "book": (1, book, lambda n: 2 * (n + 1)),
+    "ladder": (1, ladder, lambda n: 2 * n),
+    "prism": (1, prism, lambda n: 2 * n),
+    "complete_prism": (1, complete_prism, lambda n: 2 * n),
+    "bipartite_prism": (2, bipartite_prism, lambda n, m: 2 * (n + m)),
 }
 
 
@@ -194,7 +195,8 @@ def _kv(name, params, q_min, q_max, values, anchor, conjecture=False):
 
 
 def known_values(max_n: int = 8) -> list[KnownValue]:
-    """The registry, instantiated for family parameters up to ``max_n``."""
+    """The registry, instantiated for family parameters up to ``max_n``,
+    leaving out every instance on more than ``MAX_VERTICES`` vertices."""
     out: list[KnownValue] = []
     for n in range(1, max_n + 1):
         out.append(_kv("complete_prism", [n], 0, None, n, "Z_q(K_n x K_2) = n for every q"))
@@ -241,8 +243,6 @@ def known_values(max_n: int = 8) -> list[KnownValue]:
                            "Z_q(K(n,2)) = Z(K(n,2)) for q >= n-1, n >= 6"))
     for parts in range(3, max_n + 1):
         for n in range(2, max_n + 1):
-            if n * parts > 64:
-                continue
             out.append(_kv("complete_multipartite", [n, parts], 0, 0, n * (parts - 1),
                            "Z_0(K_{n,..,n}, l parts) = n(l-1) (n >= 2, l >= 3)"))
             out.append(_kv("complete_multipartite", [n, parts], None, None, n * parts - 2,
@@ -258,7 +258,7 @@ def known_values(max_n: int = 8) -> list[KnownValue]:
                            "Z_q(K_{n,m} x K_2) in {n+m-1, n+m} for q >= 1"))
             out.append(_kv("bipartite_prism", [n, m], 1, None, n + m,
                            "conjecture: Z_q(K_{n,m} x K_2) = n+m for q >= 1", conjecture=True))
-    return out
+    return [kv for kv in out if _FAMILIES[kv.family.name][2](*kv.family.params) <= MAX_VERTICES]
 
 
 def _claims(spec: FamilySpec, q: int | None) -> list[KnownValue]:
@@ -354,6 +354,8 @@ def reproduce_report(max_n: int, jobs: int = 1) -> list[ReportRow]:
     rows check, and at most ``jobs`` processes, one per family, share the
     families.
     """
+    if max_n < 0:
+        raise ValueError(f"max_n must be at least 0, got {max_n}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     checks = [

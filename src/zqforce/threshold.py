@@ -12,8 +12,9 @@ and at q = s this equals the classical Z(G) = n - 2T + s_1 + 2 s_0 = n - s - p.
 :func:`certificate_matrix` builds an explicit symmetric integer matrix
 witnessing the lower bound at every 0 <= q <= s: supported exactly on the
 edges, exactly q negative eigenvalues, nullity equal to the formula. One
-recursion builds every q, one bordering step per peeled run; at q = 0 every
-step is the diagonal-1 bordering, which is the clique-cover Gram matrix.
+loop fills it run by run in creation order, choosing up front the q runs
+that add a negative eigenvalue; at q = 0 every run is the d = 1/2 bordering,
+which is the clique-cover Gram matrix.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def zq_formula(seq: CreationSequence, q: int) -> int:
     if q < 0:
         raise ValueError("q must be nonnegative")
     st = stats(seq)
-    return st.trace + _sum_largest(st.a, q)
+    return st.trace + sum(sorted(st.a, reverse=True)[:q])
 
 
 def z_classical(seq: CreationSequence) -> int:
@@ -160,82 +161,57 @@ def certificate_matrix(seq: CreationSequence, q: int) -> np.ndarray:
     """Symmetric integer matrix on the threshold graph with exactly q
     negative eigenvalues and nullity ``zq_formula(seq, q)``, for 0 <= q <= s.
 
-    One recursion builds every q: it peels the sequence's tail down to the
-    star base ``(0^k, 1)``, and each step re-adds the peeled vertices with
-    one :func:`_border`. At q = 0 every step is the diagonal-1 bordering, which
-    builds the clique-cover Gram matrix. Rows/columns follow the creation
-    order, so the last vertex is always universal and always carries a
-    nonzero diagonal entry.
+    One loop fills a single n x n matrix run by run, in creation order. Each
+    run adds its t_j ones to the nullity, and the q runs with the largest
+    a_j, ties going to the earlier run, each add one negative eigenvalue and
+    a_j more. Read from the tail, this is the induction on the last run s: it
+    is among those q iff fewer than q earlier runs have a_j >= a_s, i.e. iff
+    a_s exceeds the q-th largest earlier a_j, and then the earlier runs hold
+    the other q - 1 (else all q). At q = 0 every run is the d = 1/2
+    bordering, which builds the clique-cover Gram matrix. Rows/columns follow
+    the creation order, so the last vertex is always universal and always
+    carries a nonzero diagonal entry.
     """
     if not 0 <= q <= seq.s:
         raise ValueError(f"q must be in 0..{seq.s}, got {q}")
-    return _certificate(seq.runs, q)
-
-
-def _certificate(runs: tuple[tuple[int, int], ...], q: int) -> np.ndarray:
-    s = len(runs)
-    k1, t1 = runs[0]
-    if s == 1 and t1 == 1:
-        # the star with its centre last: at q = 0 the Gram matrix of its k1
-        # edges (PSD, rank k1); at k1 = 1, [[-1, 1], [1, -1]] (eigenvalues -2,
-        # 0); else rank 2, and the minor [[0, 1], [1, c]] has one negative
-        if q == 0:
-            return _border(_EMPTY, k1, 1.0, 1.0, (), k1)
-        if k1 == 1:
-            return _border(_EMPTY, 1, -1.0, 1.0, (), -1.0)
-        return _border(_EMPTY, k1, 0.0, 1.0, (), k1 - 1)
-    ks, ts = runs[-1]
-    if ts >= 2:
-        # a copy of the universal row and column leaves the rank unchanged:
-        # negatives kept, nullity + 1
-        b = _certificate(runs[:-1] + ((ks, ts - 1),), q)
-        return _border(b, 0, 0.0, 0.0, b[-1], b[-1, -1])
-    # the last one-run is a single 1; decide whether a_s must be in the sum
-    a = [max(k - 2, 0) for k, _ in runs]
-    if q == 0 or (
-        q < s and _sum_largest(a[:-1], q) >= _sum_largest(a[:-1], q - 1) + a[-1]
-    ):
-        # the new row minus the isolated rows is the old universal row, so
-        # this is congruent to b with that row copied, plus d*I_ks: negatives
-        # kept, nullity + 1; d = 2 only keeps the corner nonzero
-        b = _certificate(runs[:-1], q)
-        d = 1.0 if b[-1, -1] + ks != 0 else 2.0
-        return _border(b, ks, d, d, b[-1], b[-1, -1] + ks * d)
-    b = _certificate(runs[:-1], q - 1)
-    if ks >= 2:
-        # congruent to b + [[0, 1], [1, 1]] + 0_(ks-1): one more negative,
-        # nullity + ks - 1
-        return _border(b, ks, 0.0, 1.0, 1.0, 1.0)
-    # on the old vertices the new row is t times the old universal row, so
-    # this is congruent to b + [[-1, 1], [1, -1]]: one more negative,
-    # nullity + 1; t only keeps the corner nonzero
-    bk = b[-1, -1]
-    t = next(t for t in (1.0, 2.0, 3.0) if t * t * bk - 1.0 != 0.0)
-    return _border(b, 1, -1.0, 1.0, t * b[-1], t * t * bk - 1.0)
-
-
-_EMPTY = np.zeros((0, 0))
-
-
-def _border(b: np.ndarray, ks: int, diagonal, border, row, corner) -> np.ndarray:
-    """Append ks isolated vertices and then one dominating vertex to ``b``.
-
-    Each isolated vertex gets ``diagonal`` and the entry ``border`` to the
-    dominating vertex, which gets ``row`` to the old vertices and ``corner``
-    on its diagonal.
-    """
-    nh = b.shape[0]
-    n = nh + ks + 1
-    out = np.zeros((n, n))
-    out[:nh, :nh] = b
-    out.ravel()[nh * (n + 1) : (n - 1) * (n + 1) : n + 1] = diagonal  # (j, j), nh <= j < n - 1
-    last = out[n - 1]  # written as a row, then mirrored into the last column
-    last[:nh] = row
-    last[nh:] = border
-    last[n - 1] = corner
-    out[:, n - 1] = last
-    return out
-
-
-def _sum_largest(values, m: int) -> int:
-    return sum(sorted(values, reverse=True)[:m])
+    runs = seq.runs
+    negative = sorted(range(len(runs)), key=lambda j: (-max(runs[j][0] - 2, 0), j))[:q]
+    m = np.zeros((seq.n, seq.n))
+    corner = 0.0  # the previous run's corner: the last dominating vertex's diagonal
+    start = 0  # the run's first zero; start - 1 is the last dominating vertex, if any
+    for j, (k, t) in enumerate(runs):
+        v = start + k  # the run's first one
+        ones = m[v : v + t]  # the ones' rows, mirrored into their columns below
+        if j not in negative:
+            # the new row minus the isolated rows is the old universal row, so
+            # this is congruent to the old matrix with that row copied, plus
+            # d*I_k: negatives kept, nullity + 1; d = 2 only keeps the corner
+            # nonzero. In the first run, with no old vertices, it is the Gram
+            # matrix of the star's k edges: PSD, nullity 1
+            d = 1.0 if corner + k != 0 else 2.0
+            ones[:, :start] = m[start - 1, :start]
+            border, corner = d, corner + k * d
+        elif j == 0 and k >= 2:
+            # the star base: rank 2, and the minor [[0, 1], [1, k - 1]] has
+            # one negative
+            d, border, corner = 0.0, 1.0, k - 1.0
+        elif k >= 2:
+            # congruent to the old matrix + [[0, 1], [1, 1]] + 0_(k-1): one
+            # more negative, nullity + k - 1
+            d, border, corner = 0.0, 1.0, 1.0
+            ones[:, :start] = 1.0
+        else:
+            # on the old vertices the new row is f times the old universal
+            # row, so this is congruent to the old matrix + [[-1, 1], [1, -1]]:
+            # one more negative, nullity + 1; f only keeps the corner nonzero
+            f = next(f for f in (1.0, 2.0, 3.0) if f * f * corner - 1.0 != 0.0)
+            ones[:, :start] = f * m[start - 1, :start]
+            d, border, corner = -1.0, 1.0, f * f * corner - 1.0
+        np.fill_diagonal(m[start:v, start:v], d)
+        ones[:, start:v] = border
+        # every further one copies the run's first dominating row and column:
+        # the rank is unchanged, so negatives kept, nullity + 1
+        ones[:, v : v + t] = corner
+        m[:v, v : v + t] = ones[:, :v].T
+        start = v + t
+    return m

@@ -498,6 +498,14 @@ def test_reproduce_jobs_below_one_is_a_usage_error(capsys, monkeypatch):
         assert "jobs" in err
 
 
+def test_reproduce_negative_max_n_is_a_usage_error(capsys):
+    for max_n in ("-1", "-3"):
+        err = run_cli(capsys, ["reproduce", "--max-n", max_n], expect=2).err
+        assert "max_n" in err
+    out = run_cli(capsys, ["reproduce", "--max-n", "0"]).out
+    assert {line.split()[0] for line in out.splitlines()} == {"petersen"}
+
+
 def test_reproduce_pool_has_at_most_one_worker_per_family(capsys, monkeypatch):
     # a stand-in Pool that records its size and runs the tasks in process
     import multiprocessing

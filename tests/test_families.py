@@ -109,6 +109,17 @@ def test_registry_flags_conjectures():
     assert any(len(kv.values) == 2 for kv in known)
 
 
+def test_known_values_rows_all_generate():
+    # every registry row names a graph that fits in MAX_VERTICES: K(12,2) has
+    # 66 vertices and K_{2,31} x K_2 has 66, so both must be left out
+    rows = known_values(max_n=33)
+    for spec in {kv.family for kv in rows}:
+        generate(spec)
+    labels = {kv.family.label() for kv in rows}
+    assert "kneser2(11)" in labels and "kneser2(12)" not in labels
+    assert "bipartite_prism(2,30)" in labels and "bipartite_prism(2,31)" not in labels
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

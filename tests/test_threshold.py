@@ -1,3 +1,5 @@
+import hashlib
+from itertools import combinations
 from random import Random
 
 import numpy as np
@@ -154,8 +156,8 @@ def test_certificate_universal_diagonal_nonzero():
 
 
 def test_certificate_exact_every_sequence_to_10():
-    # one recursion builds every certificate, q = 0 included; checked with
-    # exact rational inertia and the edge pattern read off the bits
+    # one fill builds every certificate, q = 0 included; checked with exact
+    # rational inertia and the edge pattern read off the bits
     for n in range(2, 11):
         for s in iter_creation_sequences(n):
             bits = s.to_bits()
@@ -191,7 +193,7 @@ def test_exact_inertia_helper():
 
 
 def test_psd_gram_internal():
-    # the q = 0 recursion against the clique-cover Gram reference
+    # the q = 0 fill against the clique-cover Gram reference
     rng = Random(17)
     for _ in range(25):
         s = random_sequence(rng, rng.randrange(2, 11))
@@ -202,25 +204,30 @@ def test_psd_gram_internal():
         assert nullity(m) == s.trace
 
 
-def test_sum_largest_never_takes_a_negative_count(monkeypatch):
-    # a negative count would slice from the end: [:-1] drops the smallest a_j
-    from zqforce import threshold
-
-    counts = []
-    real = threshold._sum_largest
-
-    def recording(values, m):
-        counts.append(m)
-        return real(values, m)
-
-    monkeypatch.setattr(threshold, "_sum_largest", recording)
-    for n in range(2, 9):
+def test_zq_formula_matches_best_subset():
+    # an independent reference: T plus the best sum over min(q, s) of the a_j
+    for n in range(2, 10):
         for s in iter_creation_sequences(n):
+            st = stats(s)
             for q in range(s.s + 2):
-                zq_formula(s, q)
-                if q <= s.s:
-                    certificate_matrix(s, q)
-    assert counts and min(counts) == 0
+                best = max(map(sum, combinations(st.a, min(q, s.s))))
+                assert zq_formula(s, q) == st.trace + best, (s.to_bits(), q)
+
+
+def test_certificate_bytes_pinned():
+    # every certificate keeps its bytes: one SHA-256 over shape and entries of
+    # each connected sequence on 2..10 vertices at every q
+    h = hashlib.sha256()
+    count = 0
+    for n in range(2, 11):
+        for s in iter_creation_sequences(n):
+            for q in range(s.s + 1):
+                m = certificate_matrix(s, q)
+                h.update(repr(m.shape).encode())
+                h.update(m.tobytes())
+                count += 1
+    assert count == 1791
+    assert h.hexdigest() == "b1ad17acb967be3b8c4943cf2fe6d1b7c055ad2a86a15a6fad6755f295bb9709"
 
 
 def test_enumeration_counts():

@@ -118,6 +118,8 @@ def contraction_forcing_move(cb: ContractedBigraph, q: int) -> bool:
     through two different branches at once, which the contraction, having
     merged them into one node of degree >= 2, cannot see.
     """
+    if q < 0:
+        raise ValueError("q must be nonnegative")
     nodes = range(len(cb.uncoloured_nodes))
     return any(
         all_subsets_have_degree_one_witness(cb, fam)

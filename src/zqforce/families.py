@@ -97,8 +97,8 @@ def petersen() -> Graph:
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product, layer-major: vertex (u, x) has index x*g.n + u."""
     n = g.n * h.n
-    if n > 64:
-        raise ValueError(f"product on {n} > 64 vertices")
+    if n > MAX_VERTICES:
+        raise ValueError(f"product on {n} > {MAX_VERTICES} vertices")
     edges = []
     for x in range(h.n):
         edges += [(x * g.n + i, x * g.n + j) for (i, j) in g.edges()]

@@ -17,12 +17,12 @@ per-class key tables that the solver fills as it meets each class pattern;
 when a state b is solved, its value is stored under the key of r(b) for one
 automorphism r per coset H·r (``graphs.block_coset_automorphisms``), so
 every state of b's orbit finds it. ``CacheStats.states`` counts the states
-solved. One token is spent per stabiliser orbit of the state, as far as its
-known stabiliser elements show (swaps of blocks with equal patterns, and the
-coset automorphisms that fix it): a vertex that one of them maps to a lower
-vertex is skipped, since its next state is an automorphic image of the lower
-vertex's. Strategies are derived from the concrete states and spend the
-lowest vertex that reaches the value, which is always kept.
+solved. A token is skipped when a swap of two blocks with equal patterns on
+the state maps it to a lower vertex, since its next state is then an
+automorphic image of the lower vertex's; the tokens that other automorphisms
+pair are spent, and their next states hit the memo. Strategies are derived
+from the concrete states and spend the lowest vertex that reaches the value,
+which is always kept.
 
 One traversal answers every level q: tokens alone reach a member of every
 orbit of closed supersets of the start, and the pruning does not depend on
@@ -52,9 +52,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, compress, islice
+from itertools import combinations, islice
 from math import comb
-from operator import gt
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .graphs import (
@@ -170,6 +169,8 @@ def admissible_families(g: Graph, b: int, q: int) -> list[MoveFamily]:
     coloured set. ``b`` must be CCR-closed. Empty if fewer than q+1
     components exist.
     """
+    if q < 0:
+        raise ValueError("q must be nonnegative")
     if ccr_closure(g, b) != b:
         raise ValueError("coloured set is not CCR-closed")
     return [
@@ -246,18 +247,11 @@ class _Solver:
         # vertices of b packs every r(b) at once.
         others = block_coset_automorphisms(g, classes)[1:]
         self.lane = next(t for t in "BHIQ" if 8 * array(t).itemsize >= g.n)
-        self.width = array(self.lane).itemsize
-        self.orbit_bytes = len(others) * self.width
+        self.orbit_bytes = len(others) * array(self.lane).itemsize
         self.images = [
             int.from_bytes(array(self.lane, [1 << r[v] for r in others]), sys.byteorder)
             for v in range(g.n)
         ]
-        # the vertices that each of those automorphisms maps to a lower
-        # vertex, as masks; compress and map run the loop over v in C, at
-        # half the time of a generator on kneser2(6)'s 719 maps
-        vertices = range(g.n)
-        bit = [1 << v for v in vertices]
-        self.lowered = [sum(compress(bit, map(gt, vertices, r))) for r in others]
         self.memo: dict[int, tuple[int, ...]] = {}
         self.solved = 0
         self.hits = 0
@@ -276,27 +270,24 @@ class _Solver:
     def orbit(self, b: int) -> bytes:
         """r(b) for every coset automorphism r after the identity, packed
         one lane each."""
-        if not self.orbit_bytes:
-            return b""
         packed = 0
         images = self.images
         for v in bits(b):
             packed |= images[v]
         return packed.to_bytes(self.orbit_bytes, sys.byteorder)
 
-    def tokens(self, b: int, orbit: bytes | None = None) -> Iterator[tuple[int, int]]:
+    def tokens(self, b: int) -> Iterator[tuple[int, int]]:
         """Rule-1 moves from ``b``: (vertex, closed next state), lowest
-        vertex first, one per distinct next state and one per stabiliser
-        orbit as far as the known elements of Stab(b) show. ``orbit`` is
-        ``self.orbit(b)``.
+        vertex first, one per distinct next state.
 
         A vertex is skipped when a swap of two blocks with the same pattern
-        on ``b``, or a coset automorphism r with r(b) = b, maps it to a
-        lower vertex u: its next state is the image of u's, so both have one
-        value. Following lower images ends at a vertex that is kept, and the
-        lowest vertex that reaches a value is kept, so strategies do not
-        change. The skipped vertices do not depend on q, so every level
-        still solves the same states.
+        on ``b`` maps it to a lower vertex u: its next state is the image of
+        u's, so both have one value. Following lower images ends at a vertex
+        that is kept, and the lowest vertex that reaches a value is kept, so
+        strategies do not change. Tokens that other automorphisms fixing
+        ``b`` would pair are all spent, and their next states share an orbit
+        that the memo answers after the first. The skipped vertices do not
+        depend on q, so every level still solves the same states.
         """
         g = self.g
         adj = g.adj
@@ -308,19 +299,6 @@ class _Solver:
             if got is None:
                 got = lower[part] = _swap_lowered(blocks, part)
             skip |= got
-        if orbit is None:
-            orbit = self.orbit(b)
-        if orbit:
-            # the lanes equal to b, by a byte search kept to lane boundaries
-            width = self.width
-            lowered = self.lowered
-            target = b.to_bytes(width, sys.byteorder)
-            at = orbit.find(target)
-            while at >= 0:
-                lane, off = divmod(at, width)
-                if not off:
-                    skip |= lowered[lane]
-                at = orbit.find(target, (lane + 1) * width)
         seen = set()
         # ``b`` is closed, so only ``v`` and its coloured neighbours can force
         for v in bits(full & ~b & ~skip):
@@ -334,8 +312,8 @@ class _Solver:
 
         The memo is keyed on ``self.key(b)``, one key per orbit of the block
         group H, and a solved state is stored under the key of r(b) for every
-        coset automorphism r too: each automorphism of G is h·r with h in H,
-        so every state of b's Aut(G)-orbit hits."""
+        coset automorphism r too (``self.orbit(b)``): each automorphism of G
+        is h·r with h in H, so every state of b's Aut(G)-orbit hits."""
         if b == self.full:
             return (0,) * len(self.levels)
         memo = self.memo
@@ -344,11 +322,8 @@ class _Solver:
         if cached is not None:
             self.hits += 1
             return cached
-        orbit = self.orbit(b)
         # b is not full, so it has a token move
-        best = [
-            min(vals) + 1 for vals in zip(*[self.value(nb) for _, nb in self.tokens(b, orbit)])
-        ]
+        best = [min(vals) + 1 for vals in zip(*[self.value(nb) for _, nb in self.tokens(b)])]
         families = _families(self.g, b)
         # At each level, a family is abandoned as soon as one response forces
         # nothing (dominated) or the oracle's partial max already reaches
@@ -366,8 +341,8 @@ class _Solver:
                     best[i] = worst
         values = memo[key] = tuple(best)
         self.solved += 1
-        if orbit:  # some coset automorphism besides the identity
-            lanes = array(self.lane, orbit)
+        if self.orbit_bytes:  # some coset automorphism besides the identity
+            lanes = array(self.lane, self.orbit(b))
             memo.update(dict.fromkeys(map(self.key, lanes) if self.classes else lanes, values))
         return values
 
@@ -418,10 +393,10 @@ def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
     per-class key tables, and each value is also stored under the images of
     the colouring by one automorphism per coset of the block group, so
     ``cache_stats.states`` counts the colourings solved. A graph whose only
-    symmetries are block permutations gets the identity alone. One token is
-    spent per stabiliser orbit of each colouring, as far as block swaps and
-    the coset automorphisms that fix it show, so ``cache_stats.hits`` does
-    not count the symmetric duplicates those skip.
+    symmetries are block permutations gets the identity alone. A token that
+    a swap of blocks with equal patterns maps to a lower vertex is skipped,
+    so ``cache_stats.hits`` does not count those duplicates; the tokens that
+    other automorphisms pair are all spent, and their repeats count as hits.
 
     Rule-3 families are offered at size exactly q+1, which gives the same
     value as every size >= q+1 because a (q+1)-subfamily's responses are a

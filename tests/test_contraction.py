@@ -10,6 +10,7 @@ from zqforce.contraction import (
     degree_one_witness,
     max_matching,
 )
+from zqforce.families import cycle
 from zqforce.game import admissible_families
 from zqforce.graphs import Graph, build_graph, ccr_closure
 
@@ -101,6 +102,15 @@ def test_has_forcing_move_examples():
     assert bool(admissible_families(star(3), mask([0]), 0)) is True
     with pytest.raises(ValueError):
         admissible_families(path(5), mask([0]), 0)  # endpoint forces: not closed
+
+
+@pytest.mark.parametrize("q", [-1, -2])
+def test_contraction_forcing_move_rejects_negative_q(q):
+    # the empty family of q = -1 has no nonempty response, so it would pass
+    cb = bipartite_contraction(cycle(6), mask([0]))
+    assert contraction_forcing_move(cb, 0) is False
+    with pytest.raises(ValueError, match="q must be nonnegative"):
+        contraction_forcing_move(cb, q)
 
 
 def test_contraction_idempotent():

@@ -158,6 +158,8 @@ def _cmd_compute(args) -> int:
 def _cmd_threshold(args) -> int:
     seq = threshold.parse_creation_sequence(args.seq)
     value = threshold.zq_formula(seq, args.q)
+    # built before the game so that a q outside 0..s fails before any solve
+    m = threshold.certificate_matrix(seq, args.q) if args.certificate else None
     record = {"input": {"seq": seq.to_bits()}, "q": args.q, "value": value}
     lines = [f"seq: {seq.to_bits()}", f"q: {args.q}", f"formula: {value}"]
     lines.append(f"z_classical: {threshold.z_classical(seq)}")
@@ -169,8 +171,7 @@ def _cmd_threshold(args) -> int:
         verdict = "PASS" if game == value else "FAIL"
         record.update({"game": game, "verify": verdict})
         lines += [f"game: {game}", f"verify: {verdict}"]
-    if args.certificate:
-        m = threshold.certificate_matrix(seq, args.q)
+    if m is not None:
         record["certificate"] = [list(map(float, row)) for row in m]
         inert = spectral.inertia(m)
         record["inertia"] = inert.as_tuple()

@@ -6,25 +6,34 @@ Any member's nullity lower-bounds the maximum nullity M_q(G), which in turn
 lower-bounds the game value Z_q(G); the constructors here produce the
 explicit certificates for book graphs, strongly regular graphs, Kneser
 two-set graphs, and complete-bipartite prisms.
+
+numpy is imported inside the functions that build or read a matrix, so
+importing this module (and the package) does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-7
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
+    import numpy as np
+
     return np.array([[a >> j & 1 for j in range(g.n)] for a in g.adj], dtype=float)
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -48,6 +57,8 @@ class Inertia:
 def _spectrum(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Ascending eigenvalues of a checked symmetric ``m`` and the zero threshold:
     a value of magnitude at most ``DEFAULT_TOL`` times the spectral norm."""
+    import numpy as np
+
     eig = np.linalg.eigvalsh(m)
     return eig, DEFAULT_TOL * max(abs(eig[0]), abs(eig[-1]))
 
@@ -55,8 +66,8 @@ def _spectrum(m: np.ndarray) -> tuple[np.ndarray, float]:
 def inertia(m: np.ndarray) -> Inertia:
     """Eigenvalue sign counts; |eig| <= DEFAULT_TOL * spectral norm counts as zero."""
     eig, thr = _spectrum(_check_symmetric(m))
-    n_neg = int(np.sum(eig < -thr))
-    n_pos = int(np.sum(eig > thr))
+    n_neg = int((eig < -thr).sum())
+    n_pos = int((eig > thr).sum())
     return Inertia(n_neg, len(eig) - n_neg - n_pos, n_pos)
 
 
@@ -66,6 +77,8 @@ def nullity(m: np.ndarray) -> int:
 
 def in_Sq(m: np.ndarray, g: Graph, q: int) -> bool:
     """Is ``m`` supported exactly on the edges of ``g`` with q negative eigenvalues?"""
+    import numpy as np
+
     m = _check_symmetric(m)
     if m.shape[0] != g.n:
         raise ValueError(f"matrix order {m.shape[0]} != graph order {g.n}")
@@ -74,7 +87,7 @@ def in_Sq(m: np.ndarray, g: Graph, q: int) -> bool:
     np.fill_diagonal(support, False)
     if not np.array_equal(support, adjacency_matrix(g) != 0):
         return False
-    return int(np.sum(eig < -thr)) == q
+    return int((eig < -thr).sum()) == q
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +114,13 @@ def srg_certificate(g: Graph, theta: float, tau: float) -> tuple[np.ndarray, np.
     with tau < 0 < theta. ``A - tau*I`` is PSD with nullity mult(tau);
     ``-A + theta*I`` has one negative eigenvalue and nullity mult(theta).
     """
+    if not (tau < 0 < theta):
+        raise ValueError(f"need tau < 0 < theta, got theta={theta}, tau={tau}")
+    import numpy as np
+
     a = adjacency_matrix(g)
     eig = np.linalg.eigvalsh(a)
     scale = max(1.0, abs(eig[0]), abs(eig[-1]))
-    if not (tau < 0 < theta):
-        raise ValueError(f"need tau < 0 < theta, got theta={theta}, tau={tau}")
     for value in (theta, tau):
         if not np.any(np.abs(eig - value) <= 1e-8 * scale):
             raise ValueError(f"{value} is not an adjacency eigenvalue")
@@ -122,6 +137,8 @@ def kneser_certificate(n: int) -> np.ndarray:
     """
     if n < 5:
         raise ValueError("Kneser certificate needs n >= 5")
+    import numpy as np
+
     from .families import kneser2
 
     a = adjacency_matrix(kneser2(n))
@@ -142,6 +159,8 @@ def _prism_certificate(n: int, m: int) -> np.ndarray:
     entries become r/2 and the spectrum works out to
     {2r, r^(n+m-1), 0^(n+m-1), -r}, keeping the edge support.
     """
+    import numpy as np
+
     from .families import bipartite_prism
 
     b = adjacency_matrix(bipartite_prism(n, m))

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import Graph, MAX_VERTICES, build_graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -174,6 +176,8 @@ def certificate_matrix(seq: CreationSequence, q: int) -> np.ndarray:
     """
     if not 0 <= q <= seq.s:
         raise ValueError(f"q must be in 0..{seq.s}, got {q}")
+    import numpy as np  # here, not at the top: importing the package loads no numpy
+
     runs = seq.runs
     negative = sorted(range(len(runs)), key=lambda j: (-max(runs[j][0] - 2, 0), j))[:q]
     m = np.zeros((seq.n, seq.n))

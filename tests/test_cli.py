@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from zqforce import cli
 from zqforce.cli import run
 from zqforce.graphs import build_graph, to_graph6
 
@@ -228,6 +229,24 @@ def test_threshold_certificate_output(capsys):
     assert "certificate inertia (neg, zero, pos): (1, 2, 1)" in out
 
 
+THRESHOLD_Q0_ARGV = ["threshold", "--seq", "00100011", "--q", "0", "--certificate"]
+THRESHOLD_Q0_OUT = """\
+seq: 00100011
+q: 0
+formula: 3
+z_classical: 4
+certificate inertia (neg, zero, pos): (0, 3, 5)
+1 0 1 0 0 0 1 1
+0 1 1 0 0 0 1 1
+1 1 2 0 0 0 2 2
+0 0 0 1 0 0 1 1
+0 0 0 0 1 0 1 1
+0 0 0 0 0 1 1 1
+1 1 2 1 1 1 5 5
+1 1 2 1 1 1 5 5
+"""
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -247,24 +266,7 @@ certificate inertia (neg, zero, pos): (2, 2, 2)
 1 1 1 1 1 1
 """,
         ),
-        (
-            ["threshold", "--seq", "00100011", "--q", "0", "--certificate"],
-            """\
-seq: 00100011
-q: 0
-formula: 3
-z_classical: 4
-certificate inertia (neg, zero, pos): (0, 3, 5)
-1 0 1 0 0 0 1 1
-0 1 1 0 0 0 1 1
-1 1 2 0 0 0 2 2
-0 0 0 1 0 0 1 1
-0 0 0 0 1 0 1 1
-0 0 0 0 0 1 1 1
-1 1 2 1 1 1 5 5
-1 1 2 1 1 1 5 5
-""",
-        ),
+        (THRESHOLD_Q0_ARGV, THRESHOLD_Q0_OUT),
     ],
     ids=["q2-no-negative-zero", "q0-gram"],
 )
@@ -287,6 +289,17 @@ def test_certify_threshold_q0(capsys):
 def test_certificate_q_range_error(capsys, argv):
     cap = run_cli(capsys, argv, expect=2)
     assert cap.err == f"error: q must be in 0..2, got {argv[argv.index('--q') + 1]}\n"
+    assert cap.out == ""
+
+
+def test_certificate_q_range_checked_before_verify(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("game solved before the certificate's q range was checked")
+
+    monkeypatch.setattr(cli, "zq_number", no_solve)
+    argv = ["threshold", "--seq", "00100011", "--q", "3", "--verify", "--certificate"]
+    cap = run_cli(capsys, argv, expect=2)
+    assert cap.err == "error: q must be in 0..2, got 3\n"
     assert cap.out == ""
 
 
@@ -413,6 +426,20 @@ def test_certify_book(capsys):
     assert "nullity: 3" in out and "OK" in out
 
 
+BOOK_MATRIX_CSV = """\
+q,value,inertia,edge_support_ok
+1,3,1|3|4,True
+0.866025403784,1,1,1,0.866025403784,0,0,0
+1,0.866025403784,0,0,0,0.866025403784,0,0
+1,0,0.866025403784,0,0,0,0.866025403784,0
+1,0,0,0.866025403784,0,0,0,0.866025403784
+0.866025403784,0,0,0,0.866025403784,1,1,1
+0,0.866025403784,0,0,1,0.866025403784,0,0
+0,0,0.866025403784,0,1,0,0.866025403784,0
+0,0,0,0.866025403784,1,0,0,0.866025403784
+"""
+
+
 @pytest.mark.parametrize(
     "fmt, expected",
     [
@@ -433,21 +460,7 @@ edge support + q negative eigenvalues: OK
 0 0 0 0.866025 1 0 0 0.866025
 """,
         ),
-        (
-            "csv",
-            """\
-q,value,inertia,edge_support_ok
-1,3,1|3|4,True
-0.866025403784,1,1,1,0.866025403784,0,0,0
-1,0.866025403784,0,0,0,0.866025403784,0,0
-1,0,0.866025403784,0,0,0,0.866025403784,0
-1,0,0,0.866025403784,0,0,0,0.866025403784
-0.866025403784,0,0,0,0.866025403784,1,1,1
-0,0.866025403784,0,0,1,0.866025403784,0,0
-0,0,0.866025403784,0,1,0,0.866025403784,0
-0,0,0,0.866025403784,1,0,0,0.866025403784
-""",
-        ),
+        ("csv", BOOK_MATRIX_CSV),
     ],
 )
 def test_certify_matrix_bytes(capsys, fmt, expected):
@@ -680,20 +693,73 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_package_runs_without_test_libraries():
-    # networkx and hypothesis are test oracles only: every module imports and
-    # a solve runs with both made unimportable
-    code = """
-import importlib, pkgutil, sys
+FRESH_RUN = """
+import contextlib, importlib, io, json, pkgutil, sys
 sys.modules["networkx"] = sys.modules["hypothesis"] = None
+if sys.argv[1] == "block-numpy":
+    sys.modules["numpy"] = None
 import zqforce
 for mod in pkgutil.iter_modules(zqforce.__path__):
     importlib.import_module("zqforce." + mod.name)
 from zqforce import cli
-sys.exit(cli.run(["compute", "--graph6", "IheA@GUAo", "--q", "1"]))
+loaded = sys.modules.get("numpy") is not None
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps([loaded, runs]))
 """
+
+
+def run_fresh(argvs, block_numpy=False):
+    """Import every zqforce module in a fresh interpreter with networkx and
+    hypothesis unimportable (and numpy too if ``block_numpy``), then run each
+    argv through ``cli.run``. Returns whether the imports loaded numpy and
+    the (exit code, stdout) of each run."""
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    mode = "block-numpy" if block_numpy else "numpy"
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUN, mode, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "n: 10\nq: 1\nvalue: 5\n"
+    loaded, runs = json.loads(proc.stdout)
+    return loaded, [tuple(r) for r in runs]
+
+
+def test_package_runs_without_test_libraries():
+    # networkx and hypothesis are test oracles only, and numpy is loaded only
+    # where a matrix is built: every module imports and the solver commands
+    # run with all three made unimportable
+    golden = Path(__file__).parent / "golden" / "reproduce_max_n3.txt"
+    expected = {
+        ("compute", "--graph6", "IheA@GUAo", "--q", "1"): "n: 10\nq: 1\nvalue: 5\n",
+        ("compute", "--graph6", "IheA@GUAo", "--z"): "n: 10\nz: 5\n",
+        ("family", "--name", "book", "--n", "3", "--chain", "2"): (
+            "family: book(3)\nvertices: 8\nedges: 10\nchain: [2, 3, 3, 3]\n"
+            "known: Z_0(K_{1,n} x K_2) = 2\nknown: Z_q(K_{1,n} x K_2) = n for q >= 1\n"
+        ),
+        ("contract", "--graph6", "IheA@GUAo", "--coloured", "0,1,2"): (
+            "coloured nodes: [[0, 1, 2]]\nuncoloured nodes: [[3, 4, 5, 6, 7, 8, 9]]\n"
+            "multiplicities:\n  5\nmax matching: 1\n"
+        ),
+        ("threshold", "--seq", "00100011", "--q", "1", "--verify"): (
+            "seq: 00100011\nq: 1\nformula: 4\nz_classical: 4\ngame: 4\nverify: PASS\n"
+        ),
+        ("reproduce", "--max-n", "3"): golden.read_text(encoding="utf-8"),
+    }
+    _, runs = run_fresh([list(argv) for argv in expected], block_numpy=True)
+    assert runs == [(0, out) for out in expected.values()]
+    # with numpy importable, importing the package still leaves it unloaded
+    assert run_fresh([]) == (False, [])
+
+
+def test_matrix_commands_load_numpy_on_first_call():
+    # in-process tests never reach the first-call import: the test modules
+    # load numpy at the top
+    argvs = [
+        ["certify", "--name", "book", "--n", "3", "--matrix", "--format", "csv"],
+        THRESHOLD_Q0_ARGV,
+    ]
+    assert run_fresh(argvs) == (False, [(0, BOOK_MATRIX_CSV), (0, THRESHOLD_Q0_OUT)])

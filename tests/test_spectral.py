@@ -11,6 +11,7 @@ from zqforce.families import (
     kneser2,
     petersen,
 )
+from zqforce import spectral
 from zqforce.spectral import (
     adjacency_matrix,
     bipartite_prism_certificate,
@@ -106,11 +107,18 @@ def test_srg_certificate_petersen():
     assert in_Sq(q1, petersen(), 1)
 
 
-def test_srg_certificate_errors():
+def test_srg_certificate_errors(monkeypatch):
     with pytest.raises(ValueError):
         srg_certificate(complete_bipartite(3, 3), 0.0, -3.0)  # theta not positive
     with pytest.raises(ValueError):
         srg_certificate(petersen(), 1.5, -2.0)  # not an eigenvalue
+
+    def no_matrix(g):
+        raise AssertionError("matrix built before the arguments were checked")
+
+    monkeypatch.setattr(spectral, "adjacency_matrix", no_matrix)
+    with pytest.raises(ValueError, match="need tau < 0 < theta"):
+        srg_certificate(petersen(), 1.0, 2.0)
 
 
 def test_srg_certificate_kneser6():

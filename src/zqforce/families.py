@@ -10,13 +10,13 @@ complete bipartite / multipartite parts are consecutive index blocks.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import combinations, repeat, starmap
+from itertools import combinations, starmap
 from math import comb
 from random import Random
 from typing import Iterable, Sequence
 
 from .graphs import MAX_VERTICES, Graph, bits, build_graph, components_within
-from .game import Z_SUBSET_BUDGET, InfeasibleError, z0_number, z_number, zq_levels, zq_saturation
+from .game import Z_SUBSET_BUDGET, InfeasibleError, zq_saturation, zq_values
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -303,27 +303,12 @@ class ReportRow:
 
 
 def _solve(spec: FamilySpec, qs: Sequence[int | None]) -> dict[int | None, int | InfeasibleError]:
-    """The value of ``spec`` at each level of ``qs`` (None = Z), or the
-    InfeasibleError that refused it. Z_0 is ``z0_number``; Z and every level
-    from ``zq_saturation`` on are ``z_number``. The levels between are one game
-    traversal, refused over GAME_MAX_N vertices before any subset search."""
+    """``zq_values`` of ``spec`` at the levels ``qs`` (None = Z), its game
+    levels refused over GAME_MAX_N vertices before any subset search."""
     g = generate(spec)
-    games = sorted(q for q in {*qs} - {None, 0} if q < zq_saturation(g))
-
-    def game():
-        if g.n > GAME_MAX_N:
-            raise InfeasibleError(f"game solve refused for n={g.n} > {GAME_MAX_N}")
-        return zq_levels(g, games)
-
-    out: dict[int | None, int | InfeasibleError] = {}
-    for levels, solve in ((games, game), ({0} & {*qs}, lambda: [z0_number(g)]),
-                          ({*qs} - {0, *games}, lambda: repeat(z_number(g)))):
-        if levels:
-            try:
-                out.update(zip(levels, solve()))
-            except InfeasibleError as exc:  # kept without the frames its traceback holds
-                out.update(dict.fromkeys(levels, exc.with_traceback(None)))
-    return out
+    games = [q for q in qs if q and q < zq_saturation(g)] if g.n > GAME_MAX_N else []
+    refused = InfeasibleError(f"game solve refused for n={g.n} > {GAME_MAX_N}")
+    return {**dict.fromkeys(games, refused), **zq_values(g, {*qs} - {*games})}
 
 
 def _row_checks(kv: KnownValue) -> list[tuple[FamilySpec, int | None]]:
@@ -459,9 +444,8 @@ def probe_conjecture(name: str, params: tuple[int, ...]) -> ProbeReport:
         if not rows:
             raise ValueError(f"the registry states no value for {spec.label()} at q={q}")
         (claimed[q],) = min(rows, key=lambda kv: not kv.conjecture).values
-    # the game level first: an instance over GAME_MAX_N is refused before any search
     computed = {}
-    for q in reversed(levels):
+    for q in reversed(levels):  # the game level first: over GAME_MAX_N, no search runs
         computed.update(_solve(spec, (q,)))
         if isinstance(computed[q], InfeasibleError):
             raise computed[q]

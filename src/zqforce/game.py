@@ -27,8 +27,8 @@ which is always kept.
 One traversal answers every level q: tokens alone reach a member of every
 orbit of closed supersets of the start, and the pruning does not depend on
 q, so every level solves the same states, and the memo holds one tuple of
-values per state. ``zq_number`` solves one level, ``zq_levels`` many; every
-level from ``zq_saturation`` on is Z(G).
+values per state. ``zq_number`` solves one level; ``zq_values`` answers many by
+one rule, and every level from ``zq_saturation`` on is Z(G).
 
 Rule-3 families are enumerated at size exactly q+1: the responses to any
 (q+1)-subfamily are a subset of the responses to the whole family, so
@@ -52,9 +52,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from math import comb
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import (
     BlockClass,
@@ -575,24 +575,40 @@ def zq_saturation(g: Graph) -> int:
     return g.n - g.min_degree() - 1
 
 
-def zq_levels(g: Graph, levels: Sequence[int]) -> tuple[int, ...]:
-    """Z_q(G) for each q in ``levels``, by one traversal of the game (see
-    ``_Solver``); the values of :func:`zq_number` at those levels."""
-    if any(q < 0 for q in levels):
+def zq_values(g: Graph, levels: Iterable[int | None]) -> dict[int | None, int | InfeasibleError]:
+    """Z_q(G) at each q in ``levels`` (None = Z), or the InfeasibleError that
+    refused it, in the order the engines ran. Z and every level from
+    :func:`zq_saturation` on are :func:`z_number`; the levels 1 <= q < n - δ - 1
+    are one game traversal, which answers Z_0 too, so Z_0 is :func:`z0_number`
+    only when no such level is asked. The subset searches run first, each
+    refusal standing for its own levels, and no traversal starts after one: its
+    levels carry that refusal."""
+    levels = {*levels}
+    if any(q is not None and q < 0 for q in levels):
         raise ValueError("q must be nonnegative")
-    if not levels:
-        return ()
-    return _Solver(g, levels).value(ccr_closure(g, 0))
+    games = sorted(q for q in levels - {None} if q < zq_saturation(g))
+    out: dict[int | None, int | InfeasibleError] = {}
+    for search, qs in ((z_number, levels - {*games}), (z0_number, games if games == [0] else ())):
+        try:
+            out.update(dict.fromkeys(qs, search(g)) if qs else {})
+        except InfeasibleError as exc:  # kept without the frames its traceback holds
+            out.update(dict.fromkeys(qs, exc.with_traceback(None)))
+    if games and games != [0]:
+        refused = next((v for v in out.values() if isinstance(v, InfeasibleError)), None)
+        values = repeat(refused) if refused else _Solver(g, games).value(ccr_closure(g, 0))
+        out.update(zip(games, values))
+    return out
 
 
 def zq_chain(g: Graph, q_max: int) -> list[int]:
-    """[Z_0, Z_1, ..., Z_{q_max}, Z(G)]: the levels below :func:`zq_saturation`
-    by one game traversal, the rest by the subset search for Z(G)."""
+    """[Z_0, Z_1, ..., Z_{q_max}, Z(G)] by :func:`zq_values`; the first refusal
+    is raised, before any game traversal."""
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
-    z = z_number(g)
-    levels = list(zq_levels(g, range(min(q_max + 1, zq_saturation(g)))))
-    return levels + [z] * (q_max + 2 - len(levels))
+    values = zq_values(g, [*range(q_max + 1), None])
+    if refused := [v for v in values.values() if isinstance(v, InfeasibleError)]:
+        raise refused[0]
+    return [values[q] for q in [*range(q_max + 1), None]]
 
 
 # ---------------------------------------------------------------------------

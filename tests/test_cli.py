@@ -165,6 +165,9 @@ def test_compute_trace_golden_bytes(capsys, argv, expected):
 def test_compute_requires_single_input(capsys):
     run_cli(capsys, ["compute", "--graph6", "A_", "--seq", "01", "--q", "0"], expect=2)
     run_cli(capsys, ["compute", "--q", "0"], expect=2)
+    cap = run_cli(capsys, ["compute", "--graph6", "A_"], expect=2)
+    assert cap.err == "error: compute needs --q, --chain, or --z\n"
+    assert cap.out == ""
 
 
 P17 = to_graph6(build_graph(17, [(i, i + 1) for i in range(16)]))
@@ -342,6 +345,9 @@ def test_compute_chain_zero(capsys):
 def test_family_z(capsys):
     out = run_cli(capsys, ["family", "--name", "kneser2", "--n", "5", "--z"]).out
     assert "z: 5" in out
+    # with no level, family prints the graph alone
+    out = run_cli(capsys, ["family", "--name", "kneser2", "--n", "5"]).out
+    assert out == "family: kneser2(5)\nvertices: 10\nedges: 15\ngraph6: I?LRCecq?\n"
 
 
 def test_contract_json(capsys, monkeypatch):

@@ -124,6 +124,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_reproduce_report_small():
+    # the text reports to max_n 4, 5 and 6 are pinned byte for byte by
+    # reproduce_max_n4/5/6.txt (max_n 5 is the bench's reproduce input);
     # max_n=5 and 6 also pin the SKIP rows: the game-size guard and the Z_0
     # subset budget
     import json

@@ -301,6 +301,8 @@ def test_zq_chain_examples():
     k23 = build_graph(5, [(i, 2 + j) for i in range(2) for j in range(3)])
     assert zq_chain(k23, 1) == [2, 3, 3]
     assert zq_chain(build_graph(1, []), 3) == [1, 1, 1, 1, 1]
+    with pytest.raises(ValueError, match="q must be nonnegative"):
+        game.zq_values(petersen(), [1, -1])
 
 
 def test_chain_monotone_and_engine_matches_psd_at_q0():
@@ -365,6 +367,42 @@ def test_one_solver_per_graph(monkeypatch):
         built.clear()
         probe_conjecture(name, params)
         assert len(built) == solvers, name
+
+
+def test_z0_search_only_without_game_levels(monkeypatch):
+    # the traversal that answers a family's levels 1 <= q < n - δ - 1 answers
+    # its Z_0 too, so over the max_n 4 report (no family above 16 vertices)
+    # the PSD subset search runs only for families asking Z_0 and no such
+    # level; a family with n - δ - 1 = 0 (K_n) has Z_0 = Z from the Z search
+    from zqforce.families import generate, known_values, reproduce_report
+
+    searched = []
+    z0 = game.z0_number
+    monkeypatch.setattr(game, "z0_number", lambda g: searched.append(tuple(g.adj)) or z0(g))
+    asked: dict[str, set] = {}
+    for row in reproduce_report(4):
+        asked.setdefault(row.family, set()).add(row.q)
+    graphs = {kv.family.label(): generate(kv.family) for kv in known_values(4)}
+    saturation = {f: game.zq_saturation(g) for f, g in graphs.items()}
+    z0_rows = {f for f, qs in asked.items() if 0 in qs and saturation[f] > 0}
+    games = {f for f, qs in asked.items() if any(q and q < saturation[f] for q in qs)}
+    assert z0_rows & games and z0_rows - games  # both engines answer some Z_0
+    assert sorted(searched) == sorted(tuple(graphs[f].adj) for f in z0_rows - games)
+
+
+def test_chain_refused_before_any_traversal(monkeypatch):
+    # Z's subset search refuses K(9,2) at once; the game levels then carry
+    # its refusal, and zq_chain raises it without building a solver (a
+    # solver would first build K(9,2)'s 362,880 automorphisms)
+    def no_solver(g, levels):
+        raise AssertionError(f"solver built for levels {levels}")
+
+    monkeypatch.setattr(game, "_Solver", no_solver)
+    with pytest.raises(InfeasibleError) as exc:
+        zq_chain(kneser2(9), 1)
+    assert str(exc.value) == "subset search would exceed 3000000 sets at size 29 (n=36)"
+    values = game.zq_values(kneser2(9), [0, 1, None])
+    assert list(values) == [None, 0, 1] and len({*map(id, values.values())}) == 1
 
 
 def test_saturation_at_large_q():

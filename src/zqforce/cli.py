@@ -1,8 +1,8 @@
 """Command-line front end: solvers, formulas, certificates, and reports.
 
-Exit codes: 0 success, 1 computation refused as infeasible (the game-size
-guard, the subset budgets), 2 usage error. Output is deterministic for a
-fixed argv.
+Exit codes: 0 success, 1 computation refused as infeasible (a game level
+over ``families.GAME_MAX_N`` vertices without --force, the subset budgets),
+2 usage error. Output is deterministic for a fixed argv.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 from . import families, spectral, threshold
 from .contraction import bipartite_contraction, max_matching
-from .game import InfeasibleError, TokenSpend, z_number, zq_chain, zq_number
+from .game import InfeasibleError, TokenSpend, zq_number, zq_values
 from .graphs import Graph, mask_of, parse_edge_list, parse_graph6, to_graph6, vertices_of
 
 
@@ -42,19 +42,6 @@ def _read_graph(args) -> tuple[Graph, dict]:
         return parse_edge_list(text), {"edges_file": args.edges_file}
     seq = threshold.parse_creation_sequence(args.seq)
     return threshold.build_threshold_graph(seq), {"seq": seq.to_bits()}
-
-
-def _game_refused(g: Graph, force: bool) -> bool:
-    """Whether an exact game solve on ``g`` is refused: more than
-    ``families.GAME_MAX_N`` vertices and no ``--force``. Says why on stderr."""
-    if g.n <= families.GAME_MAX_N or force:
-        return False
-    print(
-        f"refusing exact game solve for n={g.n} > {families.GAME_MAX_N} "
-        f"(up to 2^{g.n} = {2**g.n} states); pass --force to override",
-        file=sys.stderr,
-    )
-    return True
 
 
 def _render_strategy(strategy, indent: int = 0) -> list[str]:
@@ -127,30 +114,52 @@ def _emit(args, record: dict, text_lines: list[str]) -> None:
         print("\n".join(text_lines))
 
 
+def _values(args, g: Graph, levels: list[int | None]) -> dict[int | None, int]:
+    """Z_q(g) at ``levels`` (None = Z) by ``families.solve``, or by
+    ``zq_values`` past its game-size refusal under --force; the first refusal
+    is raised."""
+    values = (zq_values if args.force else families.solve)(g, levels)
+    if refused := [v for v in values.values() if isinstance(v, InfeasibleError)]:
+        raise refused[0]
+    return values
+
+
+def _answer(args, g: Graph, record: dict, lines: list[str], q_lines) -> list[int | None]:
+    """Answer the command's --q, --chain or --z into ``record`` and ``lines``,
+    ``q_lines(value)`` showing a --q answer. Returns the levels shown."""
+    if args.chain is None:
+        q = None if args.z else args.q
+        value = _values(args, g, [q])[q]
+        record.update({"q": q, "value": value})
+        lines += [f"z: {value}"] if args.z else q_lines(value)
+        return [q]
+    if args.chain < 0:
+        raise ValueError("q_max must be nonnegative")
+    levels = [*range(args.chain + 1), None]
+    values = _values(args, g, levels)
+    chain = [values[q] for q in levels]
+    record.update({"q": f"0..{args.chain}", "value": chain})
+    lines.append(f"chain: {chain}")
+    return levels[:-1]
+
+
 def _cmd_compute(args) -> int:
     g, source = _read_graph(args)
     if args.q is None and args.chain is None and not args.z:
         raise ValueError("compute needs --q, --chain, or --z")
-    if not args.z and _game_refused(g, args.force):
-        return 1
+    if args.trace and args.q is None:
+        raise ValueError("--trace needs --q: a --chain or --z answer has no strategy")
     record: dict = {"input": source}
     lines = [f"n: {g.n}"]
-    if args.z:
-        value = z_number(g)
-        record.update({"q": None, "value": value})
-        lines.append(f"z: {value}")
-    elif args.chain is not None:
-        chain = zq_chain(g, args.chain)
-        record.update({"q": f"0..{args.chain}", "value": chain})
-        lines.append(f"chain: {chain}")
+    if args.trace:
+        if not args.force and (refused := families.game_refusal(g)):
+            raise refused
+        res = zq_number(g, args.q)
+        record.update({"q": args.q, "value": res.value, "strategy": _strategy_json(res.strategy)})
+        lines += [f"q: {args.q}", f"value: {res.value}", "strategy:"]
+        lines += _render_strategy(res.strategy, 1)
     else:
-        res = zq_number(g, args.q, build_strategy=args.trace)
-        record.update({"q": args.q, "value": res.value})
-        lines += [f"q: {args.q}", f"value: {res.value}"]
-        if args.trace:
-            record["strategy"] = _strategy_json(res.strategy)
-            lines.append("strategy:")
-            lines += _render_strategy(res.strategy, 1)
+        _answer(args, g, record, lines, lambda value: [f"q: {args.q}", f"value: {value}"])
     _emit(args, record, lines)
     return 0
 
@@ -164,10 +173,7 @@ def _cmd_threshold(args) -> int:
     lines = [f"seq: {seq.to_bits()}", f"q: {args.q}", f"formula: {value}"]
     lines.append(f"z_classical: {threshold.z_classical(seq)}")
     if args.verify:
-        g = threshold.build_threshold_graph(seq)
-        if _game_refused(g, args.force):
-            return 1
-        game = zq_number(g, args.q, build_strategy=False).value
+        game = _values(args, threshold.build_threshold_graph(seq), [args.q])[args.q]
         verdict = "PASS" if game == value else "FAIL"
         record.update({"game": game, "verify": verdict})
         lines += [f"game: {game}", f"verify: {verdict}"]
@@ -276,30 +282,13 @@ def _cmd_family(args) -> int:
     g = families.generate(spec)
     record: dict = {"input": {"family": spec.label(), "n_vertices": g.n}}
     lines = [f"family: {spec.label()}", f"vertices: {g.n}", f"edges: {g.num_edges()}"]
-    anchors = []
-    if (args.chain is not None or args.q is not None) and _game_refused(g, args.force):
-        return 1
-    if args.chain is not None:
-        chain = zq_chain(g, args.chain)
-        record.update({"q": f"0..{args.chain}", "value": chain})
-        lines.append(f"chain: {chain}")
-        anchors = [kv.anchor for q in range(args.chain + 1)
-                   for kv in [families.lookup(spec, q)] if kv]
-    elif args.q is not None:
-        value = zq_number(g, args.q, build_strategy=False).value
-        record.update({"q": args.q, "value": value})
-        lines.append(f"Z_{args.q}: {value}")
-        kv = families.lookup(spec, args.q)
-        anchors = [kv.anchor] if kv else []
-    elif args.z:
-        value = z_number(g)
-        record.update({"q": None, "value": value})
-        lines.append(f"z: {value}")
-        kv = families.lookup(spec, None)
-        anchors = [kv.anchor] if kv else []
-    else:
+    if args.q is None and args.chain is None and not args.z:
         record["graph6"] = to_graph6(g)
         lines.append(f"graph6: {record['graph6']}")
+        levels = []
+    else:
+        levels = _answer(args, g, record, lines, lambda value: [f"Z_{args.q}: {value}"])
+    anchors = [kv.anchor for q in levels for kv in [families.lookup(spec, q)] if kv]
     if anchors:
         uniq = sorted(set(anchors))
         record["anchors"] = uniq
@@ -363,11 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
+    def add_force(p):
+        p.add_argument("--force", action="store_true",
+                       help=f"run a game traversal on more than {families.GAME_MAX_N} vertices")
+
     p = sub.add_parser("compute", help="exact Z_q / chain for a graph")
     add_graph_inputs(p)
     add_levels(p)
     p.add_argument("--trace", action="store_true", help="print the move strategy")
-    p.add_argument("--force", action="store_true", help="override the size guard")
+    add_force(p)
     add_format(p)
     p.set_defaults(func=_cmd_compute)
 
@@ -376,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--verify", action="store_true", help="cross-check with the game solver")
     p.add_argument("--certificate", action="store_true", help="print the nullity certificate")
-    p.add_argument("--force", action="store_true")
+    add_force(p)
     add_format(p)
     p.set_defaults(func=_cmd_threshold)
 
@@ -407,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     add_levels(p)
-    p.add_argument("--force", action="store_true")
+    add_force(p)
     add_format(p)
     p.set_defaults(func=_cmd_family)
 

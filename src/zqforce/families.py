@@ -285,8 +285,8 @@ def lookup(spec: FamilySpec, q: int | None) -> KnownValue | None:
 # Reproduction report
 # ---------------------------------------------------------------------------
 
-# The one game-size limit: reproduce, probe and the CLI refuse an exact game
-# solve on more vertices (the CLI unless it is given --force).
+# The one game-size limit: :func:`solve`, behind reproduce, probe and the CLI,
+# refuses a game traversal on more vertices (the CLI unless given --force).
 GAME_MAX_N = 16
 # a registry claim over a range of q is checked at its first PROBE_LEVELS levels
 PROBE_LEVELS = 3
@@ -302,12 +302,16 @@ class ReportRow:
     anchor: str
 
 
-def _solve(spec: FamilySpec, qs: Sequence[int | None]) -> dict[int | None, int | InfeasibleError]:
-    """``zq_values`` of ``spec`` at the levels ``qs`` (None = Z), its game
-    levels refused over GAME_MAX_N vertices before any subset search."""
-    g = generate(spec)
-    games = [q for q in qs if q and q < zq_saturation(g)] if g.n > GAME_MAX_N else []
-    refused = InfeasibleError(f"game solve refused for n={g.n} > {GAME_MAX_N}")
+def game_refusal(g: Graph) -> InfeasibleError | None:
+    """The refusal of a game traversal on ``g``: more than GAME_MAX_N vertices."""
+    return InfeasibleError(f"game solve refused for n={g.n} > {GAME_MAX_N}") if g.n > GAME_MAX_N else None
+
+
+def solve(g: Graph, qs: Sequence[int | None]) -> dict[int | None, int | InfeasibleError]:
+    """``zq_values`` of ``g`` at the levels ``qs`` (None = Z), its game levels
+    carrying :func:`game_refusal` before any subset search."""
+    refused = game_refusal(g)
+    games = [q for q in qs if q and q < zq_saturation(g)] if refused else []
     return {**dict.fromkeys(games, refused), **zq_values(g, {*qs} - {*games})}
 
 
@@ -351,14 +355,15 @@ def reproduce_report(max_n: int, jobs: int = 1) -> list[ReportRow]:
     levels: dict[FamilySpec, list[int | None]] = {}
     for _, spec, q in checks:
         levels.setdefault(spec, []).append(q)
-    jobs = min(jobs, len(levels))
+    tasks = [(generate(spec), qs) for spec, qs in levels.items()]
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         from multiprocessing import Pool
 
         with Pool(jobs) as pool:
-            outcomes = pool.starmap(_solve, levels.items())
+            outcomes = pool.starmap(solve, tasks)
     else:
-        outcomes = list(starmap(_solve, levels.items()))
+        outcomes = list(starmap(solve, tasks))
     solved = dict(zip(levels, outcomes))
     return [_row(kv, spec, q, solved[spec][q]) for kv, spec, q in checks]
 
@@ -437,7 +442,7 @@ def probe_conjecture(name: str, params: tuple[int, ...]) -> ProbeReport:
         raise ValueError(f"unknown conjecture probe {name!r}")
     family, levels = _PROBES[name]
     spec = FamilySpec(family, tuple(params))
-    generate(spec)  # the family's own parameter checks come first
+    g = generate(spec)  # the family's own parameter checks come first
     claimed = {}
     for q in levels:
         rows = [kv for kv in _claims(spec, q) if len(kv.values) == 1]
@@ -446,7 +451,7 @@ def probe_conjecture(name: str, params: tuple[int, ...]) -> ProbeReport:
         (claimed[q],) = min(rows, key=lambda kv: not kv.conjecture).values
     computed = {}
     for q in reversed(levels):  # the game level first: over GAME_MAX_N, no search runs
-        computed.update(_solve(spec, (q,)))
+        computed.update(solve(g, (q,)))
         if isinstance(computed[q], InfeasibleError):
             raise computed[q]
     lines = tuple(ProbeLine(f"Z_{q}", c, computed[q], computed[q] == c) for q, c in claimed.items())

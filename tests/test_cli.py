@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from zqforce import cli
+from zqforce import game
 from zqforce.cli import run
 from zqforce.graphs import build_graph, to_graph6
 
@@ -176,24 +176,53 @@ P17 = to_graph6(build_graph(17, [(i, i + 1) for i in range(16)]))
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["compute", "--graph6", P17, "--q", "0"], "value: 1"),
+        (["compute", "--graph6", P17, "--q", "1"], "value: 1"),
         (["compute", "--graph6", P17, "--chain", "1"], "chain: [1, 1, 1]"),
         (["threshold", "--seq", "0" * 16 + "1", "--q", "1", "--verify"], "verify: PASS"),
         (["family", "--name", "path", "--n", "17", "--q", "1"], "Z_1: 1"),
         (["family", "--name", "path", "--n", "17", "--chain", "1"], "chain: [1, 1, 1]"),
+        (["compute", "--graph6", P17, "--q", "0", "--trace"], "spend token on vertex 0"),
     ],
-    ids=["compute-q", "compute-chain", "threshold-verify", "family-q", "family-chain"],
+    ids=["compute-q", "compute-chain", "threshold-verify", "family-q", "family-chain",
+         "compute-trace-q0"],
 )
 def test_game_size_guard(capsys, argv, expected):
-    # every exact game solve on 17 > GAME_MAX_N vertices is refused with
-    # exit 1, and --force runs it
+    # every game level on 17 > GAME_MAX_N vertices is refused with exit 1,
+    # in probe's words, and --force runs it; --trace needs the traversal for
+    # its strategy, so it is refused at any level, q = 0 included
     cap = run_cli(capsys, argv, expect=1)
-    assert cap.err == (
-        "refusing exact game solve for n=17 > 16 (up to 2^17 = 131072 states); "
-        "pass --force to override\n"
-    )
+    assert cap.err == "infeasible: game solve refused for n=17 > 16\n"
     assert cap.out == ""
     assert expected in run_cli(capsys, argv + ["--force"]).out
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["family", "--name", "kneser2", "--n", "7", "--chain", "0"], "chain: [15, 15]"),
+        (["family", "--name", "complete_multipartite", "--n", "5", "--m", "4", "--q", "0"],
+         "Z_0: 15"),
+        (["family", "--name", "kneser2", "--n", "7", "--q", "10"], "Z_10: 15"),
+        (["compute", "--graph6", P17, "--q", "0"], "q: 0\nvalue: 1"),
+    ],
+    ids=["kneser2-7-chain0", "multipartite-5-4-q0", "kneser2-7-q10", "compute-q0"],
+)
+def test_levels_without_traversal_answered_over_guard(capsys, monkeypatch, argv, expected):
+    # one level rule for every command: Z_0 and every level from n - δ - 1 on
+    # are subset searches, which the game-size limit does not refuse
+    def no_solver(g, levels):
+        raise AssertionError(f"game traversal at levels {levels}")
+
+    monkeypatch.setattr(game, "_Solver", no_solver)
+    cap = run_cli(capsys, argv)
+    assert expected in cap.out and cap.err == ""
+
+
+@pytest.mark.parametrize("level", [["--chain", "1"], ["--z"]])
+def test_trace_needs_q(capsys, level):
+    cap = run_cli(capsys, ["compute", "--graph6", "Dhc", *level, "--trace"], expect=2)
+    assert cap.err == "error: --trace needs --q: a --chain or --z answer has no strategy\n"
+    assert cap.out == ""
 
 
 def test_compute_stdin(capsys, monkeypatch):
@@ -297,9 +326,10 @@ def test_certificate_q_range_error(capsys, argv):
 
 def test_certificate_q_range_checked_before_verify(capsys, monkeypatch):
     def no_solve(*args, **kwargs):
-        raise AssertionError("game solved before the certificate's q range was checked")
+        raise AssertionError("solved before the certificate's q range was checked")
 
-    monkeypatch.setattr(cli, "zq_number", no_solve)
+    for engine in ("_Solver", "z_number", "z0_number"):
+        monkeypatch.setattr(game, engine, no_solve)
     argv = ["threshold", "--seq", "00100011", "--q", "3", "--verify", "--certificate"]
     cap = run_cli(capsys, argv, expect=2)
     assert cap.err == "error: q must be in 0..2, got 3\n"

@@ -153,31 +153,29 @@ def test_reproduce_report_solves_each_family_level_once(monkeypatch):
     # and a conjecture row: 64 rows, 55 distinct (family, q), and each family
     # is one task holding all of its levels
     tasks = []
-    solve = families._solve
+    solve = families.solve
 
-    def counting(spec, qs):
-        tasks.append((spec, qs))
-        return solve(spec, qs)
+    def counting(g, qs):
+        tasks.append(qs)
+        return solve(g, qs)
 
-    monkeypatch.setattr(families, "_solve", counting)
+    monkeypatch.setattr(families, "solve", counting)
     rows = reproduce_report(max_n=3)
     assert len(rows) == 64
-    specs = [spec for spec, _ in tasks]
-    assert len(specs) == len(set(specs))
-    assert len({(spec, q) for spec, qs in tasks for q in qs}) == 55
+    assert len(tasks) == len({r.family for r in rows})
+    assert sum(len(set(qs)) for qs in tasks) == 55
 
 
 @pytest.mark.parametrize(
     "bits, chain",
     [("00010001", [2, 3, 4]), ("000100011", [3, 4, 5]), ("0001000111", [4, 5, 6])],
 )
-def test_solve_value_tells_zq_from_z(monkeypatch, bits, chain):
+def test_solve_value_tells_zq_from_z(bits, chain):
     # the report's level rule must answer a level below n - δ - 1 by the game,
     # not by Z: on these threshold graphs Z_q grows with q up to Z at q = s
     seq = threshold.parse_creation_sequence(bits)
-    monkeypatch.setattr(families, "generate", lambda spec: threshold.build_threshold_graph(seq))
-    spec = FamilySpec("path", (1,))
-    computed = families._solve(spec, (*range(seq.s + 1), None))
+    g = threshold.build_threshold_graph(seq)
+    computed = families.solve(g, (*range(seq.s + 1), None))
     levels = [computed[q] for q in range(seq.s + 1)]
     assert levels == [threshold.zq_formula(seq, q) for q in range(seq.s + 1)] == chain
     assert computed[None] == threshold.z_classical(seq) == chain[-1]

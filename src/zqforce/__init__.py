@@ -36,11 +36,9 @@ from .contraction import (
 )
 from .threshold import (
     CreationSequence,
-    ThresholdStats,
     build_threshold_graph,
     certificate_matrix,
     parse_creation_sequence,
-    z_classical,
     zq_formula,
 )
 from .spectral import (

@@ -171,7 +171,7 @@ def _cmd_threshold(args) -> int:
     m = threshold.certificate_matrix(seq, args.q) if args.certificate else None
     record = {"input": {"seq": seq.to_bits()}, "q": args.q, "value": value}
     lines = [f"seq: {seq.to_bits()}", f"q: {args.q}", f"formula: {value}"]
-    lines.append(f"z_classical: {threshold.z_classical(seq)}")
+    lines.append(f"z_classical: {threshold.zq_formula(seq, seq.s)}")
     if args.verify:
         game = _values(args, threshold.build_threshold_graph(seq), [args.q])[args.q]
         verdict = "PASS" if game == value else "FAIL"

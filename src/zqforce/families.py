@@ -22,49 +22,53 @@ from .game import Z_SUBSET_BUDGET, InfeasibleError, zq_saturation, zq_values
 # Generators
 # ---------------------------------------------------------------------------
 
+# Each generator hands build_graph its edges lazily: build_graph refuses more
+# than MAX_VERTICES vertices before it draws an edge, so an oversized
+# parameter is refused at once, whatever its edge count.
+
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return build_graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return build_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return build_graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def star(n: int) -> Graph:
     """K_{1,n}: centre is vertex 0, leaves 1..n."""
     if n < 1:
         raise ValueError("star needs n >= 1 leaves")
-    return build_graph(n + 1, [(0, i) for i in range(1, n + 1)])
+    return build_graph(n + 1, ((0, i) for i in range(1, n + 1)))
 
 
 def complete_bipartite(n: int, m: int) -> Graph:
     if n < 1 or m < 1:
         raise ValueError("complete bipartite needs n, m >= 1")
-    return build_graph(n + m, [(i, n + j) for i in range(n) for j in range(m)])
+    return build_graph(n + m, ((i, n + j) for i in range(n) for j in range(m)))
 
 
 def complete_multipartite(n: int, parts: int) -> Graph:
     """K_{n,...,n} with ``parts`` parts of size n, parts as consecutive blocks."""
     if n < 1 or parts < 2:
         raise ValueError("complete multipartite needs n >= 1 and >= 2 parts")
-    edges = [
+    edges = (
         (a * n + i, b * n + j)
         for a in range(parts)
         for b in range(a + 1, parts)
         for i in range(n)
         for j in range(n)
-    ]
+    )
     return build_graph(n * parts, edges)
 
 
@@ -76,14 +80,14 @@ def kneser2(n: int) -> Graph:
     """Kneser graph K(n,2): 2-subsets of {0..n-1}, adjacent iff disjoint."""
     if n < 5:
         raise ValueError("kneser2 needs n >= 5 (smaller cases are edgeless or trivial)")
-    pairs = kneser_pairs(n)
-    edges = [
-        (i, j)
-        for i in range(len(pairs))
-        for j in range(i + 1, len(pairs))
-        if not set(pairs[i]) & set(pairs[j])
-    ]
-    return build_graph(len(pairs), edges)
+
+    def edges():
+        pairs = kneser_pairs(n)
+        for i, j in combinations(range(len(pairs)), 2):
+            if not set(pairs[i]) & set(pairs[j]):
+                yield i, j
+
+    return build_graph(comb(n, 2), edges())
 
 
 def petersen() -> Graph:
@@ -197,6 +201,8 @@ def _kv(name, params, q_min, q_max, values, anchor, conjecture=False):
 def known_values(max_n: int = 8) -> list[KnownValue]:
     """The registry, instantiated for family parameters up to ``max_n``,
     leaving out every instance on more than ``MAX_VERTICES`` vertices."""
+    # no family has fewer vertices than its largest parameter
+    max_n = min(max_n, MAX_VERTICES)
     out: list[KnownValue] = []
     for n in range(1, max_n + 1):
         out.append(_kv("complete_prism", [n], 0, None, n, "Z_q(K_n x K_2) = n for every q"))

@@ -69,6 +69,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list.
 
     Raises ValueError for n outside 1..64, endpoints out of range, or loops.
+    The vertex count is checked before the first edge is drawn, so a lazy
+    ``edges`` costs nothing when n is refused.
     """
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")

@@ -8,7 +8,10 @@ matrices with exactly q negative eigenvalues coincide:
 
     Z_q(G) = M_q(G) = T + (sum of the q largest a_j),   0 <= q <= s,
 
-and at q = s this equals the classical Z(G) = n - 2T + s_1 + 2 s_0 = n - s - p.
+and at q = s this is the classical Z(G) = n - s - p, p the number of runs
+with k_j >= 2: n - s - p = T + sum_j (k_j - 1 - [k_j >= 2]) and
+k_j - 1 - [k_j >= 2] = max(k_j - 2, 0) = a_j. So Z needs no formula of its
+own: it is :func:`zq_formula` at q = s.
 :func:`certificate_matrix` builds an explicit symmetric integer matrix
 witnessing the lower bound at every 0 <= q <= s: supported exactly on the
 edges, exactly q negative eigenvalues, nullity equal to the formula. One
@@ -100,49 +103,12 @@ def build_threshold_graph(seq: CreationSequence) -> Graph:
     return build_graph(n, edges)
 
 
-@dataclass(frozen=True)
-class ThresholdStats:
-    trace: int  # number of ones
-    a: tuple[int, ...]  # max(k_j - 2, 0) per run
-    p: int  # runs with k_j >= 2
-    s0: int  # "11" patterns
-    s1: int  # leading "01" plus "101" patterns
-
-
-def stats(seq: CreationSequence) -> ThresholdStats:
-    bits = seq.to_bits()
-    s0 = sum(1 for i in range(len(bits) - 1) if bits[i] == bits[i + 1] == "1")
-    s1 = (1 if bits[:2] == "01" else 0) + sum(
-        1 for i in range(len(bits) - 2) if bits[i : i + 3] == "101"
-    )
-    return ThresholdStats(
-        trace=seq.trace,
-        a=tuple(max(k - 2, 0) for k, _ in seq.runs),
-        p=sum(1 for k, _ in seq.runs if k >= 2),
-        s0=s0,
-        s1=s1,
-    )
-
-
 def zq_formula(seq: CreationSequence, q: int) -> int:
-    """T plus the sum of the q largest a_j; q past s clamps to the q = s value."""
+    """T plus the sum of the q largest a_j; q past s clamps to the q = s value, Z(G)."""
     if q < 0:
         raise ValueError("q must be nonnegative")
-    st = stats(seq)
-    return st.trace + sum(sorted(st.a, reverse=True)[:q])
-
-
-def z_classical(seq: CreationSequence) -> int:
-    """Z(G) by the pattern-count formula and by n - s - p; checks they agree."""
-    st = stats(seq)
-    n = seq.n
-    by_patterns = n - 2 * st.trace + st.s1 + 2 * st.s0
-    by_runs = n - seq.s - st.p
-    if by_patterns != by_runs:
-        raise AssertionError(
-            f"formula mismatch on {seq.to_bits()}: {by_patterns} != {by_runs}"
-        )
-    return by_patterns
+    a = sorted((max(k - 2, 0) for k, _ in seq.runs), reverse=True)
+    return seq.trace + sum(a[:q])
 
 
 def iter_creation_sequences(n: int):

@@ -297,6 +297,16 @@ def exact_inertia(rows) -> tuple[int, int, int]:
     return neg, n - neg - pos, pos
 
 
+def threshold_pattern_counts(bits: str) -> tuple[int, int, int]:
+    """(s_0, s_1, p) of a creation sequence read straight off its bits: s_0
+    counts the "11" patterns, s_1 a leading "01" plus the "101" patterns, and
+    p the maximal runs of two or more zeros."""
+    s0 = sum(1 for i in range(len(bits) - 1) if bits[i : i + 2] == "11")
+    s1 = (bits[:2] == "01") + sum(1 for i in range(len(bits) - 2) if bits[i : i + 3] == "101")
+    p = sum(1 for zeros in bits.split("1") if len(zeros) >= 2)
+    return s0, s1, p
+
+
 def clique_cover_gram(bits: str) -> list[list[int]]:
     """The PSD matrix of a threshold creation sequence, as a sum of outer
     products of clique indicators.

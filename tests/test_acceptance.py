@@ -41,12 +41,15 @@ from zqforce.threshold import (
     build_threshold_graph,
     certificate_matrix,
     iter_creation_sequences,
-    stats,
-    z_classical,
     zq_formula,
 )
 
-from helpers import node_connectivity, nonisomorphic_trees, random_connected_graph
+from helpers import (
+    node_connectivity,
+    nonisomorphic_trees,
+    random_connected_graph,
+    threshold_pattern_counts,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -107,11 +110,11 @@ def test_criterion_3_classical_formulas_agree():
     for n in range(2, 10):
         for seq in iter_creation_sequences(n):
             total += 1
-            st = stats(seq)
-            by_patterns = seq.n - 2 * st.trace + st.s1 + 2 * st.s0
-            by_runs = seq.n - seq.s - st.p
-            at_top_q = zq_formula(seq, seq.s)
-            if not (by_patterns == by_runs == at_top_q == z_classical(seq)):
+            bits = seq.to_bits()
+            s0, s1, p = threshold_pattern_counts(bits)
+            by_patterns = len(bits) - 2 * bits.count("1") + s1 + 2 * s0
+            by_runs = len(bits) - seq.s - p
+            if not (by_patterns == by_runs == zq_formula(seq, seq.s)):
                 disagreements += 1
     _report(
         3,

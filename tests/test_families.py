@@ -1,3 +1,5 @@
+import inspect
+import time
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +122,53 @@ def test_known_values_rows_all_generate():
     assert "bipartite_prism(2,30)" in labels and "bipartite_prism(2,31)" not in labels
 
 
+def test_known_values_stop_at_max_vertices():
+    # every family has at least as many vertices as its largest parameter, so
+    # parameters past MAX_VERTICES add no row and must cost nothing
+    t0 = time.perf_counter()
+    rows = known_values(max_n=10**6)
+    assert time.perf_counter() - t0 < 1.0
+    assert rows == known_values(max_n=64)
+
+
+@pytest.mark.parametrize(
+    "name, params, n",
+    [
+        ("path", (65,), 65),
+        ("cycle", (65,), 65),
+        ("complete", (65,), 65),
+        ("star", (64,), 65),
+        ("complete_bipartite", (33, 32), 65),
+        ("complete_multipartite", (13, 5), 65),
+        ("kneser2", (12,), 66),
+        ("book", (64,), 65),
+        ("ladder", (65,), 65),
+        ("bipartite_prism", (40, 40), 80),
+    ],
+)
+def test_oversized_family_refused_before_any_edge(monkeypatch, name, params, n):
+    # build_graph checks the vertex count before it draws an edge, so a
+    # generator must hand it an unstarted edge generator (and kneser2 must not
+    # list its pairs first): then a huge parameter is refused at once
+    calls = []
+    real = families.build_graph
+
+    def spy(count, edges):
+        fresh = inspect.isgenerator(edges) and inspect.getgeneratorstate(edges) == inspect.GEN_CREATED
+        calls.append((count, fresh))
+        return real(count, edges)
+
+    def pairs_spy(k):
+        calls.append(("kneser_pairs", k))
+        return kneser_pairs(k)
+
+    monkeypatch.setattr(families, "build_graph", spy)
+    monkeypatch.setattr(families, "kneser_pairs", pairs_spy)
+    with pytest.raises(ValueError, match=f"^vertex count must be in 1..64, got {n}$"):
+        generate(FamilySpec(name, params))
+    assert calls == [(n, True)]
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -178,7 +227,7 @@ def test_solve_value_tells_zq_from_z(bits, chain):
     computed = families.solve(g, (*range(seq.s + 1), None))
     levels = [computed[q] for q in range(seq.s + 1)]
     assert levels == [threshold.zq_formula(seq, q) for q in range(seq.s + 1)] == chain
-    assert computed[None] == threshold.z_classical(seq) == chain[-1]
+    assert computed[None] == threshold.zq_formula(seq, seq.s) == chain[-1]
 
 
 def test_probe_reports():

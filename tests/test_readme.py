@@ -11,7 +11,8 @@ def test_library_example_values():
     block = text[text.index("## Library"):].split("```python\n", 1)[1].split("```", 1)[0]
     namespace: dict = {}
     exec(block, namespace)
-    stated = {"zq_chain(g, 2)": [4, 5, 5, 5], "res.value": 5, "zq_formula(seq, 1)": 4}
+    stated = {"zq_chain(g, 2)": [4, 5, 5, 5], "res.value": 5, "zq_formula(seq, 1)": 4,
+              "zq_formula(seq, seq.s)": 4}
     for expr, value in stated.items():
         comment = rf"^{re.escape(expr)}\s+# {re.escape(str(value))}(?!\d)"
         assert re.search(comment, block, re.M), expr

@@ -14,8 +14,6 @@ from zqforce.threshold import (
     certificate_matrix,
     iter_creation_sequences,
     parse_creation_sequence,
-    stats,
-    z_classical,
     zq_formula,
 )
 
@@ -53,14 +51,6 @@ def test_build_threshold_graph_examples():
     assert g.degree(2) == 3 and g.degree(3) == 3
 
 
-def test_stats_patterns():
-    st = stats(seq("00100011"))
-    assert st.trace == 3 and st.a == (0, 1) and st.p == 2
-    assert st.s0 == 1 and st.s1 == 0
-    st = stats(seq("0101"))
-    assert st.s1 == 2 and st.s0 == 0 and st.p == 0  # leading 01 and a 101
-
-
 # ---------------------------------------------------------------------------
 # Formulas
 # ---------------------------------------------------------------------------
@@ -80,16 +70,17 @@ def test_zq_formula_examples():
 
 
 def test_z_classical_examples():
-    assert z_classical(seq("00100011")) == 4
-    assert z_classical(seq("0001")) == 2
-    assert z_classical(seq("01")) == 1
+    # Z(G) = n - s - p is the formula at q = s
+    for text, z in (("00100011", 4), ("0001", 2), ("01", 1)):
+        s = seq(text)
+        assert zq_formula(s, s.s) == z, text
 
 
 def test_formula_identities_small():
     for n in range(2, 9):
         for s in iter_creation_sequences(n):
             assert zq_formula(s, 0) == s.trace
-            assert z_classical(s) == zq_formula(s, s.s)
+            assert zq_formula(s, s.s) == s.n - s.s - sum(k >= 2 for k, _ in s.runs)
             vals = [zq_formula(s, q) for q in range(s.s + 1)]
             assert all(a <= b for a, b in zip(vals, vals[1:]))
 
@@ -208,10 +199,11 @@ def test_zq_formula_matches_best_subset():
     # an independent reference: T plus the best sum over min(q, s) of the a_j
     for n in range(2, 10):
         for s in iter_creation_sequences(n):
-            st = stats(s)
+            trace = sum(t for _, t in s.runs)
+            a = [max(k - 2, 0) for k, _ in s.runs]
             for q in range(s.s + 2):
-                best = max(map(sum, combinations(st.a, min(q, s.s))))
-                assert zq_formula(s, q) == st.trace + best, (s.to_bits(), q)
+                best = max(map(sum, combinations(a, min(q, s.s))))
+                assert zq_formula(s, q) == trace + best, (s.to_bits(), q)
 
 
 def test_certificate_bytes_pinned():

@@ -167,13 +167,15 @@ def _cmd_compute(args) -> int:
 def _cmd_threshold(args) -> int:
     seq = threshold.parse_creation_sequence(args.seq)
     value = threshold.zq_formula(seq, args.q)
-    # built before the game so that a q outside 0..s fails before any solve
+    # built before the game so that a q outside 0..s fails before any solve,
+    # and the graph before the matrix so that n > 64 fails before the fill
+    g = threshold.build_threshold_graph(seq) if args.verify else None
     m = threshold.certificate_matrix(seq, args.q) if args.certificate else None
     record = {"input": {"seq": seq.to_bits()}, "q": args.q, "value": value}
     lines = [f"seq: {seq.to_bits()}", f"q: {args.q}", f"formula: {value}"]
     lines.append(f"z_classical: {threshold.zq_formula(seq, seq.s)}")
     if args.verify:
-        game = _values(args, threshold.build_threshold_graph(seq), [args.q])[args.q]
+        game = _values(args, g, [args.q])[args.q]
         verdict = "PASS" if game == value else "FAIL"
         record.update({"game": game, "verify": verdict})
         lines += [f"game: {game}", f"verify: {verdict}"]
@@ -241,8 +243,8 @@ def _cmd_certify(args) -> int:
         if not args.seq or args.q is None:
             raise ValueError("threshold certificate needs --seq and --q")
         seq = threshold.parse_creation_sequence(args.seq)
+        g = threshold.build_threshold_graph(seq)  # refuses n > 64 before the n x n fill
         m = threshold.certificate_matrix(seq, args.q)
-        g = threshold.build_threshold_graph(seq)
         q = args.q
     else:  # srg, the last of the parser's choices
         g, _ = _read_graph(args)

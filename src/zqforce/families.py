@@ -10,7 +10,7 @@ complete bipartite / multipartite parts are consecutive index blocks.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import combinations, starmap
+from itertools import chain, combinations, starmap
 from math import comb
 from random import Random
 from typing import Iterable, Sequence
@@ -100,15 +100,9 @@ def petersen() -> Graph:
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product, layer-major: vertex (u, x) has index x*g.n + u."""
-    n = g.n * h.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"product on {n} > {MAX_VERTICES} vertices")
-    edges = []
-    for x in range(h.n):
-        edges += [(x * g.n + i, x * g.n + j) for (i, j) in g.edges()]
-    for u in range(g.n):
-        edges += [(x * g.n + u, y * g.n + u) for (x, y) in h.edges()]
-    return build_graph(n, edges)
+    layers = ((x * g.n + i, x * g.n + j) for x in range(h.n) for i, j in g.edges())
+    rungs = ((x * g.n + u, y * g.n + u) for u in range(g.n) for x, y in h.edges())
+    return build_graph(g.n * h.n, chain(layers, rungs))
 
 
 def book(n: int) -> Graph:

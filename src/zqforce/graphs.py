@@ -69,8 +69,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list.
 
     Raises ValueError for n outside 1..64, endpoints out of range, or loops.
-    The vertex count is checked before the first edge is drawn, so a lazy
-    ``edges`` costs nothing when n is refused.
+    Every graph is built here, and n is checked before the first edge is
+    drawn, so a lazy ``edges`` costs nothing when n is refused.
     """
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
@@ -92,11 +92,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def parse_graph6(text: str) -> Graph:
     """Parse one graph6 string (n <= 64)."""
-    s = text.strip()
+    s = text.strip().removeprefix(">>graph6<<")
     if not s:
         raise ValueError("empty graph6 string")
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
     data = [ord(c) - 63 for c in s]
     if any(not 0 <= d <= 63 for d in data):
         raise ValueError("graph6 byte out of range 63..126")
@@ -108,28 +106,21 @@ def parse_graph6(text: str) -> Graph:
     else:
         n = data[0]
         body = data[1:]
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"graph6 order {n} outside supported range 1..{MAX_VERTICES}")
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    if len(body) != need:
-        raise ValueError(f"graph6 body has {len(body)} sextets, expected {need}")
-    stream = 0
-    for d in body:
-        stream = (stream << 6) | d
-    pad = 6 * need - nbits
-    if stream & ((1 << pad) - 1):
-        raise ValueError("graph6 padding bits are not zero")
-    stream >>= pad
-    adj = [0] * n
-    k = nbits
-    for j in range(1, n):
-        for i in range(j):
-            k -= 1
-            if stream >> k & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+
+    def edges():
+        # build_graph checks n before it draws the first edge, so the body is
+        # read only for an order it accepts
+        nbits = n * (n - 1) // 2
+        need = (nbits + 5) // 6
+        if len(body) != need:
+            raise ValueError(f"graph6 body has {len(body)} sextets, expected {need}")
+        stream = "".join(f"{d:06b}" for d in body)
+        if "1" in stream[nbits:]:
+            raise ValueError("graph6 padding bits are not zero")
+        pairs = ((i, j) for j in range(1, n) for i in range(j))  # graph6's bit order
+        yield from (pair for pair, bit in zip(pairs, stream) if bit == "1")
+
+    return build_graph(n, edges())
 
 
 def to_graph6(g: Graph) -> str:
@@ -156,11 +147,18 @@ def parse_edge_list(text: str) -> Graph:
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("edge list needs a 'n m' header")
-    n, m = int(tokens[0]), int(tokens[1])
-    if len(tokens) != 2 + 2 * m:
-        raise ValueError(f"expected {m} edges, found {(len(tokens) - 2) // 2}")
-    pairs = [(int(tokens[2 + 2 * k]), int(tokens[3 + 2 * k])) for k in range(m)]
-    return build_graph(n, pairs)
+    values = []
+    for token in tokens:
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"edge list token {token!r} is not an integer") from None
+    n, m, *ends = values
+    if m < 0:
+        raise ValueError(f"edge count must be nonnegative, got {m}")
+    if len(ends) != 2 * m:
+        raise ValueError(f"{m} edges need {2 * m} endpoint tokens, found {len(ends)}")
+    return build_graph(n, zip(ends[::2], ends[1::2]))
 
 
 # ---------------------------------------------------------------------------

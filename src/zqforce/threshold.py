@@ -22,11 +22,12 @@ which is the clique-cover Gram matrix.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import accumulate, groupby
+from operator import itemgetter
+from typing import TYPE_CHECKING, Sequence
 
-from .graphs import Graph, MAX_VERTICES, build_graph
+from .graphs import Graph, build_graph
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,25 +62,30 @@ class CreationSequence:
 
     @staticmethod
     def from_bits(bits: str) -> "CreationSequence":
-        if not bits:
-            raise ValueError("empty creation sequence")
         if set(bits) - {"0", "1"}:
             raise ValueError(f"illegal character in creation sequence {bits!r}")
-        if bits[0] != "0":
-            raise ValueError("creation sequence must start with 0")
-        if bits[-1] != "1":
-            raise ValueError("creation sequence must end with 1 (connected)")
-        runs = re.findall("(0+)(1+)", bits)
-        return CreationSequence(tuple((len(zeros), len(ones)) for zeros, ones in runs))
+        return _from_blocks([(ch, 1) for ch in bits])
+
+
+def _from_blocks(blocks: Sequence[tuple[str, int]]) -> CreationSequence:
+    """The sequence of ``(symbol, count)`` blocks, in order, each standing for
+    ``symbol * count``. Counts are added, never spelt out, so a huge one
+    costs nothing."""
+    counts = [sum(count for _, count in group) for _, group in groupby(blocks, itemgetter(0))]
+    if not counts:
+        raise ValueError("empty creation sequence")
+    if blocks[0][0] != "0":
+        raise ValueError("creation sequence must start with 0")
+    if blocks[-1][0] != "1":
+        raise ValueError("creation sequence must end with 1 (connected)")
+    return CreationSequence(tuple(zip(counts[::2], counts[1::2])))
 
 
 def parse_creation_sequence(text: str) -> CreationSequence:
     """Parse either a raw 0/1 string or run-length form like ``0^3 1^2 0 1``."""
     text = text.strip()
-    if not text:
-        raise ValueError("empty creation sequence")
     if " " in text or "^" in text:
-        bits = []
+        blocks = []
         for token in text.split():
             ch, caret, count = token.partition("^")
             try:
@@ -88,19 +94,16 @@ def parse_creation_sequence(text: str) -> CreationSequence:
                 reps = 0  # not a count: refused below with the token
             if ch not in ("0", "1") or reps < 1:
                 raise ValueError(f"bad run token {token!r}")
-            bits.append(ch * reps)
-        return CreationSequence.from_bits("".join(bits))
+            blocks.append((ch, reps))
+        return _from_blocks(blocks)
     return CreationSequence.from_bits(text)
 
 
 def build_threshold_graph(seq: CreationSequence) -> Graph:
     """Vertex i is the i-th sequence entry; a 1 connects to all earlier vertices."""
-    bits = seq.to_bits()
-    n = len(bits)
-    if n > MAX_VERTICES:
-        raise ValueError(f"threshold graph on {n} > {MAX_VERTICES} vertices")
-    edges = [(i, j) for j, bj in enumerate(bits) if bj == "1" for i in range(j)]
-    return build_graph(n, edges)
+    ends = accumulate(k + t for k, t in seq.runs)  # one past each run's last vertex
+    ones = (range(end - t, end) for (_, t), end in zip(seq.runs, ends))
+    return build_graph(seq.n, ((i, j) for run in ones for j in run for i in range(j)))
 
 
 def zq_formula(seq: CreationSequence, q: int) -> int:

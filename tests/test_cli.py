@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from zqforce import game
+from zqforce import game, threshold
 from zqforce.cli import run
 from zqforce.graphs import build_graph, to_graph6
 
@@ -396,6 +396,30 @@ def test_contract_rejects_vertex_outside_graph(capsys):
     )
     assert cap.err == "error: coloured vertex 50 is not in the graph (n=10)\n"
     assert cap.out == ""
+
+
+def test_graph6_header_alone_is_a_usage_error(capsys):
+    cap = run_cli(capsys, ["compute", "--graph6", ">>graph6<<", "--q", "1"], expect=2)
+    assert cap.err == "error: empty graph6 string\n"
+    assert cap.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--name", "threshold", "--seq", "0^3000 1", "--q", "1"],
+        ["threshold", "--seq", "0^3000 1", "--q", "1", "--certificate", "--verify"],
+    ],
+    ids=["certify", "threshold"],
+)
+def test_threshold_graph_refused_before_matrix(capsys, monkeypatch, argv):
+    # the n x n certificate is filled only for a graph build_graph accepts
+    def certificate_matrix(seq, q):
+        raise AssertionError(f"certificate_matrix called on {seq.n} vertices")
+
+    monkeypatch.setattr(threshold, "certificate_matrix", certificate_matrix)
+    cap = run_cli(capsys, argv, expect=2)
+    assert cap.err == "error: vertex count must be in 1..64, got 3001\n"
 
 
 def test_contract_rejects_negative_vertex(capsys):

@@ -6,7 +6,16 @@ from random import Random
 
 import pytest
 
-from zqforce.families import bipartite_prism, book, complete_multipartite, kneser2, prism
+from zqforce.families import (
+    bipartite_prism,
+    book,
+    cartesian_product,
+    complete,
+    complete_multipartite,
+    kneser2,
+    path,
+    prism,
+)
 from zqforce.graphs import (
     block_coset_automorphisms,
     block_orbit_subsets,
@@ -20,6 +29,7 @@ from zqforce.graphs import (
     uncoloured_components,
     vertices_of,
 )
+from zqforce.threshold import build_threshold_graph, parse_creation_sequence
 
 from helpers import (
     PETERSEN_EDGES,
@@ -90,13 +100,42 @@ def test_graph6_errors():
         parse_graph6("A" + chr(200))  # byte out of range
     with pytest.raises(ValueError):
         parse_graph6("~?@A" + "?" * 100)  # n = 66 > 64 (body length irrelevant)
+    with pytest.raises(ValueError, match="^empty graph6 string$"):
+        parse_graph6(">>graph6<<")  # the header alone
 
 
 def test_parse_edge_list():
     g = parse_edge_list("3 2\n0 1\n1 2\n")
     assert g.edges() == [(0, 1), (1, 2)]
-    with pytest.raises(ValueError):
-        parse_edge_list("3 2\n0 1\n")
+    for text, message in [
+        ("3 2\n0 1\n", "2 edges need 4 endpoint tokens, found 2"),
+        ("3 1\n0 1 2\n", "1 edges need 2 endpoint tokens, found 3"),
+        ("3 1\n0 a\n", "edge list token 'a' is not an integer"),
+        ("3 -1\n", "edge count must be nonnegative, got -1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_edge_list(text)
+
+
+# 65 vertices in graph6's long form: '~' and the order in three sextets, then
+# C(65, 2) = 2080 zero bits in 347 sextets
+GRAPH6_65 = "~?@@" + "?" * 347
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (lambda: parse_graph6(GRAPH6_65), 65),
+        (lambda: parse_edge_list("65 0"), 65),
+        (lambda: build_threshold_graph(parse_creation_sequence("0^70 1")), 71),
+        (lambda: cartesian_product(path(40), complete(2)), 80),
+    ],
+    ids=["graph6", "edge_list", "threshold", "product"],
+)
+def test_every_graph_source_refuses_with_one_message(build, n):
+    # build_graph alone knows the vertex limit, so every source says the same
+    with pytest.raises(ValueError, match=f"^vertex count must be in 1..64, got {n}$"):
+        build()
 
 
 def test_uncoloured_components_examples():

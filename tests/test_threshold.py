@@ -1,4 +1,6 @@
 import hashlib
+import re
+import tracemalloc
 from itertools import combinations
 from random import Random
 
@@ -37,9 +39,31 @@ def test_parse_examples():
     assert seq("00100011").runs == ((2, 1), (3, 2))
     assert seq("0^3 1").runs == ((3, 1),)
     assert seq("0^2 1 0^3 1^2").runs == ((2, 1), (3, 2))
-    for bad in ("", "1001", "0010", "02", "0^0 1"):
-        with pytest.raises(ValueError):
+    assert seq("0 0 1 1^2 0^2 1").runs == ((2, 3), (2, 1))  # equal neighbours merge
+    for bad, message in [
+        ("", "empty creation sequence"),
+        ("1001", "creation sequence must start with 0"),
+        ("1 0^3 1", "creation sequence must start with 0"),
+        ("0010", "creation sequence must end with 1 (connected)"),
+        ("0^3 1 0", "creation sequence must end with 1 (connected)"),
+        ("02", "illegal character in creation sequence '02'"),
+        ("0^0 1", "bad run token '0^0'"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             seq(bad)
+
+
+def test_huge_run_refused_without_expanding():
+    # a run's count is added up, never spelt out, so refusing ten million
+    # vertices allocates next to nothing (the expanded string is 10 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^vertex count must be in 1..64, got 10000001$"):
+            build_threshold_graph(seq("0^10000000 1"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_build_threshold_graph_examples():

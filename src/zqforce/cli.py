@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 from . import families, spectral, threshold
 from .contraction import bipartite_contraction, max_matching
-from .game import InfeasibleError, TokenSpend, zq_number, zq_values
+from .game import InfeasibleError, TokenSpend, settled, zq_number, zq_values
 from .graphs import Graph, mask_of, parse_edge_list, parse_graph6, to_graph6, vertices_of
 
 
@@ -42,6 +42,16 @@ def _read_graph(args) -> tuple[Graph, dict]:
         return parse_edge_list(text), {"edges_file": args.edges_file}
     seq = threshold.parse_creation_sequence(args.seq)
     return threshold.build_threshold_graph(seq), {"seq": seq.to_bits()}
+
+
+def _check_options(args, what: str, needs, reads, options) -> None:
+    """Refuse a ``what`` (a probe, a certificate) missing one of ``needs``,
+    then one given any of ``options`` that it does not read: an option is
+    given when it is not None."""
+    if missing := [opt for opt in needs if getattr(args, opt) is None]:
+        raise ValueError(f"{what} needs --{missing[0]}")
+    if unread := [opt for opt in options if opt not in reads and getattr(args, opt) is not None]:
+        raise ValueError(f"{what} takes no --{unread[0].replace('_', '-')}")
 
 
 def _render_strategy(strategy, indent: int = 0) -> list[str]:
@@ -116,12 +126,9 @@ def _emit(args, record: dict, text_lines: list[str]) -> None:
 
 def _values(args, g: Graph, levels: list[int | None]) -> dict[int | None, int]:
     """Z_q(g) at ``levels`` (None = Z) by ``families.solve``, or by
-    ``zq_values`` past its game-size refusal under --force; the first refusal
-    is raised."""
-    values = (zq_values if args.force else families.solve)(g, levels)
-    if refused := [v for v in values.values() if isinstance(v, InfeasibleError)]:
-        raise refused[0]
-    return values
+    ``zq_values`` past its game-size refusal under --force, read by
+    ``settled``: the first refusal is raised before another engine runs."""
+    return settled((zq_values if args.force else families.solve)(g, levels))
 
 
 def _answer(args, g: Graph, record: dict, lines: list[str], q_lines) -> list[int | None]:
@@ -225,35 +232,34 @@ def _cmd_contract(args) -> int:
 
 def _cmd_certify(args) -> int:
     name = args.name
-    # name -> (certificate, generator, the options both take)
+    # name -> the options its certificate reads; --matrix and --format apply to all
+    reads = {"book": ("n",), "kneser2": ("n",), "bipartite_prism": ("n", "m"),
+             "threshold": ("seq", "q"), "srg": ("graph6", "edges_file", "seq", "theta", "tau", "psd")}
+    # name -> (certificate, generator), both taking the options the name reads
     named = {
-        "book": (spectral.book_certificate, families.book, ("n",)),
-        "kneser2": (spectral.kneser_certificate, families.kneser2, ("n",)),
-        "bipartite_prism": (spectral.bipartite_prism_certificate, families.bipartite_prism,
-                            ("n", "m")),
+        "book": (spectral.book_certificate, families.book),
+        "kneser2": (spectral.kneser_certificate, families.kneser2),
+        "bipartite_prism": (spectral.bipartite_prism_certificate, families.bipartite_prism),
     }
-    if name in named:
-        certificate, generator, opts = named[name]
-        for opt in opts:
-            if getattr(args, opt) is None:
-                raise ValueError(f"{name} certificate needs --{opt}")
-        params = [getattr(args, opt) for opt in opts]
-        m, g, q = certificate(*params), generator(*params), 1
-    elif name == "threshold":
-        if not args.seq or args.q is None:
-            raise ValueError("threshold certificate needs --seq and --q")
-        seq = threshold.parse_creation_sequence(args.seq)
-        g = threshold.build_threshold_graph(seq)  # refuses n > 64 before the n x n fill
-        m = threshold.certificate_matrix(seq, args.q)
-        q = args.q
-    else:  # srg, the last of the parser's choices
+    if name == "threshold" and (not args.seq or args.q is None):
+        raise ValueError("threshold certificate needs --seq and --q")
+    if name == "srg":
         g, _ = _read_graph(args)
         if args.theta is None or args.tau is None:
             raise ValueError("srg certificate needs --theta and --tau")
+    _check_options(args, f"{name} certificate", reads[name] if name in named else (), reads[name],
+                   ("n", "m", "seq", "q", "theta", "tau", "psd", "graph6", "edges_file"))
+    if name in named:
+        certificate, generator = named[name]
+        params = [getattr(args, opt) for opt in reads[name]]
+        m, g, q = certificate(*params), generator(*params), 1
+    elif name == "threshold":
+        seq = threshold.parse_creation_sequence(args.seq)
+        g = threshold.build_threshold_graph(seq)  # refuses n > 64 before the n x n fill
+        m, q = threshold.certificate_matrix(seq, args.q), args.q
+    else:  # srg, the last of the parser's choices
         psd, m = spectral.srg_certificate(g, args.theta, args.tau)
-        q = 1
-        if args.psd:
-            m, q = psd, 0
+        m, q = (psd, 0) if args.psd else (m, 1)
     inert = spectral.inertia(m)
     ok = spectral.in_Sq(m, g, q)
     record = {
@@ -308,12 +314,8 @@ def _cmd_reproduce(args) -> int:
 def _cmd_probe(args) -> int:
     takes = {"kneser_structure": ("n", "sample", "seed"), "kneser_z0": ("n",)}
     wanted = takes.get(args.name, ("n", "m"))
-    for opt in ("n", "m", "sample", "seed"):
-        given = getattr(args, opt) is not None
-        if opt in wanted and opt in ("n", "m") and not given:
-            raise ValueError(f"{args.name} probe needs --{opt}")
-        if opt not in wanted and given:
-            raise ValueError(f"{args.name} probe takes no --{opt}")
+    needs = [opt for opt in wanted if opt in ("n", "m")]
+    _check_options(args, f"{args.name} probe", needs, wanted, ("n", "m", "sample", "seed"))
     if args.name == "kneser_structure":
         rep = families.kneser_structure_check(args.n, sample=args.sample, seed=args.seed or 0)
         record = {
@@ -390,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.add_argument("--theta", type=float)
     p.add_argument("--tau", type=float)
-    p.add_argument("--psd", action="store_true", help="emit the PSD half of the srg pair")
+    # None when absent, as every option that _cmd_certify checks for
+    p.add_argument("--psd", action="store_true", default=None,
+                   help="emit the PSD half of the srg pair")
     p.add_argument("--matrix", action="store_true", help="print matrix entries")
     p.add_argument("--graph6")
     p.add_argument("--edges-file")

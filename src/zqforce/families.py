@@ -13,10 +13,10 @@ from dataclasses import asdict, dataclass
 from itertools import chain, combinations, starmap
 from math import comb
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import MAX_VERTICES, Graph, bits, build_graph, components_within
-from .game import Z_SUBSET_BUDGET, InfeasibleError, zq_saturation, zq_values
+from .game import Z_SUBSET_BUDGET, InfeasibleError, Outcome, settled, zq_saturation, zq_values
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -307,12 +307,19 @@ def game_refusal(g: Graph) -> InfeasibleError | None:
     return InfeasibleError(f"game solve refused for n={g.n} > {GAME_MAX_N}") if g.n > GAME_MAX_N else None
 
 
-def solve(g: Graph, qs: Sequence[int | None]) -> dict[int | None, int | InfeasibleError]:
-    """``zq_values`` of ``g`` at the levels ``qs`` (None = Z), its game levels
-    carrying :func:`game_refusal` before any subset search."""
+def solve(g: Graph, qs: Sequence[int | None]) -> Iterator[Outcome]:
+    """``zq_values`` of ``g`` at the levels ``qs`` (None = Z), lazily, its
+    game levels' :func:`game_refusal` first: a reader that stops there runs
+    no subset search."""
     refused = game_refusal(g)
     games = [q for q in qs if q and q < zq_saturation(g)] if refused else []
-    return {**dict.fromkeys(games, refused), **zq_values(g, {*qs} - {*games})}
+    return chain(dict.fromkeys(games, refused).items(), zq_values(g, {*qs} - {*games}))
+
+
+def _outcomes(g: Graph, qs: Sequence[int | None]) -> dict[int | None, int | InfeasibleError]:
+    """Every outcome of :func:`solve`, refusals included, as a dict: a
+    module-level function, so the ``--jobs`` pool can send it to a worker."""
+    return dict(solve(g, qs))
 
 
 def _row_checks(kv: KnownValue) -> list[tuple[FamilySpec, int | None]]:
@@ -361,9 +368,9 @@ def reproduce_report(max_n: int, jobs: int = 1) -> list[ReportRow]:
         from multiprocessing import Pool
 
         with Pool(jobs) as pool:
-            outcomes = pool.starmap(solve, tasks)
+            outcomes = pool.starmap(_outcomes, tasks)
     else:
-        outcomes = list(starmap(solve, tasks))
+        outcomes = list(starmap(_outcomes, tasks))
     solved = dict(zip(levels, outcomes))
     return [_row(kv, spec, q, solved[spec][q]) for kv, spec, q in checks]
 
@@ -449,11 +456,7 @@ def probe_conjecture(name: str, params: tuple[int, ...]) -> ProbeReport:
         if not rows:
             raise ValueError(f"the registry states no value for {spec.label()} at q={q}")
         (claimed[q],) = min(rows, key=lambda kv: not kv.conjecture).values
-    computed = {}
-    for q in reversed(levels):  # the game level first: over GAME_MAX_N, no search runs
-        computed.update(solve(g, (q,)))
-        if isinstance(computed[q], InfeasibleError):
-            raise computed[q]
+    computed = settled(solve(g, levels))  # a game level over GAME_MAX_N refuses first
     lines = tuple(ProbeLine(f"Z_{q}", c, computed[q], computed[q] == c) for q, c in claimed.items())
     return ProbeReport(name, tuple(params), lines)
 

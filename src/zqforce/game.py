@@ -28,7 +28,9 @@ One traversal answers every level q: tokens alone reach a member of every
 orbit of closed supersets of the start, and the pruning does not depend on
 q, so every level solves the same states, and the memo holds one tuple of
 values per state. ``zq_number`` solves one level; ``zq_values`` answers many by
-one rule, and every level from ``zq_saturation`` on is Z(G).
+one rule, and every level from ``zq_saturation`` on is Z(G). ``zq_values``
+yields each level's outcome lazily, and ``settled`` reads them, stopping at
+the first refusal.
 
 Rule-3 families are enumerated at size exactly q+1: the responses to any
 (q+1)-subfamily are a subset of the responses to the whole family, so
@@ -75,6 +77,10 @@ MoveFamily = tuple[int, ...]
 
 class InfeasibleError(RuntimeError):
     """Raised when an exact computation is refused as too large."""
+
+
+# One level's outcome: (q, Z_q) or (q, the refusal), q None for Z.
+Outcome = tuple[int | None, int | InfeasibleError]
 
 
 # ---------------------------------------------------------------------------
@@ -575,39 +581,51 @@ def zq_saturation(g: Graph) -> int:
     return g.n - g.min_degree() - 1
 
 
-def zq_values(g: Graph, levels: Iterable[int | None]) -> dict[int | None, int | InfeasibleError]:
-    """Z_q(G) at each q in ``levels`` (None = Z), or the InfeasibleError that
-    refused it, in the order the engines ran. Z and every level from
-    :func:`zq_saturation` on are :func:`z_number`; the levels 1 <= q < n - δ - 1
-    are one game traversal, which answers Z_0 too, so Z_0 is :func:`z0_number`
-    only when no such level is asked. The subset searches run first, each
-    refusal standing for its own levels, and no traversal starts after one: its
-    levels carry that refusal."""
+def zq_values(g: Graph, levels: Iterable[int | None]) -> Iterator[Outcome]:
+    """(q, Z_q(G)) for each q in ``levels`` (None = Z), or (q, the
+    InfeasibleError that refused it), lazily, in the order the engines settle
+    them. Z and every level from :func:`zq_saturation` on are
+    :func:`z_number`; the levels 1 <= q < n - δ - 1 are one game traversal,
+    which answers Z_0 too, so Z_0 is :func:`z0_number` only when no such level
+    is asked. The subset searches run first, each refusal standing for its own
+    levels, and no traversal starts after one: its levels carry that refusal.
+    An engine runs only when its first outcome is asked for, so a reader that
+    stops at a refusal (:func:`settled`) runs nothing after it."""
     levels = {*levels}
     if any(q is not None and q < 0 for q in levels):
         raise ValueError("q must be nonnegative")
     games = sorted(q for q in levels - {None} if q < zq_saturation(g))
-    out: dict[int | None, int | InfeasibleError] = {}
+    refused = None
     for search, qs in ((z_number, levels - {*games}), (z0_number, games if games == [0] else ())):
         try:
-            out.update(dict.fromkeys(qs, search(g)) if qs else {})
+            value = search(g) if qs else None
         except InfeasibleError as exc:  # kept without the frames its traceback holds
-            out.update(dict.fromkeys(qs, exc.with_traceback(None)))
+            value = refused = exc.with_traceback(None)
+        yield from zip(qs, repeat(value))
     if games and games != [0]:
-        refused = next((v for v in out.values() if isinstance(v, InfeasibleError)), None)
         values = repeat(refused) if refused else _Solver(g, games).value(ccr_closure(g, 0))
-        out.update(zip(games, values))
-    return out
+        yield from zip(games, values)
+
+
+def settled(outcomes: Iterable[Outcome]) -> dict[int | None, int]:
+    """The values of ``outcomes`` (from :func:`zq_values` or
+    ``families.solve``) by level. The first refusal is raised as soon as it
+    is read, before the next outcome is asked for, so no engine runs after
+    it: the one order in which every command and :func:`zq_chain` refuse."""
+    values = {}
+    for q, value in outcomes:
+        if isinstance(value, InfeasibleError):
+            raise value
+        values[q] = value
+    return values
 
 
 def zq_chain(g: Graph, q_max: int) -> list[int]:
-    """[Z_0, Z_1, ..., Z_{q_max}, Z(G)] by :func:`zq_values`; the first refusal
-    is raised, before any game traversal."""
+    """[Z_0, Z_1, ..., Z_{q_max}, Z(G)] by :func:`zq_values`, read by
+    :func:`settled`: the first refusal is raised before any later engine runs."""
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
-    values = zq_values(g, [*range(q_max + 1), None])
-    if refused := [v for v in values.values() if isinstance(v, InfeasibleError)]:
-        raise refused[0]
+    values = settled(zq_values(g, [*range(q_max + 1), None]))
     return [values[q] for q in [*range(q_max + 1), None]]
 
 

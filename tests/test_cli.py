@@ -671,6 +671,26 @@ def test_probe_game_refusal_before_any_search(capsys, monkeypatch):
     assert cap.out == "" and closures == []
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [(["--name", "bipartite_prism", "--n", "10", "--m", "20", "--chain", "1"], 60),
+     (["--name", "kneser2", "--n", "7", "--chain", "3"], 21)],
+)
+def test_chain_game_refusal_before_any_engine(capsys, monkeypatch, argv, n):
+    # a chain's game levels over 16 vertices are refused before the Z or Z_0
+    # subset search starts, as the probe's are: no engine runs at all
+    from zqforce import game
+
+    def engine(*args):
+        raise AssertionError("an engine ran before the game-size refusal")
+
+    for name in ("z_number", "z0_number", "_Solver"):
+        monkeypatch.setattr(game, name, engine)
+    cap = run_cli(capsys, ["family", *argv], expect=1)
+    assert cap.err == f"infeasible: game solve refused for n={n} > 16\n"
+    assert cap.out == ""
+
+
 def test_probe_rejects_csv(capsys):
     argv = ["probe", "--name", "multipartite", "--n", "2", "--m", "3", "--format", "csv"]
     cap = run_cli(capsys, argv, expect=2)
@@ -716,6 +736,36 @@ def test_probe_kneser_structure_rejects_empty_sample(capsys, sample):
 def test_probe_options_checked(capsys, argv, message):
     cap = run_cli(capsys, ["probe"] + argv, expect=2)
     assert cap.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--name", "book", "--n", "5", "--q", "0"], "book certificate takes no --q"),
+        (["--name", "book", "--n", "3", "--psd"], "book certificate takes no --psd"),
+        (["--name", "kneser2", "--n", "5", "--m", "3"], "kneser2 certificate takes no --m"),
+        (["--name", "bipartite_prism", "--n", "2", "--m", "3", "--edges-file", "x"],
+         "bipartite_prism certificate takes no --edges-file"),
+        (["--name", "threshold", "--seq", "0001", "--q", "1", "--n", "4"],
+         "threshold certificate takes no --n"),
+        (["--name", "threshold", "--seq", "0001", "--q", "0", "--psd"],
+         "threshold certificate takes no --psd"),
+        (["--name", "srg", "--graph6", "IheA@GUAo", "--theta", "1", "--tau", "-2", "--q", "0"],
+         "srg certificate takes no --q"),
+        # every "needs" message comes before any "takes no"
+        (["--name", "bipartite_prism", "--n", "2", "--q", "1"], "bipartite_prism certificate needs --m"),
+        (["--name", "threshold", "--seq", "0001", "--n", "4"],
+         "threshold certificate needs --seq and --q"),
+        (["--name", "srg", "--graph6", "IheA@GUAo", "--theta", "1", "--n", "4"],
+         "srg certificate needs --theta and --tau"),
+        (["--name", "srg", "--theta", "1", "--tau", "-2", "--n", "4"],
+         "exactly one of --graph6 / --edges-file / --seq is required"),
+    ],
+)
+def test_certify_options_checked(capsys, argv, message):
+    cap = run_cli(capsys, ["certify"] + argv, expect=2)
+    assert cap.err == f"error: {message}\n"
+    assert cap.out == ""
 
 
 def test_unknown_subcommand_exit_2(capsys):

@@ -224,7 +224,7 @@ def test_solve_value_tells_zq_from_z(bits, chain):
     # not by Z: on these threshold graphs Z_q grows with q up to Z at q = s
     seq = threshold.parse_creation_sequence(bits)
     g = threshold.build_threshold_graph(seq)
-    computed = families.solve(g, (*range(seq.s + 1), None))
+    computed = dict(families.solve(g, (*range(seq.s + 1), None)))
     levels = [computed[q] for q in range(seq.s + 1)]
     assert levels == [threshold.zq_formula(seq, q) for q in range(seq.s + 1)] == chain
     assert computed[None] == threshold.zq_formula(seq, seq.s) == chain[-1]

@@ -302,7 +302,7 @@ def test_zq_chain_examples():
     assert zq_chain(k23, 1) == [2, 3, 3]
     assert zq_chain(build_graph(1, []), 3) == [1, 1, 1, 1, 1]
     with pytest.raises(ValueError, match="q must be nonnegative"):
-        game.zq_values(petersen(), [1, -1])
+        dict(game.zq_values(petersen(), [1, -1]))
 
 
 def test_chain_monotone_and_engine_matches_psd_at_q0():
@@ -401,8 +401,21 @@ def test_chain_refused_before_any_traversal(monkeypatch):
     with pytest.raises(InfeasibleError) as exc:
         zq_chain(kneser2(9), 1)
     assert str(exc.value) == "subset search would exceed 3000000 sets at size 29 (n=36)"
-    values = game.zq_values(kneser2(9), [0, 1, None])
+    values = dict(game.zq_values(kneser2(9), [0, 1, None]))
     assert list(values) == [None, 0, 1] and len({*map(id, values.values())}) == 1
+
+
+def test_chain_stops_at_the_first_refusal(monkeypatch):
+    # Z's subset search refuses K_{10,20} x K_2 at once; its Z_0 search, which
+    # would run for seconds, is never started, because zq_chain reads the
+    # levels lazily and raises the first refusal before asking for the next
+    def no_z0(g):
+        raise AssertionError("z0_number called after the Z search refused")
+
+    monkeypatch.setattr(game, "z0_number", no_z0)
+    with pytest.raises(InfeasibleError) as exc:
+        zq_chain(bipartite_prism(10, 20), 0)
+    assert str(exc.value) == "subset search would exceed 3000000 sets at size 29 (n=60)"
 
 
 def test_saturation_at_large_q():

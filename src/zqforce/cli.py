@@ -159,6 +159,8 @@ def _cmd_compute(args) -> int:
     record: dict = {"input": source}
     lines = [f"n: {g.n}"]
     if args.trace:
+        if args.q < 0:  # a usage error, before the game-size refusal
+            raise ValueError("q must be nonnegative")
         if not args.force and (refused := families.game_refusal(g)):
             raise refused
         res = zq_number(g, args.q)

@@ -310,9 +310,10 @@ def game_refusal(g: Graph) -> InfeasibleError | None:
 def solve(g: Graph, qs: Sequence[int | None]) -> Iterator[Outcome]:
     """``zq_values`` of ``g`` at the levels ``qs`` (None = Z), lazily, its
     game levels' :func:`game_refusal` first: a reader that stops there runs
-    no subset search."""
+    no subset search. A negative level raises ValueError at the call, before
+    any refusal, as ``zq_values`` does."""
     refused = game_refusal(g)
-    games = [q for q in qs if q and q < zq_saturation(g)] if refused else []
+    games = [q for q in qs if q is not None and 0 < q < zq_saturation(g)] if refused else []
     return chain(dict.fromkeys(games, refused).items(), zq_values(g, {*qs} - {*games}))
 
 

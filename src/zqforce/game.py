@@ -9,28 +9,34 @@ minimum number of tokens that guarantees colouring everything against every
 oracle.
 
 Solver states are normalised to CCR closure, so a single bitmask of coloured
-vertices names a state. Every automorphism of G keeps the game value, so
-one state is solved per Aut(G)-orbit. The memo is keyed on a state's
-canonical form under interchangeable vertex blocks
-(``graphs.interchangeable_blocks``, a subgroup H of Aut(G)), read from
-per-class key tables that the solver fills as it meets each class pattern;
-when a state b is solved, its value is stored under the key of r(b) for one
-automorphism r per coset H·r (``graphs.block_coset_automorphisms``), so
-every state of b's orbit finds it. ``CacheStats.states`` counts the states
-solved. A token is skipped when a swap of two blocks with equal patterns on
-the state maps it to a lower vertex, since its next state is then an
-automorphic image of the lower vertex's; the tokens that other automorphisms
-pair are spent, and their next states hit the memo. Strategies are derived
-from the concrete states and spend the lowest vertex that reaches the value,
-which is always kept.
+vertices names a state. The solver is a bounded minimax (alpha-beta after
+Knuth and Moore, with a memo of bounds; ``_Solver.search``): a state answers
+whether its value is below a bound, with the exact value when it is and a
+lower bound at or above the bound when it is not, and stops expanding once
+no move can beat the best found. ``CacheStats.states`` counts expansions, a
+state asked again above its stored lower bound counting again, and
+``CacheStats.hits`` the lookups the memo answered.
 
-One traversal answers every level q: tokens alone reach a member of every
-orbit of closed supersets of the start, and the pruning does not depend on
-q, so every level solves the same states, and the memo holds one tuple of
-values per state. ``zq_number`` solves one level; ``zq_values`` answers many by
-one rule, and every level from ``zq_saturation`` on is Z(G). ``zq_values``
-yields each level's outcome lazily, and ``settled`` reads them, stopping at
-the first refusal.
+Every automorphism of G keeps the game value, so one memo entry serves a
+whole Aut(G)-orbit. The memo is keyed on a state's canonical form under
+interchangeable vertex blocks (``graphs.interchangeable_blocks``, a
+subgroup H of Aut(G)), read from per-class key tables that the solver fills
+as it meets each class pattern; when a state b is expanded, its entry is
+stored under the key of r(b) for one automorphism r per coset H·r
+(``graphs.block_coset_automorphisms``), so every state of b's orbit finds
+it. A token is skipped when a swap of two blocks with equal patterns on the
+state maps it to a lower vertex, since its next state is then an
+automorphic image of the lower vertex's; the tokens that other
+automorphisms pair are spent, and their next states hit the memo.
+Strategies are derived from the concrete states by bounded questions and
+spend the lowest vertex that reaches the value, which is always kept.
+
+One traversal answers every level q: tokens and their bounds are shared by
+the levels, each level asks its own families, and the memo holds one tuple
+per state, an entry per level. ``zq_number`` solves one level;
+``zq_values`` answers many by one rule, and every level from
+``zq_saturation`` on is Z(G). ``zq_values`` yields each level's outcome
+lazily, and ``settled`` reads them, stopping at the first refusal.
 
 Rule-3 families are enumerated at size exactly q+1: the responses to any
 (q+1)-subfamily are a subset of the responses to the whole family, so
@@ -54,8 +60,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, islice, repeat
+from itertools import combinations, repeat
 from math import comb
+from operator import ge, mod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import (
@@ -63,6 +70,7 @@ from .graphs import (
     Graph,
     bits,
     block_coset_automorphisms,
+    block_orbit_count,
     block_orbit_subsets,
     canonical_key,
     ccr_closure,
@@ -258,8 +266,15 @@ class _Solver:
             int.from_bytes(array(self.lane, [1 << r[v] for r in others]), sys.byteorder)
             for v in range(g.n)
         ]
+        # A bound above every value (at most n tokens), and the offset that
+        # marks an exact memo entry: v + top, above every bound, where a lower
+        # bound lo is stored as lo. So an entry answers bounds ``betas`` when
+        # it is >= them at every level, and ``% top`` reads its values.
+        self.exact = (g.n + 1,) * len(self.levels)
+        self.top = (g.n + 2,) * len(self.levels)
+        self.zeros = (0,) * len(self.levels)
         self.memo: dict[int, tuple[int, ...]] = {}
-        self.solved = 0
+        self.states = 0
         self.hits = 0
 
     def key(self, b: int) -> int:
@@ -293,7 +308,7 @@ class _Solver:
         strategies do not change. Tokens that other automorphisms fixing
         ``b`` would pair are all spent, and their next states share an orbit
         that the memo answers after the first. The skipped vertices do not
-        depend on q, so every level still solves the same states.
+        depend on q, so every level shares the tokens.
         """
         g = self.g
         adj = g.adj
@@ -313,46 +328,92 @@ class _Solver:
                 seen.add(nb)
                 yield v, nb
 
-    def value(self, b: int) -> tuple[int, ...]:
-        """Game values of the CCR-closed state ``b``, one per level.
+    def at(self, i: int, beta: int) -> tuple[int, ...]:
+        """Bounds that ask level ``i`` with ``beta`` and no other level."""
+        return (0,) * i + (beta,) + (0,) * (len(self.levels) - i - 1)
 
-        The memo is keyed on ``self.key(b)``, one key per orbit of the block
-        group H, and a solved state is stored under the key of r(b) for every
-        coset automorphism r too (``self.orbit(b)``): each automorphism of G
-        is h·r with h in H, so every state of b's Aut(G)-orbit hits."""
+    def value(self, b: int) -> tuple[int, ...]:
+        """Exact game values of the CCR-closed state ``b``, one per level:
+        :meth:`search` with a bound above every value."""
+        return self.search(b, self.exact)
+
+    def search(self, b: int, betas: tuple[int, ...]) -> tuple[int, ...]:
+        """Game values of the CCR-closed state ``b`` under the bounds
+        ``betas``, one per level: the exact value where it is below
+        ``betas[i]``, and otherwise a lower bound of at least ``betas[i]``.
+
+        Only a move worth less than ``best``, the least value found so far,
+        can change it, so a token's next state is asked with bound
+        ``best - 1`` and an oracle response with ``best``, and a subtree is
+        cut once it cannot go below them. A level stops expanding when
+        ``best`` reaches the least value left to find: its known lower bound,
+        and 1 for tokens. The memo entry of ``b`` (one int per level, see
+        ``self.top``) is keyed on ``self.key(b)``, one key per orbit of the
+        block group H, and written under the key of r(b) for every coset
+        automorphism r too (``self.orbit(b)``): each automorphism of G is h·r
+        with h in H, so every state of b's Aut(G)-orbit finds it. A state
+        asked again above its stored lower bound is expanded again."""
         if b == self.full:
-            return (0,) * len(self.levels)
+            return self.zeros
         memo = self.memo
         key = self.key(b)
-        cached = memo.get(key)
-        if cached is not None:
+        entry = memo.get(key, self.zeros)
+        floor = tuple(map(mod, entry, self.top))  # exact values or lower bounds
+        if all(map(ge, entry, betas)):
             self.hits += 1
-            return cached
-        # b is not full, so it has a token move
-        best = [min(vals) + 1 for vals in zip(*[self.value(nb) for _, nb in self.tokens(b)])]
+            return floor
+        self.states += 1
+        # Per level: the value so far (beta where the entry does not answer
+        # it), and the bound that next states are asked with, best - 1 where
+        # a token can still lower best (b is not full, so it has a token
+        # move, worth at least 1) and 0 elsewhere. Next states answer
+        # exactly below it, so the bound drops to the least answer, and a
+        # level is done when it reaches ``stop``.
+        best, ask, stop = [], [], []
+        for e, f, beta in zip(entry, floor, betas):
+            x = f if e >= beta else beta
+            least = f if f > 1 else 1
+            best.append(x)
+            ask.append(x - 1 if x > least else 0)
+            stop.append(least - 1 if x > least else 0)
+        if ask != stop:
+            first = ask = tuple(ask)
+            stop = tuple(stop)
+            for _, nb in self.tokens(b):
+                ask = tuple(map(min, ask, self.search(nb, ask)))
+                if ask == stop:
+                    break
+            best = [a + 1 if asked else x for a, asked, x in zip(ask, first, best)]
         families = _families(self.g, b)
         # At each level, a family is abandoned as soon as one response forces
-        # nothing (dominated) or the oracle's partial max already reaches
-        # that level's ``best``.
+        # nothing (dominated) or reaches that level's ``best``.
         for i, q in enumerate(self.levels):
+            if best[i] <= floor[i]:
+                continue
             for _, responses in families(q):
+                bound = best[i]
                 worst = 0
                 for _, state in responses:
                     if state is None:
                         break
-                    worst = max(worst, self.value(state)[i])
-                    if worst >= best[i]:
+                    worst = max(worst, self.search(state, self.at(i, bound))[i])
+                    if worst >= bound:
                         break
                 else:
                     best[i] = worst
-        values = memo[key] = tuple(best)
-        self.solved += 1
+                    if worst <= floor[i]:
+                        break
+        # exact where it was, or where a move went below beta
+        top = self.top[0]
+        values = memo[key] = tuple(
+            [x + top if e >= top or x < beta else x for x, e, beta in zip(best, entry, betas)]
+        )
         if self.orbit_bytes:  # some coset automorphism besides the identity
             lanes = array(self.lane, self.orbit(b))
             memo.update(dict.fromkeys(map(self.key, lanes) if self.classes else lanes, values))
-        return values
+        return tuple(best)
 
-    # -- strategy extraction (re-derives optimal moves from memoised values) --
+    # -- strategy extraction (re-derives optimal moves by bounded searches) --
 
     def strategy(self, b: int, _memo=None) -> Strategy:
         """An optimal strategy from ``b`` at the solver's first level."""
@@ -365,9 +426,12 @@ class _Solver:
             return got
         val = self.value(b)[0]
         # Token spends first (lowest vertex), then the first family in
-        # enumeration order whose worst response achieves the value.
+        # enumeration order whose worst response achieves the value. No move
+        # is worth less than val, so a token whose next state is below val
+        # reaches it, and so does a family whose responses are all below
+        # val + 1 with the worst equal to val.
         for v, nb in self.tokens(b):
-            if 1 + self.value(nb)[0] == val:
+            if self.search(nb, self.at(0, val))[0] < val:
                 out = (TokenSpend(v),) + self.strategy(nb, _memo)
                 _memo[b] = out
                 return out
@@ -377,7 +441,9 @@ class _Solver:
             for r, state in responses:
                 if state is None:
                     break
-                worst = max(worst, self.value(state)[0])
+                worst = max(worst, self.search(state, self.at(0, val + 1))[0])
+                if worst > val:
+                    break
                 branches[tuple(fam[i] for i in bits(r))] = state
             else:
                 if worst == val:
@@ -391,14 +457,17 @@ class _Solver:
 
 
 def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
-    """Exact Z_q(G) by memoised minimax over CCR-closed colourings.
+    """Exact Z_q(G) by bounded memoised minimax over CCR-closed colourings.
 
-    One colouring is solved per orbit of Aut(G): the memo is keyed on the
-    canonical form under permutations of interchangeable vertex blocks
-    (twins, book pages, the columns of ``K_{n,m} x K_2``), read from
-    per-class key tables, and each value is also stored under the images of
-    the colouring by one automorphism per coset of the block group, so
-    ``cache_stats.states`` counts the colourings solved. A graph whose only
+    A colouring's moves are searched only while one can still beat the best
+    found so far (``_Solver.search``), so ``cache_stats.states`` counts the
+    colourings expanded, a colouring asked again at a higher bound counting
+    again, and ``cache_stats.hits`` the lookups answered by the memo. One
+    memo entry serves an orbit of Aut(G): the memo is keyed on the canonical
+    form under permutations of interchangeable vertex blocks (twins, book
+    pages, the columns of ``K_{n,m} x K_2``), read from per-class key
+    tables, and each entry is also stored under the images of the colouring
+    by one automorphism per coset of the block group. A graph whose only
     symmetries are block permutations gets the identity alone. A token that
     a swap of blocks with equal patterns maps to a lower vertex is skipped,
     so ``cache_stats.hits`` does not count those duplicates; the tokens that
@@ -415,7 +484,7 @@ def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
     start = ccr_closure(g, 0)
     (value,) = solver.value(start)
     strategy = solver.strategy(start) if build_strategy else None
-    return ZqResult(value, strategy, CacheStats(solver.solved, solver.hits))
+    return ZqResult(value, strategy, CacheStats(solver.states, solver.hits))
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +526,16 @@ def _search_min_forcing(
     greedy set's to the minimum degree, a lower bound for Z and Z_0 (see
     :func:`z_number` and :func:`z0_number`); the first with no forcing set is
     the only one tested in full. ``budget`` counts the sets tested, the
-    ``block_orbit_subsets`` (all C(n, k) with no ``classes``): a size that
-    would exceed it is refused before any of its sets is tested."""
-    n = g.n
+    ``block_orbit_subsets`` (all C(n, k) with no ``classes``), counted by
+    ``block_orbit_count`` without listing them: a size that would exceed it
+    is refused before any of its sets is tested."""
     k = _greedy_forcing_set(g, close).bit_count()
     tested = 0
     while k > max(1, g.min_degree()):
-        sets = islice(block_orbit_subsets(g, classes, k - 1), budget - tested + 1)
-        tested += sum(1 for _ in sets) if classes else comb(n, k - 1)
+        tested += block_orbit_count(g, classes, k - 1)
         if tested > budget:
             raise InfeasibleError(
-                f"subset search would exceed {budget} sets at size {k - 1} (n={n})"
+                f"subset search would exceed {budget} sets at size {k - 1} (n={g.n})"
             )
         if not forces(k - 1):
             break
@@ -590,10 +658,16 @@ def zq_values(g: Graph, levels: Iterable[int | None]) -> Iterator[Outcome]:
     is asked. The subset searches run first, each refusal standing for its own
     levels, and no traversal starts after one: its levels carry that refusal.
     An engine runs only when its first outcome is asked for, so a reader that
-    stops at a refusal (:func:`settled`) runs nothing after it."""
+    stops at a refusal (:func:`settled`) runs nothing after it; a negative
+    level raises ValueError at the call, before any outcome."""
     levels = {*levels}
     if any(q is not None and q < 0 for q in levels):
         raise ValueError("q must be nonnegative")
+    return _engine_outcomes(g, levels)
+
+
+def _engine_outcomes(g: Graph, levels: set[int | None]) -> Iterator[Outcome]:
+    """The outcomes of :func:`zq_values`, each engine run when first asked."""
     games = sorted(q for q in levels - {None} if q < zq_saturation(g))
     refused = None
     for search, qs in ((z_number, levels - {*games}), (z0_number, games if games == [0] else ())):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -379,6 +380,34 @@ def block_orbit_subsets(g: Graph, classes: Sequence[BlockClass], k: int) -> Iter
     # spare[c]: the vertices of classes c.. and outside every class
     spare = [sum(sizes[c:]) + len(free) for c in range(len(classes) + 1)]
     return _orbit_sets(classes, sizes, spare, free, 0, k)
+
+
+def block_orbit_count(g: Graph, classes: Sequence[BlockClass], k: int) -> int:
+    """How many sets :func:`block_orbit_subsets` yields, without listing them.
+
+    A class of m blocks of width w gives the multisets of m block patterns,
+    counted by their vertices: a pattern of j vertices is one of C(w, j), and
+    the multisets of c patterns among t of them number C(t + c - 1, c).
+    Empty patterns fill the blocks left over, so only the nonempty ones are
+    counted. The count is the coefficient of x^k in the product of the
+    classes' polynomials and (1 + x)^f, f the vertices outside every class.
+    """
+    inside = mask_of(w for blocks in classes for blk in blocks for w in blk)
+    total = [comb((g.full_mask & ~inside).bit_count(), i) for i in range(k + 1)]
+    for blocks in classes:
+        m, width = len(blocks), len(blocks[0])
+        # ways[a][x]: multisets of a nonempty patterns with x vertices in all
+        ways = [[1] + [0] * k] + [[0] * (k + 1) for _ in range(m)]
+        for j in range(1, width + 1):
+            t = comb(width, j)
+            ways = [
+                [sum(ways[a - c][x - c * j] * comb(t + c - 1, c) for c in range(min(a, x // j) + 1))
+                 for x in range(k + 1)]
+                for a in range(m + 1)
+            ]
+        poly = [sum(col) for col in zip(*ways)]
+        total = [sum(total[i] * poly[x - i] for i in range(x + 1)) for x in range(k + 1)]
+    return total[k]
 
 
 def _orbit_sets(

@@ -778,6 +778,24 @@ def test_negative_q_rejected(capsys):
     assert "nonnegative" in cap.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--name", "kneser2", "--n", "5", "--q", "-1"],
+        ["family", "--name", "kneser2", "--n", "7", "--q", "-1"],
+        ["compute", "--seq", "0^5 1", "--q", "-1", "--trace"],
+        ["compute", "--seq", "0^20 1", "--q", "-1", "--trace"],
+    ],
+    ids=["family-10", "family-21", "trace-6", "trace-21"],
+)
+def test_negative_q_is_a_usage_error_at_any_size(capsys, argv):
+    # K(7,2) and the 21-vertex threshold graph are over the game-size limit,
+    # K(5,2) and the 6-vertex one are not: a negative level is a usage error
+    # at both sizes, never a game refusal
+    cap = run_cli(capsys, argv, expect=2)
+    assert (cap.out, cap.err) == ("", "error: q must be nonnegative\n")
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["family", "--name", "petersen", "--chain", "2", "--format", "json"]
     first = run_cli(capsys, argv).out

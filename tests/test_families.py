@@ -230,6 +230,14 @@ def test_solve_value_tells_zq_from_z(bits, chain):
     assert computed[None] == threshold.zq_formula(seq, seq.s) == chain[-1]
 
 
+@pytest.mark.parametrize("qs", [[-1], [1, -1], [-1, 1, None]])
+def test_solve_rejects_a_negative_level_before_any_refusal(qs):
+    # K(7,2) has 21 vertices, so its game levels are refused; a negative
+    # level is still a ValueError, raised by the call itself
+    with pytest.raises(ValueError, match="q must be nonnegative"):
+        families.solve(kneser2(7), qs)
+
+
 def test_probe_reports():
     rep = probe_conjecture("bipartite_prism", (2, 2))
     assert all(ln.agree for ln in rep.lines)

@@ -258,6 +258,29 @@ def test_orbit_memo_matches_set_reference_up_to_8_vertices(graphs):
         _check_every_closed_state(g, range(g.n + 1))
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_relabelled_graphs())
+def test_search_bound_contract_up_to_8_vertices(graphs):
+    # search(b, betas) answers each level with the exact value when it is
+    # below betas[i], and otherwise with a number in [betas[i], value]. Every
+    # closed state is asked at every bound in 0..n+1, level i at bound
+    # (beta + i) mod (n + 2) so that the levels' bounds differ, through one
+    # solver whose memo keeps the bounds of the earlier questions
+    for g in graphs:
+        levels = range(g.n + 1)
+        references = [naive_game(g, q) for q in levels]
+        closed = sorted({ccr_closure(g, b) for b in range(1 << g.n)})
+        solver = _Solver(g, levels)
+        for beta in range(g.n + 2):
+            betas = tuple((beta + i) % (g.n + 2) for i in levels)
+            for b in closed:
+                got = solver.search(b, betas)
+                for reference, bound, answer in zip(references, betas, got):
+                    value = reference(vset(b))
+                    ok = answer == value if value < bound else bound <= answer <= value
+                    assert ok, (g.edges(), b, betas, got)
+
+
 @pytest.mark.parametrize(
     "g",
     [petersen(), prism(4), prism(5), cycle(7), cycle(8)],
@@ -628,39 +651,48 @@ def test_strategy_uses_oracle_moves_when_cheaper():
 
 
 def test_cache_stats_populated():
-    # states counts the states solved, one per Aut(G)-orbit reached: Petersen
-    # has no interchangeable blocks, and its 120 automorphisms leave 14
+    # states counts the expansions of the bounded search, one memo entry
+    # serving a whole Aut(G)-orbit: Petersen has no interchangeable blocks,
+    # and its 120 automorphisms leave 14 orbits, of which the search expands 12
     res = zq_number(petersen(), 1, build_strategy=False)
-    assert res.cache_stats == CacheStats(14, 59)
+    assert res.cache_stats == CacheStats(12, 49)
     assert res.strategy is None
-    # with strategy extraction, whose memo lookups count as hits too; the
-    # orbits are those of twins and pages, and of the parts of K_{3,3,3} and
-    # the two copies of the star in the book
+    # with strategy extraction, whose bounded questions count as hits or
+    # expansions too; the orbits are those of twins and pages, and of the
+    # parts of K_{3,3,3} and the two copies of the star in the book
     assert zq_number(complete_multipartite(3, 3), 1).cache_stats == CacheStats(16, 40)
-    assert zq_number(book(5), 1).cache_stats == CacheStats(22, 81)
+    assert zq_number(book(5), 1).cache_stats == CacheStats(17, 65)
 
 
 @pytest.mark.parametrize(
     "g, q, stats",
     [
-        # with every token expanded, the first three made 4,594, 494 and 720 hits
-        (bipartite_prism(4, 5), 1, CacheStats(497, 2234)),
+        # without swap pruning the first makes 3,020 hits
+        (bipartite_prism(4, 5), 1, CacheStats(383, 1226)),
         (complete_multipartite(4, 4), 1, CacheStats(65, 165)),
-        (kneser2(6), 1, CacheStats(107, 720)),
-        (book(8), 1, CacheStats(41, 274)),
-        (prism(8), 1, CacheStats(319, 1878)),
-        (petersen(), 1, CacheStats(14, 59)),
-        (kneser2(6), 0, CacheStats(107, 719)),
+        (kneser2(6), 1, CacheStats(111, 703)),
+        (book(8), 1, CacheStats(34, 240)),
+        (prism(8), 1, CacheStats(31, 124)),
+        (petersen(), 1, CacheStats(12, 49)),
+        (kneser2(6), 0, CacheStats(98, 618)),
     ],
     ids=["bipartite_prism-4-5", "complete_multipartite-4-4", "kneser2-6", "book-8",
          "prism-8", "petersen", "kneser2-6-q0"],
 )
 def test_cache_stats_of_headline_solves(g, q, stats):
-    # swap-pruned tokens reach the same orbits, so the states solved do not
-    # change; the hits drop with the tokens no longer spent. The coset
+    # counters that do not depend on the machine: a change to the cutoffs,
+    # the tokens kept or the memo's bounds moves them. The coset
     # automorphisms themselves are pinned by the block-coset tests of
     # tests/test_graphs.py.
     assert zq_number(g, q, build_strategy=False).cache_stats == stats
+
+
+def test_cutoffs_on_a_prism():
+    # Z_1(C_12 x K_2) = 4: once a token reaches the least value left, its
+    # siblings' subtrees are cut, so the search expands a few dozen states
+    # (15,328 when every token's subtree is solved exactly)
+    res = zq_number(prism(12), 1, build_strategy=False)
+    assert res.value == 4 and res.cache_stats.states <= 100, res.cache_stats
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from zqforce.families import (
 )
 from zqforce.graphs import (
     block_coset_automorphisms,
+    block_orbit_count,
     block_orbit_subsets,
     build_graph,
     canonical_key,
@@ -329,6 +330,22 @@ def test_block_orbit_subsets_are_the_canonical_sets():
                 assert len(set(got)) == len(got)
                 assert all(canonical_key(classes, b) == b for b in got)
                 assert sum(_block_orbit_size(classes, b) for b in got) == comb(g.n, k)
+
+
+def test_block_orbit_count_matches_the_listed_sets():
+    # the Z_0 budget counts orbit sets by generating functions: the count
+    # must equal the sets listed, on every registry graph to max_n 6 at every
+    # size, and be C(n, k) with no classes
+    from zqforce.families import generate, known_values
+
+    graphs = {tuple(g.adj): g for g in (generate(kv.family) for kv in known_values(6))}
+    assert len(graphs) > 60
+    for g in graphs.values():
+        classes = interchangeable_blocks(g)
+        for k in range(g.n + 1):
+            want = sum(1 for _ in block_orbit_subsets(g, classes, k))
+            assert block_orbit_count(g, classes, k) == want, (g.edges(), k)
+            assert block_orbit_count(g, (), k) == comb(g.n, k)
 
 
 def test_block_orbit_subsets_leave_no_reference_cycle():

@@ -21,13 +21,16 @@ Every automorphism of G keeps the game value, so one memo entry serves a
 whole Aut(G)-orbit. The memo is keyed on a state's canonical form under
 interchangeable vertex blocks (``graphs.interchangeable_blocks``, a
 subgroup H of Aut(G)), read from per-class key tables that the solver fills
-as it meets each class pattern; when a state b is expanded, its entry is
-stored under the key of r(b) for one automorphism r per coset H·r
-(``graphs.block_coset_automorphisms``), so every state of b's orbit finds
-it. A token is skipped when a swap of two blocks with equal patterns on the
-state maps it to a lower vertex, since its next state is then an
-automorphic image of the lower vertex's; the tokens that other
-automorphisms pair are spent, and their next states hit the memo.
+as it meets each class pattern. The automorphisms r, one per coset H·r,
+form a chain (``graphs.block_coset_chain``) that splits at a level j into
+products τ∘p (``graphs.coset_split``): when a state b is expanded, its
+entry is stored under the key of p(b) for each p of the lower half, and a
+lookup of x reads the keys of τ⁻¹(x) for each τ of the upper half until
+one holds an entry, so every state of b's orbit finds it. A token is
+skipped when a swap of two blocks with equal patterns on the state maps it
+to a lower vertex, since its next state is then an automorphic image of the
+lower vertex's; the tokens that other automorphisms pair are spent, and
+their next states hit the memo.
 Strategies are derived from the concrete states by bounded questions and
 spend the lowest vertex that reaches the value, which is always kept.
 
@@ -69,11 +72,13 @@ from .graphs import (
     BlockClass,
     Graph,
     bits,
-    block_coset_automorphisms,
+    block_coset_chain,
     block_orbit_count,
     block_orbit_subsets,
     canonical_key,
     ccr_closure,
+    chain_maps,
+    coset_split,
     interchangeable_blocks,
     mask_of,
     uncoloured_components,
@@ -255,17 +260,21 @@ class _Solver:
             (mask_of(w for blk in blocks for w in blk), blocks, {}, {}) for blocks in classes
         ]
         self.outside = self.full & ~sum(m for m, *_ in self.classes)
-        # Lane i of images[v] is v's image bit under the i-th coset
-        # automorphism after the identity (which comes first), in the
-        # narrowest array item that holds n bits: OR-ing images[v] over the
-        # vertices of b packs every r(b) at once.
-        others = block_coset_automorphisms(g, classes)[1:]
+        # The coset maps split at level j (``graphs.coset_split``): an entry
+        # is written under the keys of its state's images by the maps of P_j,
+        # and a state is read under its images by the inverses of the maps
+        # of T_j. Lane i of a half's table[v] is v's image bit under the
+        # half's i-th map after the identity (which comes first), in the
+        # narrowest array item that holds n bits: OR-ing table[v] over the
+        # vertices of b packs every image at once.
+        chain = block_coset_chain(g, classes)
+        j = coset_split(chain)
         self.lane = next(t for t in "BHIQ" if 8 * array(t).itemsize >= g.n)
-        self.orbit_bytes = len(others) * array(self.lane).itemsize
-        self.images = [
-            int.from_bytes(array(self.lane, [1 << r[v] for r in others]), sys.byteorder)
-            for v in range(g.n)
-        ]
+        self.width = array(self.lane).itemsize
+        self.writes = self._half(chain_maps(g.n, chain[j:]))
+        self.reads = self._half(
+            [tuple(sorted(range(g.n), key=t.__getitem__)) for t in chain_maps(g.n, chain[:j])]
+        )
         # A bound above every value (at most n tokens), and the offset that
         # marks an exact memo entry: v + top, above every bound, where a lower
         # bound lo is stored as lo. So an entry answers bounds ``betas`` when
@@ -288,14 +297,35 @@ class _Solver:
             k |= got
         return k
 
-    def orbit(self, b: int) -> bytes:
-        """r(b) for every coset automorphism r after the identity, packed
-        one lane each."""
+    def _half(self, maps: list[tuple[int, ...]]) -> tuple[list[int], int]:
+        """The lane table of ``maps`` after the identity, and how many
+        lanes it has."""
+        others = maps[1:]
+        return [
+            int.from_bytes(array(self.lane, [1 << r[v] for r in others]), sys.byteorder)
+            for v in range(self.g.n)
+        ], len(others)
+
+    def images(self, half: tuple[list[int], int], b: int) -> Iterable[int]:
+        """The keys of b's images by the maps of ``half`` after the
+        identity, lazily."""
+        table, count = half
         packed = 0
-        images = self.images
         for v in bits(b):
-            packed |= images[v]
-        return packed.to_bytes(self.orbit_bytes, sys.byteorder)
+            packed |= table[v]
+        lanes = array(self.lane, packed.to_bytes(count * self.width, sys.byteorder))
+        return map(self.key, lanes) if self.classes else lanes
+
+    def lookup(self, b: int) -> tuple[int, tuple[int, ...]]:
+        """The key that holds the memo entry of b's orbit, or b's own key
+        when none does, and the entry (``self.zeros`` when none does)."""
+        memo = self.memo
+        key = self.key(b)
+        entry = memo.get(key)
+        if entry is None and self.reads[1]:
+            key = next(filter(memo.__contains__, self.images(self.reads, b)), key)
+            entry = memo.get(key)
+        return key, entry or self.zeros
 
     def tokens(self, b: int) -> Iterator[tuple[int, int]]:
         """Rule-1 moves from ``b``: (vertex, closed next state), lowest
@@ -348,16 +378,17 @@ class _Solver:
         cut once it cannot go below them. A level stops expanding when
         ``best`` reaches the least value left to find: its known lower bound,
         and 1 for tokens. The memo entry of ``b`` (one int per level, see
-        ``self.top``) is keyed on ``self.key(b)``, one key per orbit of the
-        block group H, and written under the key of r(b) for every coset
-        automorphism r too (``self.orbit(b)``): each automorphism of G is h·r
-        with h in H, so every state of b's Aut(G)-orbit finds it. A state
-        asked again above its stored lower bound is expanded again."""
+        ``self.top``) is read by :meth:`lookup`, which returns the key that
+        holds the entry of b's Aut(G)-orbit, or b's own, and is written
+        under that key and its images by the write half (``self.writes``).
+        So every write of one orbit goes under the same keys
+        (``graphs.coset_split``), and a lookup reads the orbit's latest
+        entry, as when each entry was written under the images by every
+        coset automorphism. A state asked again above its stored lower
+        bound is expanded again."""
         if b == self.full:
             return self.zeros
-        memo = self.memo
-        key = self.key(b)
-        entry = memo.get(key, self.zeros)
+        key, entry = self.lookup(b)
         floor = tuple(map(mod, entry, self.top))  # exact values or lower bounds
         if all(map(ge, entry, betas)):
             self.hits += 1
@@ -405,12 +436,11 @@ class _Solver:
                         break
         # exact where it was, or where a move went below beta
         top = self.top[0]
-        values = memo[key] = tuple(
+        values = self.memo[key] = tuple(
             [x + top if e >= top or x < beta else x for x, e, beta in zip(best, entry, betas)]
         )
-        if self.orbit_bytes:  # some coset automorphism besides the identity
-            lanes = array(self.lane, self.orbit(b))
-            memo.update(dict.fromkeys(map(self.key, lanes) if self.classes else lanes, values))
+        if self.writes[1]:  # some write map besides the identity
+            self.memo.update(dict.fromkeys(self.images(self.writes, key), values))
         return tuple(best)
 
     # -- strategy extraction (re-derives optimal moves by bounded searches) --
@@ -466,9 +496,12 @@ def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
     memo entry serves an orbit of Aut(G): the memo is keyed on the canonical
     form under permutations of interchangeable vertex blocks (twins, book
     pages, the columns of ``K_{n,m} x K_2``), read from per-class key
-    tables, and each entry is also stored under the images of the colouring
-    by one automorphism per coset of the block group. A graph whose only
-    symmetries are block permutations gets the identity alone. A token that
+    tables. The automorphisms, one per coset of the block group, split into
+    two halves whose products they are: each entry is also stored under the
+    colouring's images by one half, and a lookup reads a colouring's images
+    by the inverses of the other (48 writes and 15 reads for the 720 maps of
+    ``kneser2(6)``). A graph whose only symmetries are block permutations
+    gets the identity alone. A token that
     a swap of blocks with equal patterns maps to a lower vertex is skipped,
     so ``cache_stats.hits`` does not count those duplicates; the tokens that
     other automorphisms pair are all spent, and their repeats count as hits.

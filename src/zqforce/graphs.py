@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -455,32 +456,36 @@ def _descending(
                 yield head | tail
 
 
-def block_coset_automorphisms(
-    g: Graph, classes: Sequence[BlockClass]
-) -> list[tuple[int, ...]]:
+# A level k of the coset chain: one branch per image w != v of the k-th
+# vertex v that the backtrack accepts after the identity on the first k, as
+# (a, None) when its first leaf a carries blocks onto blocks, its leaves
+# then being a composed with each map that fixes the first k + 1, and as
+# (a, every leaf that maps v to w) when it does not.
+CosetLevel = list[tuple[tuple[int, ...], list[tuple[int, ...]] | None]]
+
+
+def block_coset_chain(g: Graph, classes: Sequence[BlockClass]) -> list[CosetLevel]:
     """One automorphism per right coset H·r of the block group H of
-    ``classes`` in Aut(G), the identity first; a map is the tuple of vertex
-    images.
+    ``classes`` in Aut(G), as a Schreier–Sims chain of levels, one per
+    vertex of a breadth-first order; ``chain_maps(g.n, chain)`` lists the
+    maps, the identity first, a map being the tuple of vertex images.
 
-    The maps are the leaves of a backtrack over the vertices in
-    breadth-first order (:func:`_coset_images`): a partial map keeps every
-    adjacency and non-adjacency among the vertices mapped so far, so a leaf
-    is an automorphism, and it first maps onto the blocks of each class in
-    rank order, the order in which the vertex order itself first reaches
-    them. The members h·r of one coset map onto the blocks of each class in
-    orders that differ by h's permutation of the blocks, so exactly one
-    member of each coset is a leaf, its canonical member; in H that is the
-    identity. As every automorphism of G is some h·r,
-    ``canonical_key(classes, r(b))`` over the returned r takes the key of
-    every state in the Aut(G)-orbit of b.
+    The maps are the leaves of a backtrack over the vertices in that order
+    (:func:`_coset_images`): a partial map keeps every adjacency and
+    non-adjacency among the vertices mapped so far, so a leaf is an
+    automorphism, and it first maps onto the blocks of each class in rank
+    order, the order in which the vertex order itself first reaches them.
+    The members h·r of one coset map onto the blocks of each class in orders
+    that differ by h's permutation of the blocks, so exactly one member of
+    each coset is a leaf, its canonical member; in H that is the identity.
+    As every automorphism of G is some h·r, ``canonical_key(classes, r(b))``
+    over the leaves r takes the key of every state in the Aut(G)-orbit of b.
 
-    The leaves are built level by level, as in Schreier and Sims. P_k, the
-    leaves that fix the first k vertices of the order, is P_{k+1} and, for
-    each image w != v of the k-th vertex v that the backtrack accepts after
-    the identity on the first k, the leaves L_w that map v to w; P_n is the
-    identity and P_0 the answer. Let a be the first leaf of L_w. If a
-    carries the blocks of each class onto the blocks of one class, position
-    for position, it normalises H (a∘H∘a⁻¹ = H), and L_w is
+    P_k, the leaves that fix the first k vertices of the order, is P_{k+1}
+    and, for each branch of level k, the leaves L_w that map its vertex v to
+    w; P_n is the identity and P_0 every leaf. Let a be the first leaf of
+    L_w. If a carries the blocks of each class onto the blocks of one class,
+    position for position, it normalises H (a∘H∘a⁻¹ = H), and L_w is
     {a∘x : x in P_{k+1}}, where (a∘x)(u) = a(x(u)):
     - a∘x is a leaf: it is an automorphism that agrees with a on the first
       k + 1 vertices, and it reaches the blocks of each class in rank
@@ -492,7 +497,10 @@ def block_coset_automorphisms(
       so x = h∘y is in P_{k+1}. Then r = (a∘h⁻¹∘a⁻¹)∘(a∘x) is in the coset
       H·(a∘x), and a coset has one leaf, so r = a∘x.
     Otherwise L_w is searched in full. So a map costs about one composition
-    rather than one descent of the backtrack.
+    rather than one descent of the backtrack, and where every branch of
+    levels 0..j-1 composes, P_0 = T_j∘P_j, T_j the products
+    u_0∘u_1∘...∘u_{j-1} with u_k the identity or the first leaf of a branch
+    of level k: ``chain_maps(g.n, chain[:j])``.
     """
     n = g.n
     adj = g.adj
@@ -535,36 +543,74 @@ def block_coset_automorphisms(
             last[c] = block[v]
             reached |= block[v]
     search = (adj, order, earlier, gate)
-    maps = [tuple(range(n))]
-    for k in range(n - 1, -1, -1):
-        v = order[k]
+    chain: list[CosetLevel] = []
+    for k, v in enumerate(order):
         image = list(range(n))
         used = mask_of(order[:k])
-        new: list[tuple[int, ...]] = []
+        level: CosetLevel = []
         for w in _coset_images(search, k, image, used):
             if w == v:
                 continue
             image[v] = w
             leaves = _coset_leaves(search, k + 1, image, used | 1 << w)
             a = next(leaves, None)
-            if a is None:
-                continue
-            if _permutes_blocks(a, block_class):
-                # tuple() of a list allocates at the final size; of an
-                # iterator it over-allocates and shrinks, which kept the
-                # process's resident memory higher after the search
-                new += [tuple([a[u] for u in x]) for x in maps]
-            else:
-                new.append(a)
-                new += leaves
+            if a is not None:
+                level.append((a, None) if _permutes_blocks(a, block_class) else (a, [a, *leaves]))
+        chain.append(level)
+    return chain
+
+
+def chain_maps(n: int, levels: Sequence[CosetLevel]) -> list[tuple[int, ...]]:
+    """The maps that ``levels``, a slice of :func:`block_coset_chain`, build
+    on n vertices, the identity first: P_j for ``chain[j:]``, and T_j for
+    ``chain[:j]`` when each of its branches composes."""
+    maps = [tuple(range(n))]
+    for level in reversed(levels):
+        new: list[tuple[int, ...]] = []
+        for a, leaves in level:
+            # tuple() of a list allocates at the final size; of an iterator
+            # it over-allocates and shrinks, which kept the process's
+            # resident memory higher after the search
+            new += leaves if leaves is not None else [tuple([a[u] for u in x]) for x in maps]
         maps += new
     return maps
+
+
+def coset_split(chain: Sequence[CosetLevel]) -> int:
+    """The level j at which the game memo splits the coset maps of
+    :func:`block_coset_chain`: an entry is written under the keys of a
+    state's images by P_j (``chain[j:]``), and a lookup reads the keys of a
+    state's images by the inverses of T_j (``chain[:j]``).
+
+    j is the deepest level with |P_j| >= |T_j| = |P_0| / |P_j|, since
+    lookups outnumber writes; j = 0 writes under every coset map and reads
+    one key. A graph splits only when every branch composes. Then every map
+    of the chain carries blocks onto blocks and normalises H, and so does
+    G_j, the automorphisms that fix the first j vertices, since H·P_j holds
+    G_j (the leaf of the coset of a map that fixes them fixes them too, see
+    :func:`block_coset_chain`) and P_j lies in G_j. So N = H·G_j is a group,
+    the keys of a state's P_j-images are the keys of its N-orbit, and
+    Aut(G) = T_j·N: an automorphism is h∘τ∘p with τ∘p in T_j∘P_j, and
+    h∘τ = τ∘(τ⁻¹∘h∘τ). A lookup of x reads the key of τ⁻¹(x) for each τ in
+    T_j. If x is in the Aut(G)-orbit of y, then x = τ(y') for some τ in T_j
+    and y' in the N-orbit of y, so one of those keys is the key of y', under
+    which y's entry was written. The solver writes under the key that
+    answered the lookup, or the state's own key, and its P_j-images. A key
+    is an H-image of its state, so every write of one Aut(G)-orbit goes
+    under the keys of the same N-orbit, each overwriting the last, as when
+    every entry went under every coset map.
+    """
+    if any(leaves is not None for level in chain for _, leaves in level):
+        return 0
+    # |P_n|, ..., |P_0|: a level of b branches, each composed, has b + 1 times the maps below it
+    sizes = list(accumulate((len(level) + 1 for level in reversed(chain)), mul, initial=1))
+    return len(chain) - next(i for i, size in enumerate(sizes) if size * size >= sizes[-1])
 
 
 def _coset_images(
     search: tuple, k: int, image: list[int], used: int
 ) -> list[int]:
-    """The images that :func:`block_coset_automorphisms`' backtrack accepts
+    """The images that :func:`block_coset_chain`'s backtrack accepts
     for the k-th vertex v of the order after ``image`` on the first k
     (``used`` the mask of their images), v first and then ascending: an
     unused w whose neighbours among the images so far are the images of
@@ -584,7 +630,7 @@ def _coset_images(
 def _coset_leaves(
     search: tuple, k: int, image: list[int], used: int
 ) -> Iterator[tuple[int, ...]]:
-    """The leaves of :func:`block_coset_automorphisms`' backtrack that
+    """The leaves of :func:`block_coset_chain`'s backtrack that
     extend ``image`` on the first k vertices of the order, in search order.
     ``image`` is overwritten past them. A module-level generator, not a
     closure, so no reference cycle outlives the search."""

@@ -184,6 +184,18 @@ def node_connectivity(g: Graph) -> int:
     return nx.node_connectivity(h)
 
 
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of ``g`` as vertex images, by networkx's VF2,
+    which shares no code with the package."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return [tuple(m[v] for v in range(g.n)) for m in GraphMatcher(h, h).isomorphisms_iter()]
+
+
 def mask(vertices) -> int:
     m = 0
     for v in vertices:

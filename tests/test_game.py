@@ -31,6 +31,7 @@ from zqforce.threshold import build_threshold_graph, iter_creation_sequences, zq
 from helpers import (
     PETERSEN_EDGES,
     all_graphs_up_to_iso,
+    automorphisms,
     mask,
     naive_ccr_closure,
     naive_components,
@@ -209,7 +210,7 @@ def test_admissible_families_match_set_reference():
 def _check_every_closed_state(g, qs):
     """The values of every CCR-closed state of ``g`` at the levels ``qs``,
     through one solver over all of them as ``zq_number`` builds it (blocks
-    and coset automorphisms), against the set-based reference at each level;
+    and the split coset automorphisms), against the set-based reference at each level;
     and ``zq_number`` at each level."""
     closed = sorted({ccr_closure(g, b) for b in range(1 << g.n)})
     references = [naive_game(g, q) for q in qs]
@@ -416,7 +417,8 @@ def test_z0_search_only_without_game_levels(monkeypatch):
 def test_chain_refused_before_any_traversal(monkeypatch):
     # Z's subset search refuses K(9,2) at once; the game levels then carry
     # its refusal, and zq_chain raises it without building a solver (a
-    # solver would first build K(9,2)'s 362,880 automorphisms)
+    # solver would first build 10,080 of K(9,2)'s 362,880 coset maps to
+    # write entries under)
     def no_solver(g, levels):
         raise AssertionError(f"solver built for levels {levels}")
 
@@ -685,6 +687,38 @@ def test_cache_stats_of_headline_solves(g, q, stats):
     # automorphisms themselves are pinned by the block-coset tests of
     # tests/test_graphs.py.
     assert zq_number(g, q, build_strategy=False).cache_stats == stats
+
+
+@pytest.mark.parametrize(
+    "g, split, sample",
+    [
+        (petersen(), (12, 10), None),
+        (kneser2(6), (48, 15), 8),
+        (prism(8), (32, 1), None),
+    ],
+    ids=["petersen", "kneser2-6", "prism-8"],
+)
+def test_orbit_lookup_reads_one_entry(g, split, sample):
+    # Each entry is written under a state's images by P_j and read under a
+    # state's images by the inverses of T_j (graphs.coset_split): every
+    # image of a memo state, by an automorphism from VF2, reads that state's
+    # entry. kneser2(6) checks 8 of its 720 automorphisms per state, drawn
+    # from a seeded generator.
+    solver = _Solver(g, (1,))
+    solver.value(ccr_closure(g, 0))
+    assert (solver.writes[1] + 1, solver.reads[1] + 1) == split
+    rng = Random(g.n)
+    autos = automorphisms(g)
+    for state, entry in solver.memo.items():
+        for r in rng.sample(autos, sample) if sample else autos:
+            image = mask(r[v] for v in vset(state))
+            assert solver.lookup(image)[1] == entry, (state, r)
+
+
+def test_coset_split_of_kneser2_7():
+    # 5,040 coset maps: an entry goes under 240 keys and a lookup reads 21
+    solver = _Solver(kneser2(7), (1,))
+    assert (solver.writes[1] + 1, solver.reads[1] + 1) == (240, 21)
 
 
 def test_cutoffs_on_a_prism():

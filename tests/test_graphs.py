@@ -17,12 +17,14 @@ from zqforce.families import (
     prism,
 )
 from zqforce.graphs import (
-    block_coset_automorphisms,
+    block_coset_chain,
     block_orbit_count,
     block_orbit_subsets,
     build_graph,
     canonical_key,
     ccr_closure,
+    chain_maps,
+    coset_split,
     interchangeable_blocks,
     parse_edge_list,
     parse_graph6,
@@ -36,6 +38,7 @@ from helpers import (
     PETERSEN_EDGES,
     adjacency_sets,
     all_graphs_up_to_iso,
+    automorphisms,
     mask,
     naive_ccr_closure,
     naive_induced_ccr,
@@ -364,13 +367,7 @@ def test_block_orbit_subsets_leave_no_reference_cycle():
 
 
 def _nx_automorphisms_enumerated(g):
-    nx = pytest.importorskip("networkx")
-    from networkx.algorithms.isomorphism import GraphMatcher
-
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+    return len(automorphisms(g))
 
 
 def _nx_automorphisms_by_orbits(g):
@@ -429,7 +426,7 @@ def _coset_of(classes, r):
 def _check_block_cosets(g, expected):
     adj = adjacency_sets(g)
     classes = interchangeable_blocks(g)
-    maps = block_coset_automorphisms(g, classes)
+    maps = chain_maps(g.n, block_coset_chain(g, classes))
     assert maps[0] == tuple(range(g.n))
     for r in maps:
         assert sorted(r) == list(range(g.n))
@@ -454,24 +451,34 @@ def test_block_coset_automorphisms_small_graphs():
                 _check_block_cosets(h, _nx_automorphisms_enumerated)
 
 
-@pytest.mark.parametrize(
-    "g, cosets, expected",
-    [
-        (kneser2(6), 720, _nx_automorphisms_enumerated),
-        (prism(8), 32, _nx_automorphisms_enumerated),
-        (build_graph(10, PETERSEN_EDGES), 120, _nx_automorphisms_enumerated),
-        (complete_multipartite(4, 4), 24, _nx_automorphisms_by_orbits),
-        (bipartite_prism(4, 5), 2, _nx_automorphisms_by_orbits),
-        (book(8), 2, _nx_automorphisms_by_orbits),
-        # too large for VF2 to count: Aut is S_6 wr S_6 and S_7
-        (complete_multipartite(6, 6), 720, lambda g: factorial(6) ** 7),
-        (kneser2(7), 5040, lambda g: factorial(7)),
-        (kneser2(8), 40320, lambda g: factorial(8)),
-    ],
-    ids=["kneser2-6", "prism-8", "petersen", "complete_multipartite-4-4",
-         "bipartite_prism-4-5", "book-8", "complete_multipartite-6-6", "kneser2-7",
-         "kneser2-8"],
-)
+# Aut(G) of the paper's families, counted by networkx's VF2 where it can
+_PAPER_FAMILIES = [
+    pytest.param(kneser2(6), 720, _nx_automorphisms_enumerated, id="kneser2-6"),
+    pytest.param(prism(8), 32, _nx_automorphisms_enumerated, id="prism-8"),
+    pytest.param(build_graph(10, PETERSEN_EDGES), 120, _nx_automorphisms_enumerated, id="petersen"),
+    pytest.param(complete_multipartite(4, 4), 24, _nx_automorphisms_by_orbits,
+                 id="complete_multipartite-4-4"),
+    pytest.param(bipartite_prism(4, 5), 2, _nx_automorphisms_by_orbits, id="bipartite_prism-4-5"),
+    pytest.param(book(8), 2, _nx_automorphisms_by_orbits, id="book-8"),
+    # too large for VF2 to count: Aut is S_6 wr S_6 and S_7
+    pytest.param(complete_multipartite(6, 6), 720, lambda g: factorial(6) ** 7,
+                 id="complete_multipartite-6-6"),
+    pytest.param(kneser2(7), 5040, lambda g: factorial(7), id="kneser2-7"),
+    pytest.param(kneser2(8), 40320, lambda g: factorial(8), id="kneser2-8"),
+]
+
+# The 5-cycle 0-3-2-1-4-0 has the blocks (0, 3) and (1, 2): their swap is
+# the reflection that fixes 4. A rotation does not normalise the group of
+# that one swap, so the maps that move vertex 0 cannot all be built from
+# the first one; the same holds for the 6-cycle 0-4-2-3-1-5-0 and its
+# blocks (0, 4) and (1, 3).
+_NON_NORMAL_CYCLES = [
+    (5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)], ((0, 3), (1, 2)), 5),
+    (6, [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)], ((0, 4), (1, 3)), 6),
+]
+
+
+@pytest.mark.parametrize("g, cosets, expected", _PAPER_FAMILIES)
 def test_block_coset_automorphisms_paper_families(g, cosets, expected):
     assert _check_block_cosets(g, expected) == cosets
     perm = list(range(g.n))
@@ -480,18 +487,50 @@ def test_block_coset_automorphisms_paper_families(g, cosets, expected):
 
 
 def test_block_coset_automorphisms_non_normal_block_group():
-    # The 5-cycle 0-3-2-1-4-0 has the blocks (0, 3) and (1, 2): their swap is
-    # the reflection that fixes 4. A rotation does not normalise the group
-    # of that one swap, so the maps that move vertex 0 cannot all be built
-    # from the first one; the same holds for the 6-cycle 0-4-2-3-1-5-0 and
-    # its blocks (0, 4) and (1, 3).
-    for n, edges, blocks, cosets in [
-        (5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)], ((0, 3), (1, 2)), 5),
-        (6, [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)], ((0, 4), (1, 3)), 6),
-    ]:
+    for n, edges, blocks, cosets in _NON_NORMAL_CYCLES:
         g = build_graph(n, edges)
         assert interchangeable_blocks(g) == [blocks]
         assert _check_block_cosets(g, _nx_automorphisms_enumerated) == cosets
+
+
+def _check_coset_splits(g):
+    """At every level j below which each branch of the chain composes, the
+    products τ∘p over T_j x P_j are the flat coset maps, one per coset of
+    the block group; ``coset_split`` picks one such level. Returns it."""
+    classes = interchangeable_blocks(g)
+    chain = block_coset_chain(g, classes)
+    flat = {_coset_of(classes, r) for r in chain_maps(g.n, chain)}
+    for j in range(g.n + 1):
+        if j == 0 or chain[j - 1]:  # past a level with no branch, the split is the one above
+            transversal, below = chain_maps(g.n, chain[:j]), chain_maps(g.n, chain[j:])
+            products = {_coset_of(classes, tuple([t[u] for u in p]))
+                        for t in transversal for p in below}
+            assert len(transversal) * len(below) == len(flat) and products == flat, (g.edges(), j)
+        if j < g.n and any(leaves is not None for _, leaves in chain[j]):
+            break
+    split = coset_split(chain)
+    assert split <= j
+    return split
+
+
+def test_coset_splits_cover_the_coset_maps():
+    rng = Random(31)
+    for n in range(1, 7):
+        for g in all_graphs_up_to_iso(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, relabel(g, perm)):
+                _check_coset_splits(h)
+    for n, edges, _, _ in _NON_NORMAL_CYCLES:
+        assert _check_coset_splits(build_graph(n, edges)) == 0
+
+
+@pytest.mark.parametrize("g, cosets, expected", _PAPER_FAMILIES)
+def test_coset_splits_of_the_paper_families(g, cosets, expected):
+    perm = list(range(g.n))
+    Random(g.n).shuffle(perm)
+    for h in (g, relabel(g, perm)):
+        _check_coset_splits(h)
 
 
 def test_block_coset_automorphisms_leave_no_reference_cycle():
@@ -503,7 +542,7 @@ def test_block_coset_automorphisms_leave_no_reference_cycle():
         gc.collect()
         gc.disable()
         try:
-            block_coset_automorphisms(g, classes)
+            chain_maps(g.n, block_coset_chain(g, classes))
             assert gc.collect() == 0
         finally:
             gc.enable()

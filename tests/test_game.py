@@ -22,8 +22,11 @@ from zqforce.game import (
     zq_number,
 )
 from zqforce.graphs import (
+    block_coset_chain,
     build_graph,
     ccr_closure,
+    chain_maps,
+    coset_split,
     interchangeable_blocks,
 )
 from zqforce.threshold import build_threshold_graph, iter_creation_sequences, zq_formula
@@ -715,10 +718,51 @@ def test_orbit_lookup_reads_one_entry(g, split, sample):
             assert solver.lookup(image)[1] == entry, (state, r)
 
 
-def test_coset_split_of_kneser2_7():
-    # 5,040 coset maps: an entry goes under 240 keys and a lookup reads 21
-    solver = _Solver(kneser2(7), (1,))
-    assert (solver.writes[1] + 1, solver.reads[1] + 1) == (240, 21)
+@pytest.mark.parametrize(
+    "g, split, states",
+    [
+        (complete_multipartite(4, 4), (6, 4), None),
+        (complete_multipartite(6, 6), (24, 30), 1000),
+    ],
+    ids=["complete_multipartite-4-4", "complete_multipartite-6-6"],
+)
+def test_orbit_lookup_reads_one_entry_under_block_swaps(g, split, states):
+    # Aut(G) is S_4 wr S_4 or S_6 wr S_6, too large for VF2 to list, so the
+    # automorphisms are drawn as h∘τ∘p: h permutes the blocks of each class
+    # of H, τ is in T_j and p in P_j. Each is checked to be one; its image of
+    # a memo state is found through τ⁻¹ and a key that undoes h, under the
+    # entry written under the P_j-images of another key. Every memo state
+    # gets 4 drawn automorphisms; of complete_multipartite(6,6)'s 8,341
+    # memo states, 1,000 drawn ones do.
+    solver = _Solver(g, (1,))
+    solver.value(ccr_closure(g, 0))
+    assert (solver.writes[1] + 1, solver.reads[1] + 1) == split
+    classes = interchangeable_blocks(g)
+    chain = block_coset_chain(g, classes)
+    j = coset_split(chain)
+    transversal, below = chain_maps(g.n, chain[:j]), chain_maps(g.n, chain[j:])
+    rng = Random(g.n)
+    memo = list(solver.memo.items())
+    for state, entry in rng.sample(memo, states) if states else memo:
+        for _ in range(4):
+            h = list(range(g.n))
+            for blocks in classes:
+                for blk, to in zip(blocks, rng.sample(blocks, len(blocks))):
+                    for v, w in zip(blk, to):
+                        h[v] = w
+            t, p = rng.choice(transversal), rng.choice(below)
+            r = [h[t[p[v]]] for v in range(g.n)]
+            assert all(g.adj[r[v]] == mask(r[w] for w in vset(g.adj[v])) for v in range(g.n))
+            image = mask(r[v] for v in vset(state))
+            assert solver.lookup(image)[1] == entry, (state, r)
+
+
+def test_coset_splits_of_the_kneser_graphs():
+    # 5,040 coset maps of kneser2(7): an entry goes under 240 keys and a
+    # lookup reads 21; of the 40,320 of kneser2(8), 96 and 420
+    for n, split in [(7, (240, 21)), (8, (96, 420))]:
+        solver = _Solver(kneser2(n), (1,))
+        assert (solver.writes[1] + 1, solver.reads[1] + 1) == split
 
 
 def test_cutoffs_on_a_prism():

@@ -51,10 +51,14 @@ recursion terminates: every expanded move strictly grows the coloured set.
 
 Z(G) and Z_0(G) come from subset searches of decreasing size from a greedy
 forcing set; only the first size with no forcing set is tested in full. Z
-tests every k-subset at once, bit-sliced. Z_0 tests one k-subset per orbit
-of the block group (``graphs.block_orbit_subsets``), since an automorphism
-carries a set's PSD closure to the closure of its image. Both budgets count
-the sets tested.
+tests every k-subset at once, bit-sliced. Z_0 tests one k-subset per orbit,
+since an automorphism carries a set's PSD closure to the closure of its
+image: per orbit of the block group (``graphs.block_orbit_subsets``) on a
+graph with block classes, and on one without, the k-subsets in the same
+bit-sliced lanes as Z's, less every lane that an automorphism maps to a
+smaller set (a smallest-image filter after Linton, ISSAC 2004), compared
+on all lanes at once. Both budgets count the sets tested, the filtered
+lanes among them.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations, repeat
+from functools import cache, partial, reduce
+from itertools import combinations, islice, repeat
 from math import comb
 from operator import ge, mod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -605,11 +609,10 @@ def _ccr_closures(g: Graph, masks: list[int]) -> list[int]:
     return [sum(1 << v for v in range(g.n) if not unc[v] >> i & 1) for i in lanes]
 
 
-def _ccr_level_forces(g: Graph, k: int) -> bool:
-    """Does some k-subset have full CCR closure? Bit-sliced by
-    :func:`_ccr_lanes`, lane i holding the i-th k-subset in lexicographic
-    order (the j-subsets of {s..n-1}: those holding s, then the rest)."""
-    n = g.n
+def _subset_columns(n: int, k: int) -> list[int]:
+    """The k-subsets of {0..n-1}, bit-sliced: lane i of column v is set
+    when the i-th k-subset in lexicographic order holds v (the j-subsets of
+    {s..n-1}: those holding s, then the rest)."""
     level: dict[int, list[int]] = {}  # j -> columns of s..n-1 over the j-subsets
     for s in range(n - 1, -1, -1):
         zeros = [0] * (n - s - 1)
@@ -619,8 +622,67 @@ def _ccr_level_forces(g: Graph, k: int) -> bool:
             pairs = zip(level.pop(j - 1, zeros), level.get(j, zeros))
             nxt[j] = [(1 << held) - 1] + [a | b << held for a, b in pairs]
         level = nxt
-    full = (1 << comb(n, k)) - 1
-    return reduce(int.__or__, _ccr_lanes(g, [full ^ col for col in level.pop(k)])) != full
+    return level.pop(k)
+
+
+def _lane_sets(n: int, k: int, lanes: int) -> Iterator[int]:
+    """The sets of the lanes set in ``lanes``, as masks, in lane order:
+    lane i of :func:`_subset_columns` is the i-th k-subset of {0..n-1} in
+    lexicographic order, the order of ``combinations``. The lanes are found
+    in a string of the mask's bits (``bits`` takes time quadratic in a mask
+    this long), and the subsets between them are skipped unbuilt."""
+    subsets = combinations([1 << v for v in range(n)], k)
+    flags = f"{lanes:b}"[::-1]
+    last = -1
+    i = flags.find("1")
+    while i >= 0:
+        yield sum(next(islice(subsets, i - last - 1, None)))
+        last = i
+        i = flags.find("1", i + 1)
+
+
+def _least_images(columns: list[int], lanes: int, maps: Iterable[Sequence[int]]) -> int:
+    """The lanes among ``lanes`` whose set S, bit-sliced by ``columns`` (as
+    from :func:`_subset_columns`), is no larger as an int than its image
+    under any of ``maps``, a map being the tuple of vertex images.
+
+    Each map's image is compared with S on every lane at once, bit plane by
+    bit plane from the highest vertex down: ``eq`` holds the lanes equal so
+    far, and a lane where S holds the first differing vertex has the smaller
+    image and is dropped. The least set of each orbit of the group that the
+    maps generate is never dropped, so at least one set per orbit is kept,
+    and exactly one when ``maps`` is the whole group."""
+    n = len(columns)
+    for t in maps:
+        image = [0] * n
+        for v, w in enumerate(t):
+            image[w] = columns[v]
+        eq, smaller = lanes, 0
+        for a, b in zip(reversed(columns), reversed(image)):
+            d = (a ^ b) & eq
+            if d:
+                smaller |= d & a
+                eq ^= d
+                if not eq:
+                    break
+        lanes &= ~smaller
+    return lanes
+
+
+def _ccr_level_forces(g: Graph, k: int) -> bool:
+    """Does some k-subset have full CCR closure? Bit-sliced by
+    :func:`_ccr_lanes` over the lanes of :func:`_subset_columns`."""
+    full = (1 << comb(g.n, k)) - 1
+    return reduce(int.__or__, _ccr_lanes(g, [full ^ col for col in _subset_columns(g.n, k)])) != full
+
+
+def _psd_level_forces(g: Graph, maps: list[tuple[int, ...]], k: int) -> bool:
+    """Does some k-subset have full PSD closure? Only the lanes of
+    :func:`_subset_columns` that :func:`_least_images` keeps under ``maps``
+    are closed, one :func:`psd_closure` each, in lane order."""
+    n = g.n
+    kept = _least_images(_subset_columns(n, k), (1 << comb(n, k)) - 1, maps)
+    return any(psd_closure(g, s) == g.full_mask for s in _lane_sets(n, k, kept))
 
 
 def z_number(g: Graph) -> int:
@@ -638,12 +700,19 @@ def z_number(g: Graph) -> int:
 def z0_number(g: Graph) -> int:
     """Positive semidefinite zero forcing number: min |S| with full PSD closure.
 
-    Decreasing-size subset search from a greedy PSD forcing set, over one
-    k-set per orbit of the block group of ``interchangeable_blocks(g)``: an
-    automorphism σ has psd_closure(σ(S)) = σ(psd_closure(S)), so the set's
-    closure is full exactly when its image's is. The search is refused
-    before a size that would take the orbit sets tested past
-    ``Z0_SUBSET_BUDGET``, and stops at the minimum degree δ(G)
+    Decreasing-size subset search from a greedy PSD forcing set. An
+    automorphism σ has psd_closure(σ(S)) = σ(psd_closure(S)), so a set's
+    closure is full exactly when its image's is, and one k-set per orbit
+    is enough. With block classes (``interchangeable_blocks(g)``) those are
+    the orbit sets of the block group (``block_orbit_subsets``), and with
+    no automorphism but the identity every k-set. Otherwise every k-set is
+    a lane of :func:`_subset_columns`, and :func:`_least_images` drops the
+    lanes that some map of :func:`_split_automorphisms` sends to a smaller
+    set, keeping the least set of each Aut(G)-orbit: ``kneser2(7)`` closes
+    95 of its C(21,14) = 116,280 sets of size 14. The search is refused
+    before a size that would take the sets counted past
+    ``Z0_SUBSET_BUDGET`` (the orbit sets with block classes, C(n, k)
+    without), and stops at the minimum degree δ(G)
     (δ <= tw <= Z_0; Barioli et al., J. Graph Theory 72, 2013). Direct proof:
     let S have full PSD closure. If S = V, |S| = n > δ. Otherwise let W be
     a component of G - S. Forces into different components never interact, so
@@ -659,13 +728,26 @@ def z0_number(g: Graph) -> int:
     """
     full = g.full_mask
     classes = interchangeable_blocks(g)
+    maps = cache(partial(_split_automorphisms, g))  # built when a size is first tested
+
+    def forces(k: int) -> bool:
+        if classes or not maps():  # with no automorphism the filter would keep every lane
+            return any(psd_closure(g, m) == full for m in block_orbit_subsets(g, classes, k))
+        return _psd_level_forces(g, maps(), k)
+
     return _search_min_forcing(
-        g,
-        lambda g, masks: [psd_closure(g, m) for m in masks],
-        lambda k: any(psd_closure(g, m) == full for m in block_orbit_subsets(g, classes, k)),
-        Z0_SUBSET_BUDGET,
-        classes,
+        g, lambda g, masks: [psd_closure(g, m) for m in masks], forces, Z0_SUBSET_BUDGET, classes
     )
+
+
+def _split_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Aut(G) as the maps of T_j and then of P_j after the identity, from
+    the coset chain of no block class (``graphs.coset_split``): every
+    automorphism is a product τ∘p of the two halves, so |T_j| + |P_j| - 2
+    maps stand for |T_j|·|P_j| (259 for the 5,040 of ``kneser2(7)``)."""
+    chain = block_coset_chain(g, ())
+    j = coset_split(chain)
+    return chain_maps(g.n, chain[:j])[1:] + chain_maps(g.n, chain[j:])[1:]
 
 
 def zq_saturation(g: Graph) -> int:

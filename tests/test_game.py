@@ -493,16 +493,29 @@ def psd_closures(g, masks):
     return [psd_closure(g, m) for m in masks]
 
 
+def moebius_kantor():
+    """The generalised Petersen graph GP(8, 3): 16 vertices, 96 automorphisms."""
+    spokes = [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 8) for i in range(8)]
+    return build_graph(16, spokes + [(8 + i, 8 + (i + 3) % 8) for i in range(8)])
+
+
 def test_descent_matches_set_reference_beyond_6_vertices(monkeypatch):
     # z_number and z0_number test sizes downwards from a greedy forcing set;
-    # check them against every subset on 7-11 vertices, twin-rich graphs
-    # among them, and again descending from n, since the greedy seldom
-    # overshoots by 2 or more
+    # check them against every subset on 7-16 vertices, twin-rich graphs and
+    # symmetric ones among them, and again descending from n, since the
+    # greedy seldom overshoots by 2 or more. The random graphs almost all
+    # have a trivial group; Petersen, the prisms and the Moebius-Kantor
+    # graph have no block classes and a nontrivial one, so descending from
+    # n runs z0_number's smallest-image filter at every size (the cycles
+    # have a block class, the two halves that a reflection swaps)
     rng = Random(67)
     graphs = [random_graph(rng, rng.randrange(7, 12), rng.random()) for _ in range(30)]
     for _ in range(30):
         n = rng.randrange(7, 12)
         graphs.append(_inflate_twins(rng, random_graph(rng, rng.randrange(3, 7), 0.5), n))
+    symmetric = [petersen(), prism(5), prism(6), moebius_kantor()]
+    assert not any(map(interchangeable_blocks, symmetric))
+    graphs += symmetric + [cycle(7), cycle(8), cycle(9)]
     want = [
         (naive_min_forcing(g, naive_ccr_closure), naive_min_forcing(g, naive_psd_closure))
         for g in graphs
@@ -578,6 +591,88 @@ def test_batch_closure_path_matches_scalar():
         # the greedy's lanes: any sets at once, as ccr_closure closes each
         masks = [rng.randrange(1 << g.n) for _ in range(rng.randrange(1, 9))]
         assert game._ccr_closures(g, masks) == [ccr_closure(g, m) for m in masks], g.edges()
+
+
+def test_subset_columns_list_each_k_subset_once_in_lex_order():
+    # lane i of _subset_columns(n, k) holds the i-th k-subset in the order
+    # of itertools.combinations, and no lane past C(n, k) is set;
+    # _lane_sets names the sets of any lanes, in lane order
+    rng = Random(5)
+    for n in range(1, 10):
+        for k in range(n + 1):
+            columns = game._subset_columns(n, k)
+            subsets = list(combinations(range(n), k))
+            assert len(columns) == n and all(col >> len(subsets) == 0 for col in columns)
+            for i, subset in enumerate(subsets):
+                assert [v for v in range(n) if columns[v] >> i & 1] == list(subset), (n, k, i)
+            for lanes in [(1 << len(subsets)) - 1, rng.getrandbits(len(subsets))]:
+                want = [mask(c) for i, c in enumerate(subsets) if lanes >> i & 1]
+                assert list(game._lane_sets(n, k, lanes)) == want, (n, k, lanes)
+
+
+def _check_orbit_filter(g, autos, maps, k):
+    """The k-sets that _least_images keeps under ``maps`` meet every orbit
+    of VF2's automorphisms ``autos``, and under ``autos`` themselves they
+    are one set per orbit."""
+    everything = {mask(c) for c in combinations(range(g.n), k)}
+    columns = game._subset_columns(g.n, k)
+
+    def kept(maps):
+        lanes = game._least_images(columns, (1 << len(everything)) - 1, maps)
+        return list(game._lane_sets(g.n, k, lanes))
+
+    def orbit(s):
+        return {mask(r[v] for v in vset(s)) for r in autos}
+
+    assert set().union(*map(orbit, kept(maps))) == everything, (g.edges(), k)
+    exact = [orbit(s) for s in kept(autos)]
+    assert set().union(*exact) == everything, (g.edges(), k)
+    assert sum(map(len, exact)) == len(everything), (g.edges(), k)
+
+
+def test_least_images_keep_a_set_of_every_orbit_on_the_atlas():
+    # z0_number closes only the k-sets that no map of _split_automorphisms
+    # sends to a smaller set: at every k, the kept sets must meet every
+    # Aut(G)-orbit. z0_number filters only graphs without block classes (169
+    # of the atlas's graphs, 8 with a nontrivial group), but with no classes
+    # the chain lists all of Aut(G) on any graph, so every graph of at most
+    # 7 vertices is checked (1,091 with a nontrivial group)
+    nx = pytest.importorskip("networkx")
+
+    block_free = []  # per graph without block classes: is its group nontrivial?
+    for h in nx.graph_atlas_g()[1:]:
+        g = build_graph(h.number_of_nodes(), list(h.edges()))
+        autos = automorphisms(g)
+        maps = game._split_automorphisms(g)
+        for k in range(g.n + 1):
+            _check_orbit_filter(g, autos, maps, k)
+        if not interchangeable_blocks(g):
+            block_free.append(len(autos) > 1)
+    assert (len(block_free), sum(block_free)) == (169, 8)
+
+
+@pytest.mark.parametrize(
+    "g, value, sizes, calls",
+    [(kneser2(6), 9, [8], 154), (petersen(), 4, [3], 48), (prism(8), 4, [3], 87)],
+    ids=["kneser2-6", "petersen", "prism-8"],
+)
+def test_z0_filter_where_it_searches(monkeypatch, g, value, sizes, calls):
+    # z0_number on three block-free graphs with 720, 120 and 32
+    # automorphisms. Its psd_closure calls, the greedy's among them, are
+    # pinned: the filter leaves 37 of the 6,435 8-sets of kneser2(6), 6 of
+    # the 120 3-sets of Petersen and 21 of the 560 3-sets of prism(8) to
+    # close, where every set was closed before (6,552 / 162 / 626 calls).
+    # At the sizes it tests, the kept sets must meet every orbit
+    closed, tested = [], []
+    closure, level = game.psd_closure, game._psd_level_forces
+    monkeypatch.setattr(game, "psd_closure", lambda g, b: closed.append(b) or closure(g, b))
+    monkeypatch.setattr(game, "_psd_level_forces", lambda g, maps, k: tested.append(k) or level(g, maps, k))
+    assert z0_number(g) == value
+    assert (tested, len(closed)) == (sizes, calls)
+    monkeypatch.undo()
+    autos = automorphisms(g)
+    for k in sizes:
+        _check_orbit_filter(g, autos, game._split_automorphisms(g), k)
 
 
 def test_kneser_connectivity_equals_degree():

@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 computation refused as infeasible (a game level
 over ``families.GAME_MAX_N`` vertices without --force, the subset budgets),
-2 usage error. Output is deterministic for a fixed argv.
+2 usage error, 141 stdout closed by its reader. Output is deterministic for
+a fixed argv.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -447,7 +449,16 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # output that fit the pipe's buffer meets a closed reader here
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): stop quietly, with the status
+        # a shell gives a process that SIGPIPE ends, and point stdout at
+        # /dev/null so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -22,15 +22,14 @@ whole Aut(G)-orbit. The memo is keyed on a state's canonical form under
 interchangeable vertex blocks (``graphs.interchangeable_blocks``, a
 subgroup H of Aut(G)), read from per-class key tables that the solver fills
 as it meets each class pattern. The automorphisms r, one per coset H·r,
-form a chain (``graphs.block_coset_chain``) that splits at a level j into
-products τ∘p (``graphs.coset_split``): when a state b is expanded, its
-entry is stored under the key of p(b) for each p of the lower half, and a
-lookup of x reads the keys of τ⁻¹(x) for each τ of the upper half until
-one holds an entry, so every state of b's orbit finds it. A token is
-skipped when a swap of two blocks with equal patterns on the state maps it
-to a lower vertex, since its next state is then an automorphic image of the
-lower vertex's; the tokens that other automorphisms pair are spent, and
-their next states hit the memo.
+are the products τ∘p of two halves (``graphs.coset_halves``): when a state
+b is expanded, its entry is stored under the key of p(b) for each p of the
+lower half P_j, and a lookup of x reads the keys of τ⁻¹(x) for each τ of
+the upper half T_j until one holds an entry, so every state of b's orbit
+finds it. A token is skipped when a swap of two blocks with equal patterns
+on the state maps it to a lower vertex, since its next state is then an
+automorphic image of the lower vertex's; the tokens that other
+automorphisms pair are spent, and their next states hit the memo.
 Strategies are derived from the concrete states by bounded questions and
 spend the lowest vertex that reaches the value, which is always kept.
 
@@ -55,10 +54,10 @@ tests every k-subset at once, bit-sliced. Z_0 tests one k-subset per orbit,
 since an automorphism carries a set's PSD closure to the closure of its
 image: per orbit of the block group (``graphs.block_orbit_subsets``) on a
 graph with block classes, and on one without, the k-subsets in the same
-bit-sliced lanes as Z's, less every lane that an automorphism maps to a
-smaller set (a smallest-image filter after Linton, ISSAC 2004), compared
-on all lanes at once. Both budgets count the sets tested, the filtered
-lanes among them.
+bit-sliced lanes as Z's, less every lane that a map of either half of
+``graphs.coset_halves`` sends to a smaller set (a smallest-image filter
+after Linton, ISSAC 2004), compared on all lanes at once. Both budgets
+count the sets tested, the filtered lanes among them.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from itertools import combinations, islice, repeat
 from math import comb
 from operator import ge, mod
@@ -76,13 +75,11 @@ from .graphs import (
     BlockClass,
     Graph,
     bits,
-    block_coset_chain,
     block_orbit_count,
     block_orbit_subsets,
     canonical_key,
     ccr_closure,
-    chain_maps,
-    coset_split,
+    coset_halves,
     interchangeable_blocks,
     mask_of,
     uncoloured_components,
@@ -264,21 +261,18 @@ class _Solver:
             (mask_of(w for blk in blocks for w in blk), blocks, {}, {}) for blocks in classes
         ]
         self.outside = self.full & ~sum(m for m, *_ in self.classes)
-        # The coset maps split at level j (``graphs.coset_split``): an entry
-        # is written under the keys of its state's images by the maps of P_j,
+        # The coset maps' halves (``graphs.coset_halves``): an entry is
+        # written under the keys of its state's images by the maps of P_j,
         # and a state is read under its images by the inverses of the maps
         # of T_j. Lane i of a half's table[v] is v's image bit under the
         # half's i-th map after the identity (which comes first), in the
         # narrowest array item that holds n bits: OR-ing table[v] over the
         # vertices of b packs every image at once.
-        chain = block_coset_chain(g, classes)
-        j = coset_split(chain)
+        transversal, below = coset_halves(g, classes)
         self.lane = next(t for t in "BHIQ" if 8 * array(t).itemsize >= g.n)
         self.width = array(self.lane).itemsize
-        self.writes = self._half(chain_maps(g.n, chain[j:]))
-        self.reads = self._half(
-            [tuple(sorted(range(g.n), key=t.__getitem__)) for t in chain_maps(g.n, chain[:j])]
-        )
+        self.writes = self._half(below)
+        self.reads = self._half([tuple(sorted(range(g.n), key=t.__getitem__)) for t in transversal])
         # A bound above every value (at most n tokens), and the offset that
         # marks an exact memo entry: v + top, above every bound, where a lower
         # bound lo is stored as lo. So an entry answers bounds ``betas`` when
@@ -386,7 +380,7 @@ class _Solver:
         holds the entry of b's Aut(G)-orbit, or b's own, and is written
         under that key and its images by the write half (``self.writes``).
         So every write of one orbit goes under the same keys
-        (``graphs.coset_split``), and a lookup reads the orbit's latest
+        (``graphs.coset_halves``), and a lookup reads the orbit's latest
         entry, as when each entry was written under the images by every
         coset automorphism. A state asked again above its stored lower
         bound is expanded again."""
@@ -584,11 +578,10 @@ def _ccr_lanes(g: Graph, unc: list[int]) -> list[int]:
     """The colour change rule on many sets at once, bit-sliced: lane i of
     ``unc[v]`` is set when v is uncoloured in the i-th set. Closes every
     lane in place and returns ``unc``."""
-    nbrs = [list(bits(a)) for a in g.adj]
     changed = True
     while changed:
         changed = False
-        for u, around in enumerate(nbrs):
+        for u, around in enumerate(g.neighbours):
             ones = twos = 0
             for w in around:
                 twos |= ones & unc[w]
@@ -707,12 +700,13 @@ def z0_number(g: Graph) -> int:
     the orbit sets of the block group (``block_orbit_subsets``), and with
     no automorphism but the identity every k-set. Otherwise every k-set is
     a lane of :func:`_subset_columns`, and :func:`_least_images` drops the
-    lanes that some map of :func:`_split_automorphisms` sends to a smaller
-    set, keeping the least set of each Aut(G)-orbit: ``kneser2(7)`` closes
-    95 of its C(21,14) = 116,280 sets of size 14. The search is refused
-    before a size that would take the sets counted past
-    ``Z0_SUBSET_BUDGET`` (the orbit sets with block classes, C(n, k)
-    without), and stops at the minimum degree δ(G)
+    lanes that some map of T_j or P_j (``graphs.coset_halves`` of no block
+    class, whose products are Aut(G): 259 maps for the 5,040 of
+    ``kneser2(7)``) sends to a smaller set, keeping the least set of each
+    Aut(G)-orbit: ``kneser2(7)`` closes 95 of its C(21,14) = 116,280 sets
+    of size 14. The search is refused before a size that would take the
+    sets counted past ``Z0_SUBSET_BUDGET`` (the orbit sets with block
+    classes, C(n, k) without), and stops at the minimum degree δ(G)
     (δ <= tw <= Z_0; Barioli et al., J. Graph Theory 72, 2013). Direct proof:
     let S have full PSD closure. If S = V, |S| = n > δ. Otherwise let W be
     a component of G - S. Forces into different components never interact, so
@@ -728,7 +722,8 @@ def z0_number(g: Graph) -> int:
     """
     full = g.full_mask
     classes = interchangeable_blocks(g)
-    maps = cache(partial(_split_automorphisms, g))  # built when a size is first tested
+    # T_j's and P_j's maps after the identity, built when a size is first tested
+    maps = cache(lambda: [t for half in coset_halves(g, ()) for t in half[1:]])
 
     def forces(k: int) -> bool:
         if classes or not maps():  # with no automorphism the filter would keep every lane
@@ -738,16 +733,6 @@ def z0_number(g: Graph) -> int:
     return _search_min_forcing(
         g, lambda g, masks: [psd_closure(g, m) for m in masks], forces, Z0_SUBSET_BUDGET, classes
     )
-
-
-def _split_automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Aut(G) as the maps of T_j and then of P_j after the identity, from
-    the coset chain of no block class (``graphs.coset_split``): every
-    automorphism is a product τ∘p of the two halves, so |T_j| + |P_j| - 2
-    maps stand for |T_j|·|P_j| (259 for the 5,040 of ``kneser2(7)``)."""
-    chain = block_coset_chain(g, ())
-    j = coset_split(chain)
-    return chain_maps(g.n, chain[:j])[1:] + chain_maps(g.n, chain[j:])[1:]
 
 
 def zq_saturation(g: Graph) -> int:

@@ -9,6 +9,7 @@ and doubles as a hashable cache key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, combinations
 from math import comb
 from operator import mul
@@ -50,6 +51,15 @@ class Graph:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
+
+    @cached_property
+    def neighbours(self) -> list[list[int]]:
+        """``adj[i]``'s vertices for each i, ascending, built on first use
+        and kept with the graph; read-only. Lists, not tuples: tuples this
+        short go to CPython's free lists when freed, and a report that builds
+        one per vertex of each graph grew its resident memory with every
+        round."""
+        return [list(bits(a)) for a in self.adj]
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -609,6 +619,18 @@ def coset_split(chain: Sequence[CosetLevel]) -> int:
     # |P_0|, ..., |P_n|: a level of b branches, each composed, has b + 1 times the maps below it
     sizes = list(accumulate((len(level) + 1 for level in reversed(chain)), mul, initial=1))[::-1]
     return min(range(len(sizes)), key=lambda j: sizes[j] + 2 * sizes[0] // sizes[j])
+
+
+def coset_halves(
+    g: Graph, classes: Sequence[BlockClass]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """T_j and P_j, the maps of :func:`block_coset_chain` above and below
+    its :func:`coset_split` level j, each the identity first: the game memo
+    reads under T_j's inverses and writes under P_j, and ``z0_number``
+    filters by both."""
+    chain = block_coset_chain(g, classes)
+    j = coset_split(chain)
+    return chain_maps(g.n, chain[:j]), chain_maps(g.n, chain[j:])
 
 
 def _coset_images(

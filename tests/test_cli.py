@@ -841,16 +841,20 @@ print(json.dumps([loaded, runs]))
 """
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def run_fresh(argvs, block_numpy=False):
     """Import every zqforce module in a fresh interpreter with networkx and
     hypothesis unimportable (and numpy too if ``block_numpy``), then run each
     argv through ``cli.run``. Returns whether the imports loaded numpy and
     the (exit code, stdout) of each run."""
-    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     mode = "block-numpy" if block_numpy else "numpy"
     proc = subprocess.run([sys.executable, "-c", FRESH_RUN, mode, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True)
+                          env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded, runs = json.loads(proc.stdout)
     return loaded, [tuple(r) for r in runs]
@@ -891,3 +895,18 @@ def test_matrix_commands_load_numpy_on_first_call():
         THRESHOLD_Q0_ARGV,
     ]
     assert run_fresh(argvs) == (False, [(0, BOOK_MATRIX_CSV), (0, THRESHOLD_Q0_OUT)])
+
+
+def test_closed_stdout_stops_quietly():
+    # `zqforce ... | head` closes the pipe early. The reader here closes it
+    # before the command writes, and the output (68,005 bytes) is larger than
+    # a 64 KiB pipe buffer, so a write meets the closed pipe whenever the
+    # close comes: main() stops with no traceback and status 141, which
+    # neither "infeasible" (1) nor a usage error (2) uses
+    argv = ["reproduce", "--max-n", "6", "--format", "json"]
+    proc = subprocess.Popen([sys.executable, "-c", "from zqforce.cli import main; main()", *argv],
+                            env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(), err) == (141, "")

@@ -21,14 +21,7 @@ from zqforce.game import (
     zq_chain,
     zq_number,
 )
-from zqforce.graphs import (
-    block_coset_chain,
-    build_graph,
-    ccr_closure,
-    chain_maps,
-    coset_split,
-    interchangeable_blocks,
-)
+from zqforce.graphs import build_graph, ccr_closure, coset_halves, interchangeable_blocks
 from zqforce.threshold import build_threshold_graph, iter_creation_sequences, zq_formula
 
 from helpers import (
@@ -610,6 +603,12 @@ def test_subset_columns_list_each_k_subset_once_in_lex_order():
                 assert list(game._lane_sets(n, k, lanes)) == want, (n, k, lanes)
 
 
+def _filter_maps(g):
+    """The maps z0_number filters by: T_j's and P_j's after the identity."""
+    transversal, below = coset_halves(g, ())
+    return transversal[1:] + below[1:]
+
+
 def _check_orbit_filter(g, autos, maps, k):
     """The k-sets that _least_images keeps under ``maps`` meet every orbit
     of VF2's automorphisms ``autos``, and under ``autos`` themselves they
@@ -631,8 +630,8 @@ def _check_orbit_filter(g, autos, maps, k):
 
 
 def test_least_images_keep_a_set_of_every_orbit_on_the_atlas():
-    # z0_number closes only the k-sets that no map of _split_automorphisms
-    # sends to a smaller set: at every k, the kept sets must meet every
+    # z0_number closes only the k-sets that no map of either coset_halves
+    # half sends to a smaller set: at every k, the kept sets must meet every
     # Aut(G)-orbit. z0_number filters only graphs without block classes (169
     # of the atlas's graphs, 8 with a nontrivial group), but with no classes
     # the chain lists all of Aut(G) on any graph, so every graph of at most
@@ -643,7 +642,7 @@ def test_least_images_keep_a_set_of_every_orbit_on_the_atlas():
     for h in nx.graph_atlas_g()[1:]:
         g = build_graph(h.number_of_nodes(), list(h.edges()))
         autos = automorphisms(g)
-        maps = game._split_automorphisms(g)
+        maps = _filter_maps(g)
         for k in range(g.n + 1):
             _check_orbit_filter(g, autos, maps, k)
         if not interchangeable_blocks(g):
@@ -672,7 +671,7 @@ def test_z0_filter_where_it_searches(monkeypatch, g, value, sizes, calls):
     monkeypatch.undo()
     autos = automorphisms(g)
     for k in sizes:
-        _check_orbit_filter(g, autos, game._split_automorphisms(g), k)
+        _check_orbit_filter(g, autos, _filter_maps(g), k)
 
 
 def test_kneser_connectivity_equals_degree():
@@ -798,7 +797,7 @@ def test_cache_stats_of_headline_solves(g, q, stats):
 )
 def test_orbit_lookup_reads_one_entry(g, split, sample):
     # Each entry is written under a state's images by P_j and read under a
-    # state's images by the inverses of T_j (graphs.coset_split): every
+    # state's images by the inverses of T_j (graphs.coset_halves): every
     # image of a memo state, by an automorphism from VF2, reads that state's
     # entry. kneser2(6) checks 8 of its 720 automorphisms per state, drawn
     # from a seeded generator.
@@ -833,9 +832,7 @@ def test_orbit_lookup_reads_one_entry_under_block_swaps(g, split, states):
     solver.value(ccr_closure(g, 0))
     assert (solver.writes[1] + 1, solver.reads[1] + 1) == split
     classes = interchangeable_blocks(g)
-    chain = block_coset_chain(g, classes)
-    j = coset_split(chain)
-    transversal, below = chain_maps(g.n, chain[:j]), chain_maps(g.n, chain[j:])
+    transversal, below = coset_halves(g, classes)
     rng = Random(g.n)
     memo = list(solver.memo.items())
     for state, entry in rng.sample(memo, states) if states else memo:

@@ -24,6 +24,7 @@ from zqforce.graphs import (
     canonical_key,
     ccr_closure,
     chain_maps,
+    coset_halves,
     coset_split,
     interchangeable_blocks,
     parse_edge_list,
@@ -52,6 +53,7 @@ from helpers import (
 def test_build_graph_examples():
     p3 = build_graph(3, [(0, 1), (1, 2)])
     assert p3.edges() == [(0, 1), (1, 2)]
+    assert p3.neighbours == [[1], [0, 2], [1]] and p3.neighbours is p3.neighbours
     k1 = build_graph(1, [])
     assert k1.n == 1 and k1.num_edges() == 0
     k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -496,7 +498,8 @@ def test_block_coset_automorphisms_non_normal_block_group():
 def _check_coset_splits(g):
     """At every level j below which each branch of the chain composes, the
     products τ∘p over T_j x P_j are the flat coset maps, one per coset of
-    the block group; ``coset_split`` picks one such level. Returns it."""
+    the block group; ``coset_split`` picks one such level, and
+    ``coset_halves`` returns T_j and P_j at it. Returns it."""
     classes = interchangeable_blocks(g)
     chain = block_coset_chain(g, classes)
     flat = {_coset_of(classes, r) for r in chain_maps(g.n, chain)}
@@ -510,6 +513,7 @@ def _check_coset_splits(g):
             break
     split = coset_split(chain)
     assert split <= j
+    assert coset_halves(g, classes) == (chain_maps(g.n, chain[:split]), chain_maps(g.n, chain[split:]))
     return split
 
 

@@ -49,9 +49,13 @@ response forces nothing are pruned as dominated, which also guarantees the
 recursion terminates: every expanded move strictly grows the coloured set.
 
 Z(G) and Z_0(G) come from subset searches of decreasing size from a greedy
-forcing set; only the first size with no forcing set is tested in full. Z
-tests every k-subset at once, bit-sliced. Z_0 tests one k-subset per orbit,
-since an automorphism carries a set's PSD closure to the closure of its
+forcing set; only the first size with no forcing set is tested in full.
+Each greedy step closes its candidates together: Z's as bit-sliced lanes
+built in place from the current set, Z_0's less those that a swap of two
+blocks with equal patterns maps to a lower vertex. The lanes share the
+one/two carry of each open neighbourhood among the false twins that have
+it. Z tests every k-subset at once, bit-sliced. Z_0 tests one k-subset
+per orbit, since an automorphism carries a set's PSD closure to the closure of its
 image: per orbit of the block group (``graphs.block_orbit_subsets``) on a
 graph with block classes, and on one without, the k-subsets in the same
 bit-sliced lanes as Z's, less every lane that a map of either half of
@@ -528,39 +532,91 @@ Z_SUBSET_BUDGET = 3_000_000
 Z0_SUBSET_BUDGET = 200_000
 
 
-def _greedy_forcing_set(g: Graph, close: Callable[[Graph, list[int]], list[int]]) -> int:
-    """A set with a full closure: add the vertex of largest closure (the
-    lowest on ties) until it is full, then drop each vertex it can spare.
-    ``close`` closes a list of sets; the closure is monotone and idempotent,
-    so s + v closes as its closure c + v does."""
+def _greedy_forcing_set(g: Graph, psd: bool, classes: Sequence[BlockClass] = ()) -> int:
+    """A set with a full closure, PSD when ``psd`` and CCR otherwise: add
+    the vertex of largest closure (the lowest on ties) until it is full,
+    then drop each vertex it can spare. The closure is monotone and
+    idempotent, so s + v closes as its closure c + v does, and c + v's
+    closure is the next c; the candidates of one step are closed together
+    (:func:`_largest_closure`). The empty set's closure is empty.
+
+    With ``classes`` (``z0_number``'s block classes), a candidate that a
+    swap of two blocks with equal patterns on the current set maps to a
+    lower vertex is skipped (:func:`_swap_lowered`, as in
+    ``_Solver.tokens``): the swap fixes the set and carries the lower
+    vertex's closure onto the candidate's, and ties go to the lower vertex,
+    so the set is the same as without the skip."""
     full = g.full_mask
-    s = 0
-    while (c := close(g, [s])[0]) != full:
-        free = list(bits(full & ~c))
-        sizes = [m.bit_count() for m in close(g, [c | 1 << v for v in free])]
-        s |= 1 << free[sizes.index(max(sizes))]
+    masks = [(mask_of(w for blk in blocks for w in blk), blocks) for blocks in classes]
+
+    def kept(base: int, vs: int) -> list[int]:
+        for m, blocks in masks:
+            vs &= ~_swap_lowered(blocks, base & m)
+        return list(bits(vs))
+
+    s = c = 0
+    while c != full:
+        free = kept(c, full & ~c)
+        i, c = _largest_closure(g, psd, c, free)
+        s |= 1 << free[i]
     # one batch per dropped vertex: a vertex the set could not spare before a
-    # drop cannot be spared after it, by monotonicity
-    rest = list(bits(s))
-    while spare := [v for v, m in zip(rest, close(g, [s & ~(1 << v) for v in rest])) if m == full]:
-        s &= ~(1 << spare[0])
-        rest = rest[rest.index(spare[0]) + 1 :]
+    # drop cannot be spared after it, by monotonicity, and a skipped vertex
+    # can be spared only if a lower one of the set can
+    rest = s
+    while drop := kept(s, rest):
+        i, c = _largest_closure(g, psd, s, drop)
+        if c != full:
+            break
+        s ^= 1 << drop[i]
+        rest &= -2 << drop[i]  # the vertices above the dropped one
     return s
 
 
+def _largest_closure(g: Graph, psd: bool, base: int, flips: list[int]) -> tuple[int, int]:
+    """The position i in ``flips`` whose set base ^ {flips[i]} has the
+    largest closure, the first on ties, and that closure. A PSD closure is
+    one :func:`psd_closure` each. CCR closes them all in place: lane i is
+    base ^ {flips[i]}, its uncoloured columns built straight from ``base``
+    and closed by :func:`_ccr_lanes`; the lanes' uncoloured counts are added
+    up bit-sliced over the columns, the least is read from the highest bit
+    plane down, and only that lane's closure is read out."""
+    if psd:
+        closures = [psd_closure(g, base ^ 1 << v) for v in flips]
+        largest = max(closures, key=int.bit_count)
+        return closures.index(largest), largest
+    every = (1 << len(flips)) - 1
+    unc = [0 if base >> v & 1 else every for v in range(g.n)]
+    for i, v in enumerate(flips):
+        unc[v] ^= 1 << i
+    planes: list[int] = []  # planes[p]: the lanes whose count has bit p
+    for carry in _ccr_lanes(g, unc):
+        p = 0
+        while carry:
+            if p == len(planes):
+                planes.append(0)
+            planes[p], carry = planes[p] ^ carry, planes[p] & carry
+            p += 1
+    fewest = every
+    for plane in reversed(planes):
+        if fewest & ~plane:
+            fewest &= ~plane
+    i = (fewest & -fewest).bit_length() - 1
+    return i, g.full_mask ^ sum((col >> i & 1) << v for v, col in enumerate(unc))
+
+
 def _search_min_forcing(
-    g: Graph, close: Callable[[Graph, list[int]], list[int]], forces: Callable[[int], bool],
-    budget: int, classes: Sequence[BlockClass] = (),
+    g: Graph, psd: bool, forces: Callable[[int], bool], budget: int,
+    classes: Sequence[BlockClass] = (),
 ) -> int:
-    """Least k with ``forces(k)`` (some k-set has a full closure). A
-    superset of a forcing set forces, so sizes are tested downwards from the
-    greedy set's to the minimum degree, a lower bound for Z and Z_0 (see
-    :func:`z_number` and :func:`z0_number`); the first with no forcing set is
-    the only one tested in full. ``budget`` counts the sets tested, the
-    ``block_orbit_subsets`` (all C(n, k) with no ``classes``), counted by
-    ``block_orbit_count`` without listing them: a size that would exceed it
-    is refused before any of its sets is tested."""
-    k = _greedy_forcing_set(g, close).bit_count()
+    """Least k with ``forces(k)`` (some k-set has a full closure, PSD when
+    ``psd``). A superset of a forcing set forces, so sizes are tested
+    downwards from the greedy set's to the minimum degree, a lower bound for
+    Z and Z_0 (see :func:`z_number` and :func:`z0_number`); the first with
+    no forcing set is the only one tested in full. ``budget`` counts the
+    sets tested, the ``block_orbit_subsets`` (all C(n, k) with no
+    ``classes``), counted by ``block_orbit_count`` without listing them: a
+    size that would exceed it is refused before any of its sets is tested."""
+    k = _greedy_forcing_set(g, psd, classes).bit_count()
     tested = 0
     while k > max(1, g.min_degree()):
         tested += block_orbit_count(g, classes, k - 1)
@@ -577,29 +633,37 @@ def _search_min_forcing(
 def _ccr_lanes(g: Graph, unc: list[int]) -> list[int]:
     """The colour change rule on many sets at once, bit-sliced: lane i of
     ``unc[v]`` is set when v is uncoloured in the i-th set. Closes every
-    lane in place and returns ``unc``."""
+    lane in place and returns ``unc``.
+
+    The one/two carry of an open neighbourhood (a row) is computed once
+    for all the vertices that share it (false twins, such as a part of
+    ``complete_multipartite``), and a lane fires where the row holds one
+    uncoloured vertex and at least one of those vertices is coloured. None
+    of them is in the row, so its fire leaves their columns as they were,
+    and they all fire from it at once."""
+    rows: dict[int, list[int]] = {}
+    for u, a in enumerate(g.adj):
+        rows.setdefault(a, []).append(u)
+    shared = [(g.neighbours[us[0]], us) for us in rows.values()]
     changed = True
     while changed:
         changed = False
-        for u, around in enumerate(g.neighbours):
+        for around, us in shared:
             ones = twos = 0
             for w in around:
                 twos |= ones & unc[w]
                 ones |= unc[w]
-            fire = ones & ~(twos | unc[u])  # u coloured, one neighbour not
+            fire = ones & ~twos
             if fire:
-                changed = True
-                for w in around:
-                    unc[w] &= ~fire
+                stay = fire  # lanes where every vertex of the row is uncoloured
+                for u in us:
+                    stay &= unc[u]
+                fire ^= stay
+                if fire:
+                    changed = True
+                    for w in around:
+                        unc[w] &= ~fire
     return unc
-
-
-def _ccr_closures(g: Graph, masks: list[int]) -> list[int]:
-    """``ccr_closure`` of every set in ``masks``, one lane each: the Z
-    search closes its greedy candidates this way, with no scalar closure."""
-    lanes = range(len(masks))
-    unc = _ccr_lanes(g, [sum(1 << i for i in lanes if not masks[i] >> v & 1) for v in range(g.n)])
-    return [sum(1 << v for v in range(g.n) if not unc[v] >> i & 1) for i in lanes]
 
 
 def _subset_columns(n: int, k: int) -> list[int]:
@@ -687,7 +751,7 @@ def z_number(g: Graph) -> int:
     by :func:`_ccr_level_forces`. Raises InfeasibleError past
     ``Z_SUBSET_BUDGET`` subsets tested.
     """
-    return _search_min_forcing(g, _ccr_closures, lambda k: _ccr_level_forces(g, k), Z_SUBSET_BUDGET)
+    return _search_min_forcing(g, False, lambda k: _ccr_level_forces(g, k), Z_SUBSET_BUDGET)
 
 
 def z0_number(g: Graph) -> int:
@@ -730,9 +794,7 @@ def z0_number(g: Graph) -> int:
             return any(psd_closure(g, m) == full for m in block_orbit_subsets(g, classes, k))
         return _psd_level_forces(g, maps(), k)
 
-    return _search_min_forcing(
-        g, lambda g, masks: [psd_closure(g, m) for m in masks], forces, Z0_SUBSET_BUDGET, classes
-    )
+    return _search_min_forcing(g, True, forces, Z0_SUBSET_BUDGET, classes)
 
 
 def zq_saturation(g: Graph) -> int:

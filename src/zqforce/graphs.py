@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -381,16 +381,23 @@ def block_orbit_subsets(g: Graph, classes: Sequence[BlockClass], k: int) -> Iter
 
     These are the sets whose block patterns ascend in block order within
     every class, together with any choice of the vertices outside every
-    class. Sets are built lazily, so a caller that stops early pays only
-    for what it took. The generators recurse through module-level functions,
-    not closures, so a call leaves no reference cycle behind.
+    class: for each split of k among the classes and the outside, the
+    products of one such set per class and one choice outside, in the order
+    of nested loops over the classes. Each class's sets of one size are
+    listed once per call, when that size is first reached, in a table that
+    the call alone holds; the choices outside are built lazily, so a caller
+    that stops early on a graph with few classes pays only for what it
+    took. The generators recurse through module-level functions, not
+    closures, so a call leaves no reference cycle behind.
     """
     inside = mask_of(w for blocks in classes for blk in blocks for w in blk)
     free = [1 << v for v in bits(g.full_mask & ~inside)]
     sizes = [len(blocks) * len(blocks[0]) for blocks in classes]
     # spare[c]: the vertices of classes c.. and outside every class
     spare = [sum(sizes[c:]) + len(free) for c in range(len(classes) + 1)]
-    return _orbit_sets(classes, sizes, spare, free, 0, k)
+    # table[c][x]: the sets of x vertices of class c, filled on first use
+    table: list[dict[int, list[int]]] = [{} for _ in classes]
+    return _orbit_sets(classes, sizes, spare, free, table, [], k)
 
 
 def block_orbit_count(g: Graph, classes: Sequence[BlockClass], k: int) -> int:
@@ -423,17 +430,26 @@ def block_orbit_count(g: Graph, classes: Sequence[BlockClass], k: int) -> int:
 
 def _orbit_sets(
     classes: Sequence[BlockClass], sizes: list[int], spare: list[int], free: list[int],
-    c: int, w: int,
+    table: list[dict[int, list[int]]], parts: list[list[int]], w: int,
 ) -> Iterator[int]:
     """The sets of :func:`block_orbit_subsets` with w vertices from classes
-    c.. and outside every class."""
+    ``len(parts)``.. and outside every class, each joined with one set of
+    each list of ``parts`` (the sets chosen for the classes before), in
+    product order."""
+    c = len(parts)
     if c == len(classes):
-        yield from map(sum, combinations(free, w))
+        # the outside choices stay lazy: with no class they are every k-set
+        for head in map(sum, product(*parts)):
+            yield from map(head.__or__, map(sum, combinations(free, w)))
         return
     for x in range(max(0, w - spare[c + 1]), min(w, sizes[c]) + 1):
-        for m in _ascending(classes[c], x):
-            for r in _orbit_sets(classes, sizes, spare, free, c + 1, w - x):
-                yield m | r
+        heads = table[c].get(x)
+        if heads is None:
+            heads = table[c][x] = list(_ascending(classes[c], x))
+        if heads:
+            parts.append(heads)
+            yield from _orbit_sets(classes, sizes, spare, free, table, parts, w - x)
+            parts.pop()
 
 
 def _ascending(blocks: BlockClass, x: int) -> Iterator[int]:

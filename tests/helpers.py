@@ -7,6 +7,7 @@ adjacency lists (no bitmasks) so they share no code with the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from random import Random
 
@@ -19,7 +20,9 @@ PETERSEN_EDGES = [
 ]
 
 
+@cache
 def adjacency_sets(g: Graph) -> list[set[int]]:
+    """Each vertex's neighbours, as a set; read-only, kept per graph."""
     return [{w for w in range(g.n) if g.adj[v] >> w & 1} for v in range(g.n)]
 
 
@@ -57,13 +60,14 @@ def naive_components(g: Graph, inside: set[int]) -> list[set[int]]:
 
 
 def naive_psd_closure(g: Graph, start: set[int]) -> set[int]:
+    adj = adjacency_sets(g)
     coloured = set(start)
     while True:
         forced = set()
         for comp in naive_components(g, set(range(g.n)) - coloured):
             sub = coloured | comp
             for u in coloured:
-                unc = {w for w in sub if g.adj[u] >> w & 1} - coloured
+                unc = (adj[u] & sub) - coloured
                 if len(unc) == 1:
                     forced |= unc
         if not forced:
@@ -337,3 +341,22 @@ def clique_cover_gram(bits: str) -> list[list[int]]:
                 for j in clique:
                     gram[i][j] += 1
     return gram
+
+
+def reference_greedy(g: Graph, closure) -> set[int]:
+    """The greedy forcing set that z_number and z0_number start from, on a
+    set closure ``closure(g, start)``: add the vertex whose closure is
+    largest (the lowest on ties) until every vertex is coloured, then drop,
+    in ascending order, each vertex the set can spare. Each step closes
+    every candidate afresh; a vertex that could not be spared stays."""
+    everything = set(range(g.n))
+    s: set[int] = set()
+    while (c := closure(g, s)) != everything:
+        free = sorted(everything - c)
+        sizes = [len(closure(g, c | {v})) for v in free]
+        s.add(free[sizes.index(max(sizes))])
+    rest = sorted(s)
+    while spare := [v for v in rest if closure(g, s - {v}) == everything]:
+        s.remove(spare[0])
+        rest = rest[rest.index(spare[0]) + 1 :]
+    return s

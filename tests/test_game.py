@@ -22,7 +22,12 @@ from zqforce.game import (
     zq_number,
 )
 from zqforce.graphs import build_graph, ccr_closure, coset_halves, interchangeable_blocks
-from zqforce.threshold import build_threshold_graph, iter_creation_sequences, zq_formula
+from zqforce.threshold import (
+    build_threshold_graph,
+    iter_creation_sequences,
+    parse_creation_sequence,
+    zq_formula,
+)
 
 from helpers import (
     PETERSEN_EDGES,
@@ -40,6 +45,7 @@ from helpers import (
     random_graph,
     random_oracle,
     random_tree,
+    reference_greedy,
     relabel,
     vset,
 )
@@ -466,6 +472,13 @@ def _inflate_twins(rng, g, n):
     return build_graph(n, edges)
 
 
+def _random_threshold(rng, n):
+    """A connected threshold graph on n >= 2 vertices, mostly zeros, so that
+    its zero runs (false twins) and one runs (true twins) are long."""
+    inner = "".join("1" if rng.random() < 0.35 else "0" for _ in range(n - 2))
+    return build_threshold_graph(parse_creation_sequence("0" + inner + "1"))
+
+
 def test_z0_number_on_block_rich_graphs():
     # z0_number tests one set per block orbit; check it against every subset
     # on graphs above 6 vertices whose block groups are large
@@ -480,10 +493,6 @@ def test_z0_number_on_block_rich_graphs():
     assert sum(len(interchangeable_blocks(g)) for g in graphs) >= 60
     for g in graphs:
         assert z0_number(g) == naive_min_forcing(g, naive_psd_closure), g.edges()
-
-
-def psd_closures(g, masks):
-    return [psd_closure(g, m) for m in masks]
 
 
 def moebius_kantor():
@@ -516,14 +525,11 @@ def test_descent_matches_set_reference_beyond_6_vertices(monkeypatch):
     for g, values in zip(graphs, want):
         assert (z_number(g), z0_number(g)) == values, g.edges()
         everything = set(range(g.n))
-        for close, naive in (
-            (game._ccr_closures, naive_ccr_closure),
-            (psd_closures, naive_psd_closure),
-        ):
-            s = vset(game._greedy_forcing_set(g, close))
+        for psd, naive in ((False, naive_ccr_closure), (True, naive_psd_closure)):
+            s = vset(game._greedy_forcing_set(g, psd, interchangeable_blocks(g) if psd else ()))
             assert naive(g, s) == everything, g.edges()
             assert all(naive(g, s - {v}) != everything for v in s), g.edges()
-    monkeypatch.setattr(game, "_greedy_forcing_set", lambda g, close: g.full_mask)
+    monkeypatch.setattr(game, "_greedy_forcing_set", lambda g, psd, classes=(): g.full_mask)
     for g, values in zip(graphs, want):
         assert (z_number(g), z0_number(g)) == values, g.edges()
 
@@ -560,6 +566,70 @@ def test_z0_at_least_min_degree_exhaustive():
         assert naive_min_forcing(g, naive_psd_closure) >= g.min_degree(), g.edges()
 
 
+def _lane_closures(g, masks):
+    """``game._ccr_lanes`` on the sets ``masks``, one lane each, read back
+    as the coloured set of each lane."""
+    unc = game._ccr_lanes(g, [sum(1 << i for i, m in enumerate(masks) if not m >> v & 1) for v in range(g.n)])
+    return [g.full_mask ^ sum((unc[v] >> i & 1) << v for v in range(g.n)) for i in range(len(masks))]
+
+
+def test_ccr_lanes_share_twin_rows():
+    # _ccr_lanes computes one row for all the vertices with one open
+    # neighbourhood; lane by lane it must give the set closure, on graphs
+    # where most rows are shared, with lanes in which a twin forces: every
+    # vertex u with all but one of its neighbours coloured, and random sets
+    from zqforce.families import complete_bipartite
+
+    rng = Random(34)
+    graphs = [complete_multipartite(n, parts) for n in range(1, 6) for parts in range(2, 6)]
+    graphs += [complete_bipartite(n, m) for n in range(1, 6) for m in range(n, 6)]
+    graphs += [_random_threshold(rng, rng.randrange(4, 17)) for _ in range(30)]
+    for _ in range(30):
+        graphs.append(_inflate_twins(rng, random_graph(rng, rng.randrange(3, 7), 0.5), rng.randrange(7, 15)))
+    twin_forces = 0
+    for g in graphs:
+        twins = [u for u in range(g.n) if g.adj.count(g.adj[u]) > 1]
+        masks = []
+        for u in range(g.n):
+            for w in vset(g.adj[u]):
+                masks.append((1 << u | g.adj[u]) & ~(1 << w))
+        masks += [rng.getrandbits(g.n) & rng.getrandbits(g.n) for _ in range(20)]
+        masks += [rng.getrandbits(g.n) | rng.getrandbits(g.n) for _ in range(20)]
+        for u in twins:
+            twin_forces += sum(m >> u & 1 and (g.adj[u] & ~m).bit_count() == 1 for m in masks)
+        want = [naive_ccr_closure(g, vset(m)) for m in masks]
+        # all at once, and one lane a call: another lane's fire must not be
+        # what sweeps a lane again
+        assert list(map(vset, _lane_closures(g, masks))) == want, g.edges()
+        for m, closed in zip(masks, want):
+            assert vset(_lane_closures(g, [m])[0]) == closed, (g.edges(), m)
+    assert twin_forces > 1000
+
+
+def test_greedy_sets_are_the_first_greedy_sets():
+    # _greedy_forcing_set closes the Z candidates in lanes built in place
+    # and, given block classes, skips the candidates that a block swap maps
+    # to a lower vertex; the sets must be those of the greedy as first
+    # written, which closes every candidate as a set
+    # (helpers.reference_greedy), for Z and for Z_0 with and without the
+    # classes
+    from zqforce.families import generate, known_values
+
+    rng = Random(35)
+    graphs = [g for n in range(1, 7) for g in all_graphs_up_to_iso(n)]
+    registry = {tuple(g.adj): g for g in (generate(kv.family) for kv in known_values(8))}
+    graphs += registry.values()
+    for _ in range(40):
+        graphs.append(_inflate_twins(rng, random_graph(rng, rng.randrange(3, 7), 0.5), rng.randrange(7, 15)))
+    graphs += [_random_threshold(rng, rng.randrange(4, 21)) for _ in range(40)]
+    assert len(registry) == 128
+    for g in graphs:
+        assert vset(game._greedy_forcing_set(g, False)) == reference_greedy(g, naive_ccr_closure), g.edges()
+        want = reference_greedy(g, naive_psd_closure)
+        assert vset(game._greedy_forcing_set(g, True)) == want, g.edges()
+        assert vset(game._greedy_forcing_set(g, True, interchangeable_blocks(g))) == want, g.edges()
+
+
 def test_batch_closure_path_matches_scalar():
     from zqforce.families import kneser2
     from zqforce.game import _ccr_level_forces
@@ -581,9 +651,9 @@ def test_batch_closure_path_matches_scalar():
         z = naive_min_forcing(g, naive_ccr_closure)
         for k in range(g.n + 1):
             assert _ccr_level_forces(g, k) is (k >= z), (g.edges(), k)
-        # the greedy's lanes: any sets at once, as ccr_closure closes each
+        # any sets at once, one lane each, as ccr_closure closes each
         masks = [rng.randrange(1 << g.n) for _ in range(rng.randrange(1, 9))]
-        assert game._ccr_closures(g, masks) == [ccr_closure(g, m) for m in masks], g.edges()
+        assert _lane_closures(g, masks) == [ccr_closure(g, m) for m in masks], g.edges()
 
 
 def test_subset_columns_list_each_k_subset_once_in_lex_order():
@@ -652,7 +722,7 @@ def test_least_images_keep_a_set_of_every_orbit_on_the_atlas():
 
 @pytest.mark.parametrize(
     "g, value, sizes, calls",
-    [(kneser2(6), 9, [8], 154), (petersen(), 4, [3], 48), (prism(8), 4, [3], 87)],
+    [(kneser2(6), 9, [8], 144), (petersen(), 4, [3], 43), (prism(8), 4, [3], 82)],
     ids=["kneser2-6", "petersen", "prism-8"],
 )
 def test_z0_filter_where_it_searches(monkeypatch, g, value, sizes, calls):
@@ -661,7 +731,9 @@ def test_z0_filter_where_it_searches(monkeypatch, g, value, sizes, calls):
     # pinned: the filter leaves 37 of the 6,435 8-sets of kneser2(6), 6 of
     # the 120 3-sets of Petersen and 21 of the 560 3-sets of prism(8) to
     # close, where every set was closed before (6,552 / 162 / 626 calls).
-    # At the sizes it tests, the kept sets must meet every orbit
+    # The greedy takes each step's closure from its candidates' (154 / 48 /
+    # 87 calls when it closed the set again). At the sizes it tests, the
+    # kept sets must meet every orbit
     closed, tested = [], []
     closure, level = game.psd_closure, game._psd_level_forces
     monkeypatch.setattr(game, "psd_closure", lambda g, b: closed.append(b) or closure(g, b))

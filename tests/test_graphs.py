@@ -1,5 +1,6 @@
 import gc
 from collections import Counter
+from hashlib import sha256
 from itertools import combinations
 from math import comb, factorial, prod
 from random import Random
@@ -351,6 +352,29 @@ def test_block_orbit_count_matches_the_listed_sets():
             want = sum(1 for _ in block_orbit_subsets(g, classes, k))
             assert block_orbit_count(g, classes, k) == want, (g.edges(), k)
             assert block_orbit_count(g, (), k) == comb(g.n, k)
+
+
+@pytest.mark.parametrize(
+    "g, k, count, digest",
+    [
+        (bipartite_prism(4, 5), 7, 214, "0cd6cdd6119adad3a326428f8758827a479fcf3ea6edd440379637ccebd86b05"),
+        (bipartite_prism(4, 5), 8, 262, "8ebce6049bb8ea34c16144aec6490e01ed9cbff04e38be531f799d4b277da0af"),
+        (bipartite_prism(7, 8), 13, 1676, "716ccba6b96e012acf2da618300d6230358d0d95df1b0486f2b8dc0a94ef1d67"),
+        (complete_multipartite(5, 5), 19, 205, "901f48bc6dd44d27c568453045d194dbb5c67980849f6b8b0b4893752d0ea936"),
+        (book(8), 3, 16, "2deee09785068f1575ef5977ac1e803029db8f1f2f814dae39069dbbf5024f27"),
+    ],
+    ids=["bipartite_prism-4-5-k7", "bipartite_prism-4-5-k8", "bipartite_prism-7-8-k13",
+         "complete_multipartite-5-5-k19", "book-8-k3"],
+)
+def test_block_orbit_subsets_keep_their_order(g, k, count, digest):
+    # z0_number stops at the first set that forces, so the order of the
+    # orbit sets sets its time: the sequence, order included, is pinned by
+    # its length and the sha256 of its sets as 8-byte little-endian words,
+    # as block_orbit_subsets listed them when it rebuilt the later classes'
+    # sets for every set of an earlier class
+    got = list(block_orbit_subsets(g, interchangeable_blocks(g), k))
+    assert len(got) == count
+    assert sha256(b"".join(m.to_bytes(8, "little") for m in got)).hexdigest() == digest
 
 
 def test_block_orbit_subsets_leave_no_reference_cycle():

@@ -47,9 +47,9 @@ def _read_graph(args) -> tuple[Graph, dict]:
 
 
 def _check_options(args, what: str, needs, reads, options) -> None:
-    """Refuse a ``what`` (a probe, a certificate) missing one of ``needs``,
-    then one given any of ``options`` that it does not read: an option is
-    given when it is not None."""
+    """Refuse a ``what`` (a probe, a certificate, a family) missing one of
+    ``needs``, then one given any of ``options`` that it does not read: an
+    option is given when it is not None."""
     if missing := [opt for opt in needs if getattr(args, opt) is None]:
         raise ValueError(f"{what} needs --{missing[0]}")
     if unread := [opt for opt in options if opt not in reads and getattr(args, opt) is not None]:
@@ -290,7 +290,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    spec = families.FamilySpec(args.name, tuple(p for p in (args.n, args.m) if p is not None))
+    reads = ("n", "m")[: families._FAMILIES[args.name][0]]
+    _check_options(args, f"{args.name} family", reads, reads, ("n", "m"))
+    spec = families.FamilySpec(args.name, tuple(getattr(args, opt) for opt in reads))
     g = families.generate(spec)
     record: dict = {"input": {"family": spec.label(), "n_vertices": g.n}}
     lines = [f"family: {spec.label()}", f"vertices: {g.n}", f"edges: {g.num_edges()}"]

@@ -22,14 +22,15 @@ whole Aut(G)-orbit. The memo is keyed on a state's canonical form under
 interchangeable vertex blocks (``graphs.interchangeable_blocks``, a
 subgroup H of Aut(G)), read from per-class key tables that the solver fills
 as it meets each class pattern. The automorphisms r, one per coset H·r,
-are the products τ∘p of two halves (``graphs.coset_halves``): when a state
-b is expanded, its entry is stored under the key of p(b) for each p of the
-lower half P_j, and a lookup of x reads the keys of τ⁻¹(x) for each τ of
-the upper half T_j until one holds an entry, so every state of b's orbit
-finds it. A token is skipped when a swap of two blocks with equal patterns
-on the state maps it to a lower vertex, since its next state is then an
-automorphic image of the lower vertex's; the tokens that other
-automorphisms pair are spent, and their next states hit the memo.
+are the products τ∘p of two halves of the coset chain, split at the level
+that ``graphs.coset_split`` picks: when a state b is expanded, its entry
+is stored under the key of p(b) for each p of the lower half P_j, and a
+lookup of x reads the keys of τ⁻¹(x) for each τ of the upper half T_j
+until one holds an entry, so every state of b's orbit finds it. A token
+is skipped when a swap of two blocks with equal patterns on the state maps
+it to a lower vertex, since its next state is then an automorphic image of
+the lower vertex's; the tokens that other automorphisms pair are spent, and
+their next states hit the memo.
 Strategies are derived from the concrete states by bounded questions and
 spend the lowest vertex that reaches the value, which is always kept.
 
@@ -58,10 +59,10 @@ it. Z tests every k-subset at once, bit-sliced. Z_0 tests one k-subset
 per orbit, since an automorphism carries a set's PSD closure to the closure of its
 image: per orbit of the block group (``graphs.block_orbit_subsets``) on a
 graph with block classes, and on one without, the k-subsets in the same
-bit-sliced lanes as Z's, less every lane that a map of either half of
-``graphs.coset_halves`` sends to a smaller set (a smallest-image filter
-after Linton, ISSAC 2004), compared on all lanes at once. Both budgets
-count the sets tested, the filtered lanes among them.
+bit-sliced lanes as Z's, less every lane that a generator of Aut(G) sends
+to a smaller set (a smallest-image filter after Linton, ISSAC 2004),
+compared on all lanes at once. Both budgets count the sets tested, the
+filtered lanes among them.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from .graphs import (
     BlockClass,
     Graph,
     bits,
+    block_coset_chain,
     block_orbit_count,
     block_orbit_subsets,
     canonical_key,
@@ -269,12 +271,10 @@ class _Solver:
         # written under the keys of its state's images by the maps of P_j,
         # and a state is read under its images by the inverses of the maps
         # of T_j. Lane i of a half's table[v] is v's image bit under the
-        # half's i-th map after the identity (which comes first), in the
-        # narrowest array item that holds n bits: OR-ing table[v] over the
-        # vertices of b packs every image at once.
+        # half's i-th map after the identity (which comes first), in one
+        # 8-byte array item (n <= 64): OR-ing table[v] over the vertices of
+        # b packs every image at once.
         transversal, below = coset_halves(g, classes)
-        self.lane = next(t for t in "BHIQ" if 8 * array(t).itemsize >= g.n)
-        self.width = array(self.lane).itemsize
         self.writes = self._half(below)
         self.reads = self._half([tuple(sorted(range(g.n), key=t.__getitem__)) for t in transversal])
         # A bound above every value (at most n tokens), and the offset that
@@ -304,7 +304,7 @@ class _Solver:
         lanes it has."""
         others = maps[1:]
         return [
-            int.from_bytes(array(self.lane, [1 << r[v] for r in others]), sys.byteorder)
+            int.from_bytes(array("Q", [1 << r[v] for r in others]), sys.byteorder)
             for v in range(self.g.n)
         ], len(others)
 
@@ -315,7 +315,7 @@ class _Solver:
         packed = 0
         for v in bits(b):
             packed |= table[v]
-        lanes = array(self.lane, packed.to_bytes(count * self.width, sys.byteorder))
+        lanes = array("Q", packed.to_bytes(8 * count, sys.byteorder))
         return map(self.key, lanes) if self.classes else lanes
 
     def lookup(self, b: int) -> tuple[int, tuple[int, ...]]:
@@ -384,7 +384,7 @@ class _Solver:
         holds the entry of b's Aut(G)-orbit, or b's own, and is written
         under that key and its images by the write half (``self.writes``).
         So every write of one orbit goes under the same keys
-        (``graphs.coset_halves``), and a lookup reads the orbit's latest
+        (``graphs.coset_split``), and a lookup reads the orbit's latest
         entry, as when each entry was written under the images by every
         coset automorphism. A state asked again above its stored lower
         bound is expanded again."""
@@ -761,15 +761,16 @@ def z0_number(g: Graph) -> int:
     automorphism σ has psd_closure(σ(S)) = σ(psd_closure(S)), so a set's
     closure is full exactly when its image's is, and one k-set per orbit
     is enough. With block classes (``interchangeable_blocks(g)``) those are
-    the orbit sets of the block group (``block_orbit_subsets``), and with
-    no automorphism but the identity every k-set. Otherwise every k-set is
-    a lane of :func:`_subset_columns`, and :func:`_least_images` drops the
-    lanes that some map of T_j or P_j (``graphs.coset_halves`` of no block
-    class, whose products are Aut(G): 259 maps for the 5,040 of
-    ``kneser2(7)``) sends to a smaller set, keeping the least set of each
-    Aut(G)-orbit: ``kneser2(7)`` closes 95 of its C(21,14) = 116,280 sets
-    of size 14. The search is refused before a size that would take the
-    sets counted past ``Z0_SUBSET_BUDGET`` (the orbit sets with block
+    the orbit sets of the block group (``block_orbit_subsets``). Otherwise
+    every k-set is a lane of :func:`_subset_columns`, and
+    :func:`_least_images` drops the lanes that some generator of Aut(G)
+    sends to a smaller set, keeping the least set of each Aut(G)-orbit (and
+    every set when the identity is the only automorphism). The generators are
+    the first map of each branch of ``graphs.block_coset_chain`` of no
+    block class, a strong generating set (36 maps for the 5,040 of
+    ``kneser2(7)``): ``kneser2(7)`` closes 155 of its C(21,14) = 116,280
+    sets of size 14. The search is refused before a size that would take
+    the sets counted past ``Z0_SUBSET_BUDGET`` (the orbit sets with block
     classes, C(n, k) without), and stops at the minimum degree δ(G)
     (δ <= tw <= Z_0; Barioli et al., J. Graph Theory 72, 2013). Direct proof:
     let S have full PSD closure. If S = V, |S| = n > δ. Otherwise let W be
@@ -786,11 +787,11 @@ def z0_number(g: Graph) -> int:
     """
     full = g.full_mask
     classes = interchangeable_blocks(g)
-    # T_j's and P_j's maps after the identity, built when a size is first tested
-    maps = cache(lambda: [t for half in coset_halves(g, ()) for t in half[1:]])
+    # the generators, built when a size is first tested
+    maps = cache(lambda: [a for level in block_coset_chain(g, ()) for a, _ in level])
 
     def forces(k: int) -> bool:
-        if classes or not maps():  # with no automorphism the filter would keep every lane
+        if classes:
             return any(psd_closure(g, m) == full for m in block_orbit_subsets(g, classes, k))
         return _psd_level_forces(g, maps(), k)
 

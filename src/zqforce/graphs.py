@@ -642,8 +642,7 @@ def coset_halves(
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """T_j and P_j, the maps of :func:`block_coset_chain` above and below
     its :func:`coset_split` level j, each the identity first: the game memo
-    reads under T_j's inverses and writes under P_j, and ``z0_number``
-    filters by both."""
+    reads under T_j's inverses and writes under P_j."""
     chain = block_coset_chain(g, classes)
     j = coset_split(chain)
     return chain_maps(g.n, chain[:j]), chain_maps(g.n, chain[j:])

@@ -723,19 +723,27 @@ def test_probe_kneser_structure_rejects_empty_sample(capsys, sample):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--name", "multipartite", "--n", "2"], "multipartite probe needs --m"),
-        (["--name", "bipartite_prism", "--m", "3"], "bipartite_prism probe needs --n"),
-        (["--name", "kneser_z0", "--n", "5", "--m", "3"], "kneser_z0 probe takes no --m"),
-        (["--name", "kneser_structure", "--n", "5", "--m", "9"],
+        (["probe", "--name", "multipartite", "--n", "2"], "multipartite probe needs --m"),
+        (["probe", "--name", "bipartite_prism", "--m", "3"], "bipartite_prism probe needs --n"),
+        (["probe", "--name", "kneser_z0", "--n", "5", "--m", "3"], "kneser_z0 probe takes no --m"),
+        (["probe", "--name", "kneser_structure", "--n", "5", "--m", "9"],
          "kneser_structure probe takes no --m"),
-        (["--name", "multipartite", "--n", "2", "--m", "3", "--sample", "5"],
+        (["probe", "--name", "multipartite", "--n", "2", "--m", "3", "--sample", "5"],
          "multipartite probe takes no --sample"),
-        (["--name", "kneser_z0", "--n", "5", "--seed", "7"], "kneser_z0 probe takes no --seed"),
+        (["probe", "--name", "kneser_z0", "--n", "5", "--seed", "7"],
+         "kneser_z0 probe takes no --seed"),
+        # family checks its --n and --m the same way, before any graph is built
+        (["family", "--name", "kneser2", "--m", "6"], "kneser2 family needs --n"),
+        (["family", "--name", "kneser2", "--n", "6", "--m", "6", "--q", "1"],
+         "kneser2 family takes no --m"),
+        (["family", "--name", "complete_multipartite", "--n", "3"],
+         "complete_multipartite family needs --m"),
+        (["family", "--name", "petersen", "--n", "5"], "petersen family takes no --n"),
     ],
 )
 def test_probe_options_checked(capsys, argv, message):
-    cap = run_cli(capsys, ["probe"] + argv, expect=2)
-    assert cap.err == f"error: {message}\n"
+    cap = run_cli(capsys, argv, expect=2)
+    assert (cap.out, cap.err) == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

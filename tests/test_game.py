@@ -21,7 +21,13 @@ from zqforce.game import (
     zq_chain,
     zq_number,
 )
-from zqforce.graphs import build_graph, ccr_closure, coset_halves, interchangeable_blocks
+from zqforce.graphs import (
+    block_coset_chain,
+    build_graph,
+    ccr_closure,
+    coset_halves,
+    interchangeable_blocks,
+)
 from zqforce.threshold import (
     build_threshold_graph,
     iter_creation_sequences,
@@ -674,9 +680,9 @@ def test_subset_columns_list_each_k_subset_once_in_lex_order():
 
 
 def _filter_maps(g):
-    """The maps z0_number filters by: T_j's and P_j's after the identity."""
-    transversal, below = coset_halves(g, ())
-    return transversal[1:] + below[1:]
+    """The maps z0_number filters by: the first map of each branch of the
+    coset chain with no block class, a strong generating set of Aut(G)."""
+    return [a for level in block_coset_chain(g, ()) for a, _ in level]
 
 
 def _check_orbit_filter(g, autos, maps, k):
@@ -700,11 +706,11 @@ def _check_orbit_filter(g, autos, maps, k):
 
 
 def test_least_images_keep_a_set_of_every_orbit_on_the_atlas():
-    # z0_number closes only the k-sets that no map of either coset_halves
-    # half sends to a smaller set: at every k, the kept sets must meet every
-    # Aut(G)-orbit. z0_number filters only graphs without block classes (169
-    # of the atlas's graphs, 8 with a nontrivial group), but with no classes
-    # the chain lists all of Aut(G) on any graph, so every graph of at most
+    # z0_number closes only the k-sets that no generator of Aut(G) sends to
+    # a smaller set: at every k, the kept sets must meet every Aut(G)-orbit.
+    # z0_number filters only graphs without block classes (169 of the
+    # atlas's graphs, 8 with a nontrivial group), but with no classes the
+    # chain generates all of Aut(G) on any graph, so every graph of at most
     # 7 vertices is checked (1,091 with a nontrivial group)
     nx = pytest.importorskip("networkx")
 
@@ -722,28 +728,31 @@ def test_least_images_keep_a_set_of_every_orbit_on_the_atlas():
 
 @pytest.mark.parametrize(
     "g, value, sizes, calls",
-    [(kneser2(6), 9, [8], 144), (petersen(), 4, [3], 43), (prism(8), 4, [3], 82)],
+    [(kneser2(6), 9, [8], 146), (petersen(), 4, [3], 43), (prism(8), 4, [3], 82)],
     ids=["kneser2-6", "petersen", "prism-8"],
 )
 def test_z0_filter_where_it_searches(monkeypatch, g, value, sizes, calls):
     # z0_number on three block-free graphs with 720, 120 and 32
     # automorphisms. Its psd_closure calls, the greedy's among them, are
-    # pinned: the filter leaves 37 of the 6,435 8-sets of kneser2(6), 6 of
+    # pinned: the filter leaves 39 of the 6,435 8-sets of kneser2(6), 6 of
     # the 120 3-sets of Petersen and 21 of the 560 3-sets of prism(8) to
     # close, where every set was closed before (6,552 / 162 / 626 calls).
-    # The greedy takes each step's closure from its candidates' (154 / 48 /
-    # 87 calls when it closed the set again). At the sizes it tests, the
-    # kept sets must meet every orbit
+    # The greedy takes each step's closure from its candidates' (156 / 48 /
+    # 87 calls when it closed the set again). It filters by _filter_maps's
+    # generators, and at the sizes it tests the kept sets must meet every
+    # orbit
     closed, tested = [], []
     closure, level = game.psd_closure, game._psd_level_forces
     monkeypatch.setattr(game, "psd_closure", lambda g, b: closed.append(b) or closure(g, b))
-    monkeypatch.setattr(game, "_psd_level_forces", lambda g, maps, k: tested.append(k) or level(g, maps, k))
+    monkeypatch.setattr(game, "_psd_level_forces",
+                        lambda g, maps, k: tested.append((k, maps)) or level(g, maps, k))
     assert z0_number(g) == value
-    assert (tested, len(closed)) == (sizes, calls)
+    maps = _filter_maps(g)
+    assert (tested, len(closed)) == ([(k, maps) for k in sizes], calls)
     monkeypatch.undo()
     autos = automorphisms(g)
     for k in sizes:
-        _check_orbit_filter(g, autos, _filter_maps(g), k)
+        _check_orbit_filter(g, autos, maps, k)
 
 
 def test_kneser_connectivity_equals_degree():

@@ -17,7 +17,7 @@ from dataclasses import asdict
 from . import families, spectral, threshold
 from .contraction import bipartite_contraction, max_matching
 from .game import InfeasibleError, TokenSpend, settled, zq_number, zq_values
-from .graphs import Graph, mask_of, parse_edge_list, parse_graph6, to_graph6, vertices_of
+from .graphs import Graph, mask_of, parse_edge_list, parse_graph6, parse_ints, to_graph6, vertices_of
 
 
 def _read_graph(args) -> tuple[Graph, dict]:
@@ -67,11 +67,9 @@ def _render_strategy(strategy, indent: int = 0) -> list[str]:
             lines.append(f"{pad}offer components {fam}")
             # responses with identical continuations are printed once
             groups: dict[tuple[str, ...], list] = {}
-            conts: dict[tuple[str, ...], tuple] = {}
             for resp, cont in move.responses.items():
                 key = tuple(_render_strategy(cont, indent + 2))
                 groups.setdefault(key, []).append(resp)
-                conts[key] = cont
             for key, resps in sorted(groups.items(), key=lambda kv: sorted(kv[1])[0]):
                 labels = ", ".join(
                     "{" + "; ".join(str(vertices_of(c)) for c in resp) + "}"
@@ -206,10 +204,7 @@ def _matrix_lines(m) -> list[str]:
 
 def _cmd_contract(args) -> int:
     g, source = _read_graph(args)
-    try:
-        vertices = [int(t) for t in args.coloured.split(",") if t != ""]
-    except ValueError as exc:
-        raise ValueError(f"bad --coloured list: {exc}") from exc
+    vertices = parse_ints([t for t in args.coloured.split(",") if t != ""], "bad --coloured list:")
     if vertices and min(vertices) < 0:
         raise ValueError(f"coloured vertex {min(vertices)} is not in the graph (n={g.n})")
     coloured = mask_of(vertices)

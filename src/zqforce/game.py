@@ -55,14 +55,15 @@ Each greedy step closes its candidates together: Z's as bit-sliced lanes
 built in place from the current set, Z_0's less those that a swap of two
 blocks with equal patterns maps to a lower vertex. The lanes share the
 one/two carry of each open neighbourhood among the false twins that have
-it. Z tests every k-subset at once, bit-sliced. Z_0 tests one k-subset
-per orbit, since an automorphism carries a set's PSD closure to the closure of its
-image: per orbit of the block group (``graphs.block_orbit_subsets``) on a
-graph with block classes, and on one without, the k-subsets in the same
-bit-sliced lanes as Z's, less every lane that a generator of Aut(G) sends
-to a smaller set (a smallest-image filter after Linton, ISSAC 2004),
-compared on all lanes at once. Both budgets count the sets tested, the
-filtered lanes among them.
+it. Z tests every k-subset at once, bit-sliced. Z_0 closes one k-subset
+per orbit, one :func:`psd_closure` each in one loop, since an automorphism
+carries a set's PSD closure to the closure of its image. Only the list of
+sets depends on the graph: per orbit of the block group
+(``graphs.block_orbit_subsets``) on a graph with block classes, and on one
+without, the k-subsets in the same bit-sliced lanes as Z's, less every
+lane that a generator of Aut(G) sends to a smaller set (``_least_sets``, a
+smallest-image filter after Linton, ISSAC 2004, compared on all lanes at
+once). Both budgets count the sets tested, the filtered lanes among them.
 """
 
 from __future__ import annotations
@@ -733,13 +734,11 @@ def _ccr_level_forces(g: Graph, k: int) -> bool:
     return reduce(int.__or__, _ccr_lanes(g, [full ^ col for col in _subset_columns(g.n, k)])) != full
 
 
-def _psd_level_forces(g: Graph, maps: list[tuple[int, ...]], k: int) -> bool:
-    """Does some k-subset have full PSD closure? Only the lanes of
-    :func:`_subset_columns` that :func:`_least_images` keeps under ``maps``
-    are closed, one :func:`psd_closure` each, in lane order."""
-    n = g.n
-    kept = _least_images(_subset_columns(n, k), (1 << comb(n, k)) - 1, maps)
-    return any(psd_closure(g, s) == g.full_mask for s in _lane_sets(n, k, kept))
+def _least_sets(n: int, maps: list[tuple[int, ...]], k: int) -> Iterator[int]:
+    """The k-subsets of {0..n-1} that :func:`_least_images` keeps under
+    ``maps``, as masks, in lexicographic order: the lanes of
+    :func:`_subset_columns` read out by :func:`_lane_sets`."""
+    return _lane_sets(n, k, _least_images(_subset_columns(n, k), (1 << comb(n, k)) - 1, maps))
 
 
 def z_number(g: Graph) -> int:
@@ -760,8 +759,10 @@ def z0_number(g: Graph) -> int:
     Decreasing-size subset search from a greedy PSD forcing set. An
     automorphism σ has psd_closure(σ(S)) = σ(psd_closure(S)), so a set's
     closure is full exactly when its image's is, and one k-set per orbit
-    is enough. With block classes (``interchangeable_blocks(g)``) those are
-    the orbit sets of the block group (``block_orbit_subsets``). Otherwise
+    is enough. Each size closes its sets in one loop, stopping at the first
+    full closure; only the sets differ. With block classes
+    (``interchangeable_blocks(g)``) they are the orbit sets of the block
+    group (``block_orbit_subsets``). Otherwise they are :func:`_least_sets`:
     every k-set is a lane of :func:`_subset_columns`, and
     :func:`_least_images` drops the lanes that some generator of Aut(G)
     sends to a smaller set, keeping the least set of each Aut(G)-orbit (and
@@ -791,9 +792,8 @@ def z0_number(g: Graph) -> int:
     maps = cache(lambda: [a for level in block_coset_chain(g, ()) for a, _ in level])
 
     def forces(k: int) -> bool:
-        if classes:
-            return any(psd_closure(g, m) == full for m in block_orbit_subsets(g, classes, k))
-        return _psd_level_forces(g, maps(), k)
+        sets = block_orbit_subsets(g, classes, k) if classes else _least_sets(g.n, maps(), k)
+        return any(psd_closure(g, s) == full for s in sets)
 
     return _search_min_forcing(g, True, forces, Z0_SUBSET_BUDGET, classes)
 

@@ -129,29 +129,36 @@ def parse_graph6(text: str) -> Graph:
         stream = "".join(f"{d:06b}" for d in body)
         if "1" in stream[nbits:]:
             raise ValueError("graph6 padding bits are not zero")
-        pairs = ((i, j) for j in range(1, n) for i in range(j))  # graph6's bit order
-        yield from (pair for pair, bit in zip(pairs, stream) if bit == "1")
+        yield from (pair for pair, bit in zip(_graph6_pairs(n), stream) if bit == "1")
 
     return build_graph(n, edges())
+
+
+def _graph6_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """The vertex pairs i < j in graph6's bit order: by j, then by i."""
+    return ((i, j) for j in range(1, n) for i in range(j))
 
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph in graph6 (short header for n <= 62)."""
     n = g.n
-    stream = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            stream = (stream << 1) | (g.adj[i] >> j & 1)
-            nbits += 1
-    need = (nbits + 5) // 6
-    stream <<= 6 * need - nbits
-    body = [(stream >> 6 * (need - 1 - t)) & 63 for t in range(need)]
-    if n <= 62:
-        head = [n]
-    else:
-        head = [63, n >> 12, (n >> 6) & 63, n & 63]
+    stream = "".join(str(g.adj[i] >> j & 1) for i, j in _graph6_pairs(n))
+    stream += "0" * (-len(stream) % 6)
+    head = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
+    body = [int(stream[t : t + 6], 2) for t in range(0, len(stream), 6)]
     return "".join(chr(63 + d) for d in head + body)
+
+
+def parse_ints(tokens: Iterable[str], what: str) -> list[int]:
+    """``tokens`` as ints; the first that is not one raises ValueError
+    naming it, after ``what``."""
+    values = []
+    for token in tokens:
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"{what} token {token!r} is not an integer") from None
+    return values
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -159,13 +166,7 @@ def parse_edge_list(text: str) -> Graph:
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("edge list needs a 'n m' header")
-    values = []
-    for token in tokens:
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise ValueError(f"edge list token {token!r} is not an integer") from None
-    n, m, *ends = values
+    n, m, *ends = parse_ints(tokens, "edge list")
     if m < 0:
         raise ValueError(f"edge count must be nonnegative, got {m}")
     if len(ends) != 2 * m:

@@ -111,18 +111,19 @@ def srg_certificate(g: Graph, theta: float, tau: float) -> tuple[np.ndarray, np.
     """(PSD, one-negative) certificate pair for a strongly regular graph.
 
     ``theta`` and ``tau`` must be the non-principal adjacency eigenvalues
-    with tau < 0 < theta. ``A - tau*I`` is PSD with nullity mult(tau);
-    ``-A + theta*I`` has one negative eigenvalue and nullity mult(theta).
+    with tau < 0 < theta, each within the zero threshold of :func:`inertia`
+    (``DEFAULT_TOL`` times the spectral norm) of an adjacency eigenvalue.
+    ``A - tau*I`` is PSD with nullity mult(tau); ``-A + theta*I`` has one
+    negative eigenvalue and nullity mult(theta).
     """
     if not (tau < 0 < theta):
         raise ValueError(f"need tau < 0 < theta, got theta={theta}, tau={tau}")
     import numpy as np
 
     a = adjacency_matrix(g)
-    eig = np.linalg.eigvalsh(a)
-    scale = max(1.0, abs(eig[0]), abs(eig[-1]))
+    eig, thr = _spectrum(a)
     for value in (theta, tau):
-        if not np.any(np.abs(eig - value) <= 1e-8 * scale):
+        if not np.any(np.abs(eig - value) <= thr):
             raise ValueError(f"{value} is not an adjacency eigenvalue")
     return a - tau * np.eye(g.n), -a + theta * np.eye(g.n)
 

@@ -370,6 +370,9 @@ def test_compute_chain_zero(capsys):
     # --chain 0 asks for Z_0 and Z; 0 is not a missing option
     out = run_cli(capsys, ["compute", "--graph6", "IheA@GUAo", "--chain", "0"]).out
     assert "chain: [4, 5]" in out
+    # and a negative --chain is a usage error
+    cap = run_cli(capsys, ["compute", "--graph6", "A_", "--chain", "-1"], expect=2)
+    assert (cap.out, cap.err) == ("", "error: q_max must be nonnegative\n")
 
 
 def test_family_z(capsys):
@@ -428,6 +431,9 @@ def test_contract_rejects_negative_vertex(capsys):
     )
     assert cap.err == "error: coloured vertex -1 is not in the graph (n=10)\n"
     assert cap.out == ""
+    cap = run_cli(capsys, ["contract", "--graph6", "A_", "--coloured", "1,x"], expect=2)
+    assert cap.err == "error: bad --coloured list: token 'x' is not an integer\n"
+    assert cap.out == ""
 
 
 def test_compute_z_subset_budget(capsys):
@@ -459,6 +465,13 @@ def test_chain_subset_budget(capsys, argv, size):
         f"infeasible: subset search would exceed 3000000 sets at size {size} (n=40)\n"
     )
     assert cap.out == ""
+
+
+def test_compute_edges_file(capsys, tmp_path):
+    path = tmp_path / "p5.txt"
+    path.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n", encoding="utf-8")
+    out = run_cli(capsys, ["compute", "--edges-file", str(path), "--q", "0"]).out
+    assert out == "n: 5\nq: 0\nvalue: 1\n"
 
 
 def test_unreadable_edges_file(capsys, tmp_path):

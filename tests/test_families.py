@@ -1,4 +1,5 @@
 import inspect
+import re
 import time
 from pathlib import Path
 
@@ -80,6 +81,23 @@ def test_family_spec_validation():
         generate(FamilySpec("kneser2", (12,)))  # 66 > 64 vertices
     with pytest.raises(ValueError):
         generate(FamilySpec("cycle", (2,)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: path(0), "path needs n >= 1"),
+        (lambda: complete(0), "complete graph needs n >= 1"),
+        (lambda: star(0), "star needs n >= 1 leaves"),
+        (lambda: complete_bipartite(3, 0), "complete bipartite needs n, m >= 1"),
+        (lambda: complete_multipartite(3, 1), "complete multipartite needs n >= 1 and >= 2 parts"),
+        (lambda: kneser2(4), "kneser2 needs n >= 5 (smaller cases are edgeless or trivial)"),
+    ],
+    ids=["path", "complete", "star", "complete_bipartite", "complete_multipartite", "kneser2"],
+)
+def test_generator_parameter_guards(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_generator_shapes():

@@ -335,6 +335,8 @@ def test_zq_chain_examples():
     assert zq_chain(build_graph(1, []), 3) == [1, 1, 1, 1, 1]
     with pytest.raises(ValueError, match="q must be nonnegative"):
         dict(game.zq_values(petersen(), [1, -1]))
+    with pytest.raises(ValueError, match="^q_max must be nonnegative$"):
+        zq_chain(petersen(), -1)
 
 
 def test_chain_monotone_and_engine_matches_psd_at_q0():
@@ -742,10 +744,10 @@ def test_z0_filter_where_it_searches(monkeypatch, g, value, sizes, calls):
     # generators, and at the sizes it tests the kept sets must meet every
     # orbit
     closed, tested = [], []
-    closure, level = game.psd_closure, game._psd_level_forces
+    closure, level = game.psd_closure, game._least_sets
     monkeypatch.setattr(game, "psd_closure", lambda g, b: closed.append(b) or closure(g, b))
-    monkeypatch.setattr(game, "_psd_level_forces",
-                        lambda g, maps, k: tested.append((k, maps)) or level(g, maps, k))
+    monkeypatch.setattr(game, "_least_sets",
+                        lambda n, maps, k: tested.append((k, maps)) or level(n, maps, k))
     assert z0_number(g) == value
     maps = _filter_maps(g)
     assert (tested, len(closed)) == ([(k, maps) for k in sizes], calls)

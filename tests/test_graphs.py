@@ -1,4 +1,5 @@
 import gc
+import re
 from collections import Counter
 from hashlib import sha256
 from itertools import combinations
@@ -94,6 +95,13 @@ def test_graph6_long_form_n63():
     enc = to_graph6(g)
     assert enc.startswith("~")
     assert parse_graph6(enc) == g
+    # either side of the header boundary: 62 vertices take the short form,
+    # and 64, the most build_graph accepts, the long one
+    g = random_graph(Random(4), 62, 0.2)
+    assert to_graph6(g) == reference_graph6_encode(g)
+    g = random_graph(Random(5), 64, 0.2)
+    enc = to_graph6(g)
+    assert enc.startswith("~") and parse_graph6(enc) == g
 
 
 def test_graph6_errors():
@@ -109,6 +117,11 @@ def test_graph6_errors():
         parse_graph6("~?@A" + "?" * 100)  # n = 66 > 64 (body length irrelevant)
     with pytest.raises(ValueError, match="^empty graph6 string$"):
         parse_graph6(">>graph6<<")  # the header alone
+    truncated = "unsupported graph6 header (n > 258047 or truncated)"
+    with pytest.raises(ValueError, match=f"^{re.escape(truncated)}$"):
+        parse_graph6("~??")  # a long-form header cut short
+    with pytest.raises(ValueError, match="^graph6 padding bits are not zero$"):
+        parse_graph6("A`")  # K_2's one bit, then a set padding bit
 
 
 def test_parse_edge_list():
@@ -119,6 +132,7 @@ def test_parse_edge_list():
         ("3 1\n0 1 2\n", "1 edges need 2 endpoint tokens, found 3"),
         ("3 1\n0 a\n", "edge list token 'a' is not an integer"),
         ("3 -1\n", "edge count must be nonnegative, got -1"),
+        ("3", "edge list needs a 'n m' header"),
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_edge_list(text)

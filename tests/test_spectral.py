@@ -112,6 +112,12 @@ def test_srg_certificate_errors(monkeypatch):
         srg_certificate(complete_bipartite(3, 3), 0.0, -3.0)  # theta not positive
     with pytest.raises(ValueError):
         srg_certificate(petersen(), 1.5, -2.0)  # not an eigenvalue
+    # theta is tested with inertia's zero threshold, 1e-7 times the spectral
+    # norm (3 for Petersen): 1e-9 and 1e-7 off are eigenvalues, 1e-6 is not
+    for off in (1e-9, 1e-7):
+        srg_certificate(petersen(), 1 + off, -2.0)
+    with pytest.raises(ValueError, match="is not an adjacency eigenvalue"):
+        srg_certificate(petersen(), 1 + 1e-6, -2.0)
 
     def no_matrix(g):
         raise AssertionError("matrix built before the arguments were checked")

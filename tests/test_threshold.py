@@ -51,6 +51,11 @@ def test_parse_examples():
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             seq(bad)
+    # the run-length constructor checks what the parser cannot hand it
+    for runs, message in [((), "creation sequence has no runs"),
+                          (((2, 1), (0, 1)), "run lengths must be positive")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CreationSequence(runs)
 
 
 def test_huge_run_refused_without_expanding():
@@ -86,6 +91,8 @@ def test_zq_formula_examples():
     assert zq_formula(s, 1) == 4
     assert zq_formula(s, 2) == 4
     assert zq_formula(s, 99) == 4  # clamps to q = s
+    with pytest.raises(ValueError, match="^q must be nonnegative$"):
+        zq_formula(s, -1)
     assert zq_formula(seq("00001"), 1) == 3
     # every zero-run of length 1: the formula stays at the trace for every q
     for text in ("0101", "010101", "01010101"):

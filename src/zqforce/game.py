@@ -19,18 +19,19 @@ state asked again above its stored lower bound counting again, and
 
 Every automorphism of G keeps the game value, so one memo entry serves a
 whole Aut(G)-orbit. The memo is keyed on a state's canonical form under
-interchangeable vertex blocks (``graphs.interchangeable_blocks``, a
-subgroup H of Aut(G)), read from per-class key tables that the solver fills
-as it meets each class pattern. The automorphisms r, one per coset H·r,
+interchangeable vertex blocks (``graphs.interchangeable_blocks``) and
+classes of them (``graphs.outer_classes``), a subgroup H of Aut(G), read
+from per-class tables that the solver fills as it meets each class
+pattern. The automorphisms r, one per coset H·r,
 are the products τ∘p of two halves of the coset chain, split at the level
 that ``graphs.coset_split`` picks: when a state b is expanded, its entry
 is stored under the key of p(b) for each p of the lower half P_j, and a
 lookup of x reads the keys of τ⁻¹(x) for each τ of the upper half T_j
 until one holds an entry, so every state of b's orbit finds it. A token
-is skipped when a swap of two blocks with equal patterns on the state maps
-it to a lower vertex, since its next state is then an automorphic image of
-the lower vertex's; the tokens that other automorphisms pair are spent, and
-their next states hit the memo.
+is skipped when an element of H that fixes the state maps it to a lower
+vertex, since its next state is then an automorphic image of the lower
+vertex's; the tokens that other automorphisms pair are spent, and their
+next states hit the memo.
 Strategies are derived from the concrete states by bounded questions and
 spend the lowest vertex that reaches the value, which is always kept.
 
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations, islice, repeat
 from math import comb
-from operator import ge, mod
+from operator import ge, getitem, mod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import (
@@ -89,6 +90,7 @@ from .graphs import (
     coset_halves,
     interchangeable_blocks,
     mask_of,
+    outer_classes,
     uncoloured_components,
 )
 
@@ -144,6 +146,48 @@ def rule3_closure(g: Graph, b: int, returned: Sequence[int]) -> int:
             raise ValueError(f"mask {r:#x} is not an uncoloured component")
         union |= r
     return ccr_closure(g, b, b | union)
+
+
+def _sorted_pattern(blocks: BlockClass, part: int) -> int:
+    """The canonical pattern of the bits ``part`` of a state on the class
+    ``blocks``: the blocks' patterns (bit i from position i), sorted and
+    packed w bits each in block order, which are the bits of
+    ``canonical_key`` on the class alone read from its vertices in order."""
+    width = len(blocks[0])
+    pats = []
+    for blk in blocks:
+        p = 0
+        for i, w in enumerate(blk):
+            p |= (part >> w & 1) << i
+        pats.append(p)
+    pats.sort()
+    return sum(p << j * width for j, p in enumerate(pats))
+
+
+def _column_minima(blocks: BlockClass, part: int) -> tuple[int, ...]:
+    """The lowest vertex at each position of each set of ``blocks`` with
+    one pattern on ``part``, by pattern, then position: the vertices that
+    :func:`_swap_lowered` leaves. Classes aligned with each other and with
+    one canonical pattern list them in the same order."""
+    same: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for blk in blocks:
+        same.setdefault(tuple([part >> w & 1 for w in blk]), []).append(blk)
+    return tuple([min(column) for _, group in sorted(same.items()) for column in zip(*group)])
+
+
+def _learn_pattern(
+    blocks: BlockClass, part: int, patterns: dict[int, int], flats: list[tuple[int, ...]],
+    holdings: list[dict[int, int]],
+) -> int:
+    """The canonical pattern of a member's bits ``part``, entered in its
+    table ``patterns``; a pattern new to its outer class is entered in the
+    table of every member (vertices ``flats[i]`` in aligned order) from a
+    pattern to the member's vertices that hold it."""
+    p = patterns[part] = _sorted_pattern(blocks, part)
+    if p not in holdings[0]:
+        for flat, holding in zip(flats, holdings):
+            holding[p] = mask_of(flat[i] for i in bits(p))
+    return p
 
 
 def _swap_lowered(blocks: BlockClass, part: int) -> int:
@@ -253,29 +297,57 @@ class ZqResult:
 
 
 class _Solver:
-    """One game traversal on ``g`` that answers every q in ``levels``."""
+    """One game traversal on ``g`` that answers every q in ``levels``.
+
+    Its block group H permutes the blocks of each flat class and the
+    classes of each outer class (``graphs.outer_classes``), a wreath
+    product per outer class: the key sorts inside each class, then sorts
+    the classes of an outer class by their canonical patterns, and the
+    tokens skip what an element of H fixing the state maps lower. The
+    coset maps of H in Aut(G) are split between writes and reads; where H
+    is all of Aut(G), as for ``complete_multipartite`` and K_{n,n}, there
+    is the identity alone.
+    """
 
     def __init__(self, g: Graph, levels: Sequence[int]):
         self.g = g
         self.levels = tuple(levels)
         self.full = g.full_mask
-        classes = interchangeable_blocks(g)
-        # Per class: its vertices, its blocks, and two tables from the class's
-        # bits of a state, filled on first sight: to their canonical form
+        classes, outer = outer_classes(g, interchangeable_blocks(g))
+        # Per class in no outer class: its vertices, its blocks, and two
+        # tables from the class's bits of a state: to their canonical form
         # (``canonical_key`` on the class alone) and to the vertices that a
         # swap of two blocks with the same pattern maps to a lower vertex.
+        # Per outer class, four lists with an item per member: (its
+        # vertices, its blocks, a table from its bits of a state to their
+        # canonical pattern); a table from a pattern to the member's
+        # vertices that hold it (:func:`_learn_pattern`); its vertices in
+        # aligned order; and a table from its bits of a state to (their
+        # pattern, the vertices that a swap of two of its blocks with the
+        # same pattern maps to a lower vertex, the rest: its
+        # ``_column_minima``). Every table is filled on first sight.
+        inside = mask_of(w for members in outer for m in members for w in m)
         self.classes = [
-            (mask_of(w for blk in blocks for w in blk), blocks, {}, {}) for blocks in classes
+            (mask_of(w for blk in blocks for w in blk), blocks, {}, {})
+            for blocks in classes
+            if not inside >> blocks[0][0] & 1
         ]
-        self.outside = self.full & ~sum(m for m, *_ in self.classes)
-        # The coset maps' halves (``graphs.coset_halves``): an entry is
-        # written under the keys of its state's images by the maps of P_j,
-        # and a state is read under its images by the inverses of the maps
-        # of T_j. Lane i of a half's table[v] is v's image bit under the
-        # half's i-th map after the identity (which comes first), in one
-        # 8-byte array item (n <= 64): OR-ing table[v] over the vertices of
-        # b packs every image at once.
-        transversal, below = coset_halves(g, classes)
+        # a member's vertices in aligned order start with its class's first
+        by_first = {blocks[0][0]: blocks for blocks in classes}
+        self.outer = [
+            ([(mask_of(m), by_first[m[0]], {}) for m in members], [{} for _ in members],
+             list(members), [{} for _ in members])
+            for members in outer
+        ]
+        self.outside = self.full & ~inside & ~sum(m for m, *_ in self.classes)
+        # The coset maps' halves (``graphs.coset_halves``) of the nested
+        # block group: an entry is written under the keys of its state's
+        # images by the maps of P_j, and a state is read under its images
+        # by the inverses of the maps of T_j. Lane i of a half's table[v] is
+        # v's image bit under the half's i-th map after the identity (which
+        # comes first), in one 8-byte array item (n <= 64): OR-ing table[v]
+        # over the vertices of b packs every image at once.
+        transversal, below = coset_halves(g, classes, outer)
         self.writes = self._half(below)
         self.reads = self._half([tuple(sorted(range(g.n), key=t.__getitem__)) for t in transversal])
         # A bound above every value (at most n tokens), and the offset that
@@ -290,7 +362,10 @@ class _Solver:
         self.hits = 0
 
     def key(self, b: int) -> int:
-        """``canonical_key(classes, b)``, by one table lookup per class."""
+        """``canonical_key(outer, canonical_key(classes, b))``, by table
+        lookups: one per class in no outer class, and per outer class each
+        member's canonical pattern, sorted, the i-th member taking the i-th
+        pattern."""
         k = b & self.outside
         for mask, blocks, keys, _ in self.classes:
             part = b & mask
@@ -298,16 +373,26 @@ class _Solver:
             if got is None:
                 got = keys[part] = canonical_key((blocks,), part)
             k |= got
+        for keying, holdings, flats, _ in self.outer:
+            pats = []
+            for mask, blocks, patterns in keying:
+                part = b & mask
+                got = patterns.get(part)
+                if got is None:
+                    got = _learn_pattern(blocks, part, patterns, flats, holdings)
+                pats.append(got)
+            pats.sort()
+            k |= sum(map(getitem, holdings, pats))
         return k
 
     def _half(self, maps: list[tuple[int, ...]]) -> tuple[list[int], int]:
         """The lane table of ``maps`` after the identity, and how many
-        lanes it has."""
+        lanes it has; no table when the identity is the only map."""
         others = maps[1:]
         return [
             int.from_bytes(array("Q", [1 << r[v] for r in others]), sys.byteorder)
             for v in range(self.g.n)
-        ], len(others)
+        ] if others else [], len(others)
 
     def images(self, half: tuple[list[int], int], b: int) -> Iterable[int]:
         """The keys of b's images by the maps of ``half`` after the
@@ -317,7 +402,7 @@ class _Solver:
         for v in bits(b):
             packed |= table[v]
         lanes = array("Q", packed.to_bytes(8 * count, sys.byteorder))
-        return map(self.key, lanes) if self.classes else lanes
+        return map(self.key, lanes) if self.classes or self.outer else lanes
 
     def lookup(self, b: int) -> tuple[int, tuple[int, ...]]:
         """The key that holds the memo entry of b's orbit, or b's own key
@@ -334,14 +419,19 @@ class _Solver:
         """Rule-1 moves from ``b``: (vertex, closed next state), lowest
         vertex first, one per distinct next state.
 
-        A vertex is skipped when a swap of two blocks with the same pattern
-        on ``b`` maps it to a lower vertex u: its next state is the image of
-        u's, so both have one value. Following lower images ends at a vertex
-        that is kept, and the lowest vertex that reaches a value is kept, so
-        strategies do not change. Tokens that other automorphisms fixing
-        ``b`` would pair are all spent, and their next states share an orbit
-        that the memo answers after the first. The skipped vertices do not
-        depend on q, so every level shares the tokens.
+        A vertex is skipped when an element of the block group that fixes
+        ``b`` maps it to a lower vertex u: its next state is the image of
+        u's, so both have one value. Those elements map a vertex to the
+        vertices at its position in the blocks of its member with its
+        pattern on ``b``, and to the same vertices of the members of its
+        outer class with the same canonical pattern, so the vertices kept
+        are each member's column minima, the least of them over the
+        members of one pattern. Following lower images ends at a vertex
+        that is kept, and the lowest vertex that reaches a value is kept,
+        so strategies do not change. Tokens that other automorphisms fixing
+        ``b`` would pair are all spent, and their next states share an
+        orbit that the memo answers after the first. The skipped vertices
+        do not depend on q, so every level shares the tokens.
         """
         g = self.g
         adj = g.adj
@@ -353,6 +443,23 @@ class _Solver:
             if got is None:
                 got = lower[part] = _swap_lowered(blocks, part)
             skip |= got
+        for keying, holdings, flats, lowers in self.outer:
+            same: dict[int, list[tuple[int, tuple[int, int, tuple[int, ...]]]]] = {}
+            for (mask, blocks, patterns), lower in zip(keying, lowers):
+                part = b & mask
+                row = lower.get(part)
+                if row is None:
+                    pattern = patterns.get(part)
+                    if pattern is None:
+                        pattern = _learn_pattern(blocks, part, patterns, flats, holdings)
+                    kept = _column_minima(blocks, part)
+                    row = lower[part] = (pattern, mask & ~mask_of(kept), kept)
+                same.setdefault(row[0], []).append((mask, row))
+            for group in same.values():
+                if len(group) == 1:
+                    skip |= group[0][1][1]
+                else:
+                    skip |= sum(m for m, _ in group) & ~mask_of(map(min, *[r[2] for _, r in group]))
         seen = set()
         # ``b`` is closed, so only ``v`` and its coloured neighbours can force
         for v in bits(full & ~b & ~skip):
@@ -498,16 +605,19 @@ def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
     again, and ``cache_stats.hits`` the lookups answered by the memo. One
     memo entry serves an orbit of Aut(G): the memo is keyed on the canonical
     form under permutations of interchangeable vertex blocks (twins, book
-    pages, the columns of ``K_{n,m} x K_2``), read from per-class key
-    tables. The automorphisms, one per coset of the block group, split into
-    two halves whose products they are: each entry is also stored under the
-    colouring's images by one half, and a lookup reads a colouring's images
-    by the inverses of the other (48 writes and 15 reads for the 720 maps of
-    ``kneser2(6)``). A graph whose only symmetries are block permutations
-    gets the identity alone. A token that
-    a swap of blocks with equal patterns maps to a lower vertex is skipped,
-    so ``cache_stats.hits`` does not count those duplicates; the tokens that
-    other automorphisms pair are all spent, and their repeats count as hits.
+    pages, the columns of ``K_{n,m} x K_2``) and of classes of them (the
+    parts of ``complete_multipartite``, the sides of K_{n,n}), read from
+    per-class tables. The automorphisms, one per coset of the block group,
+    split into two halves whose products they are: each entry is also
+    stored under the colouring's images by one half, and a lookup reads a
+    colouring's images by the inverses of the other (48 writes and 15
+    reads for the 720 maps of ``kneser2(6)``, none for
+    ``complete_multipartite``, whose block group is all of Aut(G)). A graph
+    whose only symmetries are block permutations gets the identity alone.
+    A token that an element of the block group fixing the colouring maps to
+    a lower vertex is skipped, so ``cache_stats.hits`` does not count those
+    duplicates; the tokens that other automorphisms pair are all spent, and
+    their repeats count as hits.
 
     Rule-3 families are offered at size exactly q+1, which gives the same
     value as every size >= q+1 because a (q+1)-subfamily's responses are a

@@ -350,6 +350,110 @@ def interchangeable_blocks(g: Graph) -> list[BlockClass]:
     return classes
 
 
+def outer_classes(
+    g: Graph, classes: Sequence[BlockClass]
+) -> tuple[list[BlockClass], list[BlockClass]]:
+    """Classes of classes: the flat ``classes`` (:func:`interchangeable_blocks`)
+    grouped where the aligned swap of two of one shape is an automorphism.
+
+    Returns the flat classes, each grouped one with its blocks' positions
+    reordered to align with the first of its group, and one outer class
+    per group of two or more: a BlockClass whose blocks are its members,
+    each as its vertices block by block, position by position.
+
+    For each class a not yet grouped, from the first, a later class b with
+    as many blocks, of the same width and degrees, joins a's group when
+    some order of b's positions makes the swap of block j of a with block j
+    of b, position for position for every j, an automorphism
+    (:func:`_aligned`); the blocks of b are interchangeable, so any pairing
+    of them would do as well. With b realigned by that order, the swaps of
+    the first member
+    with each other one generate every aligned permutation of the members,
+    and with the members' own block permutations they make the block group
+    H, a wreath product in each group: its canonical form sorts inside
+    each member, then sorts the members (``canonical_key(outer,
+    canonical_key(classes, b))``). The parts of ``complete_multipartite``
+    and the two sides of K_{n,n} and of K_{n,n} x K_2 are such members,
+    isomorphic sibling modules of the modular decomposition (Gallai 1967).
+    :func:`interchangeable_blocks` alone stays the flat classes that the Z_0
+    orbit sets read.
+    """
+    classes = list(classes)
+    # a class's block count and its first block's degrees, which an aligned
+    # swap keeps
+    shapes = [(len(blocks), sorted(g.degree(w) for w in blocks[0])) for blocks in classes]
+    outer = []
+    grouped = set()
+    for c, a in enumerate(classes):
+        if c in grouped:
+            continue
+        members = [a]
+        for d in range(c + 1, len(classes)):
+            b = classes[d]
+            if d not in grouped and shapes[d] == shapes[c]:
+                got = _aligned(g, a, b)
+                if got is not None:
+                    classes[d] = got
+                    members.append(got)
+                    grouped.add(d)
+        if len(members) > 1:
+            outer.append(tuple(tuple(w for blk in m for w in blk) for m in members))
+    return classes, outer
+
+
+def _aligned(g: Graph, a: BlockClass, b: BlockClass) -> BlockClass | None:
+    """``b`` with its blocks' positions reordered so that the swap of block
+    j of ``a`` with block j of ``b``, position for position, fixing every
+    other vertex, is an automorphism; None if no order does."""
+    inside = mask_of(w for blk in a + b for w in blk)
+    order = _align(g.adj, a, b, list(range(g.n)), [], g.full_mask & ~inside, 0)
+    return None if order is None else tuple(tuple([blk[q] for q in order]) for blk in b)
+
+
+def _align(
+    adj: tuple[int, ...], a: BlockClass, b: BlockClass, image: list[int], order: list[int],
+    fixed: int, placed: int,
+) -> list[int] | None:
+    """The positions of ``b``'s blocks for positions len(order).. of ``a``'s,
+    after ``order``, by backtracking: position p of ``a`` tries each free
+    position q of ``b``, swapping the column p of ``a``'s blocks with the
+    column q of ``b``'s in ``image`` and keeping q when every adjacency
+    between the new vertices and the vertices ``fixed`` (outside ``a`` and
+    ``b``) or ``placed`` (swapped so far) is kept. The swap is an
+    involution, so the new vertices of ``a`` alone are checked: the swap
+    keeps the adjacencies of x exactly when it keeps those of its image.
+    Once every column is placed, every adjacency has been checked, so the
+    swap is an automorphism. A module-level function, not a closure, so no
+    reference cycle outlives the search."""
+    p = len(order)
+    if p == len(a[0]):
+        return order
+    for q in range(len(b[0])):
+        if q in order:
+            continue
+        moved = placed
+        for x, y in zip(a, b):
+            image[x[p]], image[y[q]] = y[q], x[p]
+            moved |= 1 << x[p] | 1 << y[q]
+        for blk_a, blk_b in zip(a, b):
+            x, y = blk_a[p], blk_b[q]
+            if adj[x] & fixed != adj[y] & fixed:
+                break
+            near = adj[x] & moved
+            swapped = 0
+            while near:
+                low = near & -near
+                swapped |= 1 << image[low.bit_length() - 1]
+                near ^= low
+            if swapped != adj[y] & moved:
+                break
+        else:
+            got = _align(adj, a, b, image, order + [q], fixed, moved)
+            if got is not None:
+                return got
+    return None
+
+
 def canonical_key(classes: Sequence[BlockClass], b: int) -> int:
     """Canonical form of the vertex set ``b`` under permutations of blocks.
 
@@ -357,6 +461,14 @@ def canonical_key(classes: Sequence[BlockClass], b: int) -> int:
     position i) are sorted and written back in block order. Classes are
     vertex-disjoint, so the result is the same for every image of ``b``
     under the group they generate, and it is itself such an image.
+
+    Classes of classes take one pass per level, in order:
+    ``canonical_key(outer, canonical_key(classes, b))`` with the flat
+    classes and outer classes of :func:`outer_classes`. The first pass
+    sorts inside each member; then members in the same H-orbit have the
+    same pattern, bit i from the member's i-th vertex in aligned order, and
+    the second pass sorts the members by it, so the result is the same for
+    every image of ``b`` under the nested group H, and is such an image.
     """
     for blocks in classes:
         pats = []
@@ -491,36 +603,47 @@ def _descending(
 CosetLevel = list[tuple[tuple[int, ...], list[tuple[int, ...]] | None]]
 
 
-def block_coset_chain(g: Graph, classes: Sequence[BlockClass]) -> list[CosetLevel]:
-    """One automorphism per right coset H·r of the block group H of
-    ``classes`` in Aut(G), as a Schreier–Sims chain of levels, one per
-    vertex of a breadth-first order; ``chain_maps(g.n, chain)`` lists the
-    maps, the identity first, a map being the tuple of vertex images.
+def block_coset_chain(
+    g: Graph, classes: Sequence[BlockClass], outer: Sequence[BlockClass] = ()
+) -> list[CosetLevel]:
+    """One automorphism per right coset H·r of the block group H in Aut(G),
+    as a Schreier–Sims chain of levels, one per vertex of a breadth-first
+    order; ``chain_maps(g.n, chain)`` lists the maps, the identity first, a
+    map being the tuple of vertex images. H permutes the blocks of each of
+    ``classes`` and, with ``outer`` (the classes of classes of
+    :func:`outer_classes`, ``classes`` then being its realigned flat ones),
+    the members of each outer class too.
 
     The maps are the leaves of a backtrack over the vertices in that order
     (:func:`_coset_images`): a partial map keeps every adjacency and
     non-adjacency among the vertices mapped so far, so a leaf is an
-    automorphism, and it first maps onto the blocks of each class in rank
-    order, the order in which the vertex order itself first reaches them.
-    The members h·r of one coset map onto the blocks of each class in orders
-    that differ by h's permutation of the blocks, so exactly one member of
-    each coset is a leaf, its canonical member; in H that is the identity.
-    As every automorphism of G is some h·r, ``canonical_key(classes, r(b))``
-    over the leaves r takes the key of every state in the Aut(G)-orbit of b.
+    automorphism, and it first maps onto the blocks of each class, and the
+    members of each outer class, in rank order, the order in which the
+    vertex order itself first reaches them. The members h·r of one coset
+    map onto them in orders that differ by h's permutation of the members
+    and of the blocks inside each, so exactly one member of each coset is a
+    leaf, its canonical member; in H that is the identity. So where H is
+    all of Aut(G), as for ``complete_multipartite`` and K_{n,n}, the chain
+    has no branch. As every automorphism of G is some h·r, the key of r(b)
+    (``canonical_key`` by level) over the leaves r takes the key of every
+    state in the Aut(G)-orbit of b.
 
     P_k, the leaves that fix the first k vertices of the order, is P_{k+1}
     and, for each branch of level k, the leaves L_w that map its vertex v to
     w; P_n is the identity and P_0 every leaf. Let a be the first leaf of
     L_w. If a carries the blocks of each class onto the blocks of one class,
-    position for position, it normalises H (a∘H∘a⁻¹ = H), and L_w is
+    position for position (and with them the members of each outer class
+    onto those of one, see :func:`_permutes_blocks`), it normalises H
+    (a∘H∘a⁻¹ = H), and L_w is
     {a∘x : x in P_{k+1}}, where (a∘x)(u) = a(x(u)):
     - a∘x is a leaf: it is an automorphism that agrees with a on the first
-      k + 1 vertices, and it reaches the blocks of each class in rank
-      order, because x reaches them in rank order and a maps them onto
-      blocks in the order in which it maps the identity's, which is rank
-      order since a is a leaf;
+      k + 1 vertices, and it reaches the blocks (and members) of each
+      class in rank order, because x reaches them in rank order and a maps
+      them onto blocks in the order in which it maps the identity's, which
+      is rank order since a is a leaf;
     - every r in L_w is one: y = a⁻¹∘r fixes the first k + 1 vertices, and
-      the h in H that makes h∘y a leaf moves only blocks they do not reach,
+      the h in H that makes h∘y a leaf moves only blocks and members they
+      do not reach,
       so x = h∘y is in P_{k+1}. Then r = (a∘h⁻¹∘a⁻¹)∘(a∘x) is in the coset
       H·(a∘x), and a coset has one leaf, so r = a∘x.
     Otherwise L_w is searched in full. So a map costs about one composition
@@ -548,16 +671,45 @@ def block_coset_chain(g: Graph, classes: Sequence[BlockClass]) -> list[CosetLeve
     for v in order:
         earlier.append(vertices_of(adj[v] & placed))
         placed |= 1 << v
-    # Rank the blocks of each class in the order in which the vertex order
-    # first reaches them. The blocks a partial map reaches have ranks 1, 2,
-    # ..., so it may reach a block of rank j > 1 only once the block of rank
-    # j - 1 is reached: gate[w] is w's block and that one.
     block_class = {blk: c for c, blocks in enumerate(classes) for blk in blocks}
+    # A vertex of a block of rank > 1 passes its class's gate only once a
+    # block of its class is reached, and that class is the vertex's member
+    # of any outer class it is in, so it then passes the outer class's gate
+    # too: one gate list holds both, the outer gate where the class's is 0
+    gate = _rank_gates(n, order, classes)
+    if outer:
+        gate = [inner or upper for inner, upper in zip(gate, _rank_gates(n, order, outer))]
+    search = (adj, order, earlier, gate)
+    chain: list[CosetLevel] = []
+    used = 0  # the first k vertices of the order, each its own image
+    for k, v in enumerate(order):
+        image = list(range(n))
+        level: CosetLevel = []
+        for w in _coset_images(search, k, image, used):
+            if w == v:
+                continue
+            image[v] = w
+            leaves = _coset_leaves(search, k + 1, image, used | 1 << w)
+            a = next(leaves, None)
+            if a is not None:
+                level.append((a, None) if _permutes_blocks(a, block_class) else (a, [a, *leaves]))
+        chain.append(level)
+        used |= 1 << v
+    return chain
+
+
+def _rank_gates(n: int, order: list[int], classes: Sequence[BlockClass]) -> list[int]:
+    """Rank the blocks of each class in the order in which ``order`` first
+    reaches them. The blocks a partial map reaches have ranks 1, 2, ..., so
+    it may reach a block of rank j > 1 only once the block of rank j - 1 is
+    reached: gate[w] is w's block and that one, and 0 where w is in no
+    block or in one of rank 1."""
     cls = [-1] * n
     block = [0] * n
-    for blk, c in block_class.items():
-        for w in blk:
-            cls[w], block[w] = c, mask_of(blk)
+    for c, blocks in enumerate(classes):
+        for blk in blocks:
+            for w in blk:
+                cls[w], block[w] = c, mask_of(blk)
     gate = [0] * n
     last = [0] * len(classes)  # the block of each class ranked last so far
     reached = 0
@@ -569,22 +721,7 @@ def block_coset_chain(g: Graph, classes: Sequence[BlockClass]) -> list[CosetLeve
                     gate[w] = block[v] | last[c]
             last[c] = block[v]
             reached |= block[v]
-    search = (adj, order, earlier, gate)
-    chain: list[CosetLevel] = []
-    for k, v in enumerate(order):
-        image = list(range(n))
-        used = mask_of(order[:k])
-        level: CosetLevel = []
-        for w in _coset_images(search, k, image, used):
-            if w == v:
-                continue
-            image[v] = w
-            leaves = _coset_leaves(search, k + 1, image, used | 1 << w)
-            a = next(leaves, None)
-            if a is not None:
-                level.append((a, None) if _permutes_blocks(a, block_class) else (a, [a, *leaves]))
-        chain.append(level)
-    return chain
+    return gate
 
 
 def chain_maps(n: int, levels: Sequence[CosetLevel]) -> list[tuple[int, ...]]:
@@ -639,12 +776,12 @@ def coset_split(chain: Sequence[CosetLevel]) -> int:
 
 
 def coset_halves(
-    g: Graph, classes: Sequence[BlockClass]
+    g: Graph, classes: Sequence[BlockClass], outer: Sequence[BlockClass] = ()
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """T_j and P_j, the maps of :func:`block_coset_chain` above and below
     its :func:`coset_split` level j, each the identity first: the game memo
     reads under T_j's inverses and writes under P_j."""
-    chain = block_coset_chain(g, classes)
+    chain = block_coset_chain(g, classes, outer)
     j = coset_split(chain)
     return chain_maps(g.n, chain[:j]), chain_maps(g.n, chain[j:])
 
@@ -688,7 +825,13 @@ def _coset_leaves(
 def _permutes_blocks(a: tuple[int, ...], block_class: dict[tuple[int, ...], int]) -> bool:
     """Does the map ``a`` carry the blocks of each class onto the blocks of
     one class, position for position? ``block_class`` maps each block to
-    its class."""
+    its class. Such an automorphism also carries the members of each outer
+    class onto those of one outer class: it conjugates the aligned swap of
+    two members into an aligned swap of their images, and an outer class
+    of :func:`outer_classes` holds every class that swaps with its first,
+    which are all the classes that swap with any of its members, since
+    the swaps of one member with two others conjugate into a swap of
+    those two."""
     to: dict[int, int] = {}
     for blk, c in block_class.items():
         d = block_class.get(tuple([a[w] for w in blk]))

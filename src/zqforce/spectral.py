@@ -112,7 +112,9 @@ def srg_certificate(g: Graph, theta: float, tau: float) -> tuple[np.ndarray, np.
 
     ``theta`` and ``tau`` must be the non-principal adjacency eigenvalues
     with tau < 0 < theta, each within the zero threshold of :func:`inertia`
-    (``DEFAULT_TOL`` times the spectral norm) of an adjacency eigenvalue.
+    (``DEFAULT_TOL`` times the spectral norm) of an adjacency eigenvalue and
+    not within it of the largest, which is refused: ``-A + theta*I`` would
+    then have no negative eigenvalue.
     ``A - tau*I`` is PSD with nullity mult(tau); ``-A + theta*I`` has one
     negative eigenvalue and nullity mult(theta).
     """
@@ -125,6 +127,8 @@ def srg_certificate(g: Graph, theta: float, tau: float) -> tuple[np.ndarray, np.
     for value in (theta, tau):
         if not np.any(np.abs(eig - value) <= thr):
             raise ValueError(f"{value} is not an adjacency eigenvalue")
+        if abs(eig[-1] - value) <= thr:
+            raise ValueError(f"{value} is the principal adjacency eigenvalue")
     return a - tau * np.eye(g.n), -a + theta * np.eye(g.n)
 
 

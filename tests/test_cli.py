@@ -781,6 +781,9 @@ def test_probe_options_checked(capsys, argv, message):
          "srg certificate needs --theta and --tau"),
         (["--name", "srg", "--theta", "1", "--tau", "-2", "--n", "4"],
          "exactly one of --graph6 / --edges-file / --seq is required"),
+        # Petersen's largest eigenvalue: -A + 3I has no negative eigenvalue
+        (["--name", "srg", "--graph6", "IheA@GUAo", "--theta", "3", "--tau", "-2"],
+         "3.0 is the principal adjacency eigenvalue"),
     ],
 )
 def test_certify_options_checked(capsys, argv, message):

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import factorial, prod
 from random import Random
 
 import pytest
@@ -6,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zqforce import game
-from zqforce.families import bipartite_prism, book, complete_multipartite, cycle, kneser2, prism
+from zqforce.families import (
+    bipartite_prism,
+    book,
+    complete_bipartite,
+    complete_multipartite,
+    cycle,
+    kneser2,
+    prism,
+)
 from zqforce.game import (
     CacheStats,
     InfeasibleError,
@@ -24,9 +33,12 @@ from zqforce.game import (
 from zqforce.graphs import (
     block_coset_chain,
     build_graph,
+    canonical_key,
     ccr_closure,
+    chain_maps,
     coset_halves,
     interchangeable_blocks,
+    outer_classes,
 )
 from zqforce.threshold import (
     build_threshold_graph,
@@ -292,11 +304,14 @@ def test_search_bound_contract_up_to_8_vertices(graphs):
 
 @pytest.mark.parametrize(
     "g",
-    [petersen(), prism(4), prism(5), cycle(7), cycle(8)],
-    ids=["petersen", "prism-4", "prism-5", "cycle-7", "cycle-8"],
+    [petersen(), prism(4), prism(5), cycle(7), cycle(8), complete_multipartite(3, 4),
+     complete_bipartite(3, 3), bipartite_prism(3, 3)],
+    ids=["petersen", "prism-4", "prism-5", "cycle-7", "cycle-8", "complete_multipartite-3-4",
+         "complete_bipartite-3-3", "bipartite_prism-3-3"],
 )
 def test_orbit_memo_matches_set_reference_on_symmetric_graphs(g):
-    # automorphism groups that are not made of interchangeable blocks
+    # automorphism groups that are not made of interchangeable blocks, and
+    # classes of classes, whose outer blocks interleave once relabelled
     perm = list(range(g.n))
     Random(g.n).shuffle(perm)
     for h in (g, relabel(g, perm)):
@@ -842,7 +857,7 @@ def test_cache_stats_populated():
     # with strategy extraction, whose bounded questions count as hits or
     # expansions too; the orbits are those of twins and pages, and of the
     # parts of K_{3,3,3} and the two copies of the star in the book
-    assert zq_number(complete_multipartite(3, 3), 1).cache_stats == CacheStats(16, 40)
+    assert zq_number(complete_multipartite(3, 3), 1).cache_stats == CacheStats(16, 29)
     assert zq_number(book(5), 1).cache_stats == CacheStats(17, 65)
 
 
@@ -851,7 +866,7 @@ def test_cache_stats_populated():
     [
         # without swap pruning the first makes 3,020 hits
         (bipartite_prism(4, 5), 1, CacheStats(383, 1226)),
-        (complete_multipartite(4, 4), 1, CacheStats(65, 165)),
+        (complete_multipartite(4, 4), 1, CacheStats(65, 86)),
         (kneser2(6), 1, CacheStats(111, 703)),
         (book(8), 1, CacheStats(34, 240)),
         (prism(8), 1, CacheStats(31, 124)),
@@ -898,19 +913,20 @@ def test_orbit_lookup_reads_one_entry(g, split, sample):
 @pytest.mark.parametrize(
     "g, split, states",
     [
-        (complete_multipartite(4, 4), (6, 4), None),
-        (complete_multipartite(6, 6), (24, 30), 1000),
+        (complete_multipartite(4, 4), (1, 1), None),
+        (complete_multipartite(6, 6), (1, 1), None),
     ],
     ids=["complete_multipartite-4-4", "complete_multipartite-6-6"],
 )
 def test_orbit_lookup_reads_one_entry_under_block_swaps(g, split, states):
     # Aut(G) is S_4 wr S_4 or S_6 wr S_6, too large for VF2 to list, so the
-    # automorphisms are drawn as h∘τ∘p: h permutes the blocks of each class
-    # of H, τ is in T_j and p in P_j. Each is checked to be one; its image of
-    # a memo state is found through τ⁻¹ and a key that undoes h, under the
-    # entry written under the P_j-images of another key. Every memo state
-    # gets 4 drawn automorphisms; of complete_multipartite(6,6)'s 8,341
-    # memo states, 1,000 drawn ones do.
+    # automorphisms are drawn as h∘τ∘p: h permutes the blocks of each flat
+    # class, τ is in T_j and p in P_j of the flat block group's coset halves.
+    # Each is checked to be one. The solver's nested block group (the parts
+    # are its outer blocks) is all of Aut(G), so it writes and reads under
+    # the identity alone, and its key alone finds the image's entry. Every
+    # memo state (917 of complete_multipartite(6,6)) gets 4 drawn
+    # automorphisms.
     solver = _Solver(g, (1,))
     solver.value(ccr_closure(g, 0))
     assert (solver.writes[1] + 1, solver.reads[1] + 1) == split
@@ -930,6 +946,111 @@ def test_orbit_lookup_reads_one_entry_under_block_swaps(g, split, states):
             assert all(g.adj[r[v]] == mask(r[w] for w in vset(g.adj[v])) for v in range(g.n))
             image = mask(r[v] for v in vset(state))
             assert solver.lookup(image)[1] == entry, (state, r)
+
+
+def _nested_coset_of(classes, outer, r):
+    """The right coset H·r of the nested block group H, as r's images with
+    the members of each outer class and the blocks of each class renamed in
+    the order in which r first maps onto them: h·r renames them by h's
+    permutations, so it has the same, and two maps with the same names
+    differ by a map that permutes members and blocks, position for
+    position, which is in H."""
+    member_of = {w: (o, m) for o, members in enumerate(outer) for m in members for w in m}
+    where = {}
+    for c, blocks in enumerate(classes):
+        for blk in blocks:
+            for i, w in enumerate(blk):
+                where[w] = (*member_of.get(w, (("flat", c), None)), blk, i)
+    names: dict[tuple, int] = {}
+    out = []
+    for w in r:
+        if w in where:
+            o, m, blk, i = where[w]
+            member = names.setdefault(("member", m), len(names))
+            out.append((o, member, names.setdefault(("block", blk), len(names)), i))
+        else:
+            out.append(w)
+    return tuple(out)
+
+
+def _check_nested_blocks(g):
+    """The solver's key of every state is the two-pass ``canonical_key``,
+    an image of the state under the nested block group H and the same on
+    each H-orbit; |H| times the coset maps of ``block_coset_chain`` is
+    |Aut(G)| from VF2, one map per coset; and after a q=1 solve, every
+    image of a memo state by every automorphism reads that state's entry.
+    Returns the outer classes."""
+    classes, outer = outer_classes(g, interchangeable_blocks(g))
+    solver = _Solver(g, (1,))
+    swaps = [{**dict(zip(x, y)), **dict(zip(y, x))}
+             for blocks in [*classes, *outer] for x, y in combinations(blocks, 2)]
+    for blocks in outer:  # each swap of two members is an automorphism
+        for x, y in combinations(blocks, 2):
+            r = {**dict(zip(x, y)), **dict(zip(y, x))}
+            assert all(g.adj[r.get(v, v)] == mask(r.get(w, w) for w in vset(g.adj[v]))
+                       for v in range(g.n)), g.edges()
+    seen = set()
+    for b in range(1 << g.n):
+        if b in seen:
+            continue
+        key = solver.key(b)
+        assert key == canonical_key(outer, canonical_key(classes, b))
+        orbit, frontier = {b}, [b]
+        while frontier:
+            c = frontier.pop()
+            assert solver.key(c) == key, (g.edges(), b, c)
+            for swap in swaps:
+                d = mask(swap.get(v, v) for v in vset(c))
+                if d not in orbit:
+                    orbit.add(d)
+                    frontier.append(d)
+        assert key in orbit
+        seen |= orbit
+    autos = automorphisms(g)
+    maps = chain_maps(g.n, block_coset_chain(g, classes, outer))
+    assert all(r in autos for r in maps)
+    assert len({_nested_coset_of(classes, outer, r) for r in maps}) == len(maps)
+    order = prod(factorial(len(blocks)) for blocks in [*classes, *outer])
+    assert order * len(maps) == len(autos), (g.edges(), order, len(maps))
+    solver.value(ccr_closure(g, 0))
+    for state, entry in solver.memo.items():
+        for r in autos:
+            image = mask(r[v] for v in vset(state))
+            assert solver.lookup(image)[1] == entry, (g.edges(), state, r)
+    return outer
+
+
+def test_nested_blocks_on_the_atlas():
+    # every graph of at most 7 vertices whose flat classes group into an
+    # outer class: 33 of the atlas's graphs. C4 and the atlas's octahedron
+    # are not among them: their flat classes are blocks of two vertices,
+    # not the twin pairs
+    nx = pytest.importorskip("networkx")
+    found = 0
+    for h in nx.graph_atlas_g()[1:]:
+        g = build_graph(h.number_of_nodes(), list(h.edges()))
+        if outer_classes(g, interchangeable_blocks(g))[1]:
+            found += bool(_check_nested_blocks(g))
+    assert found == 33
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_multipartite(2, 3), complete_multipartite(3, 3), complete_multipartite(2, 4),
+     complete_bipartite(3, 3), bipartite_prism(2, 2), bipartite_prism(3, 3)],
+    ids=["complete_multipartite-2-3", "complete_multipartite-3-3", "complete_multipartite-2-4",
+         "complete_bipartite-3-3", "bipartite_prism-2-2", "bipartite_prism-3-3"],
+)
+def test_nested_blocks_of_the_paper_families(g):
+    # as built, and relabelled so that the members of an outer class
+    # interleave. Relabelled, K_{2,2,2}'s flat classes are two blocks of two
+    # vertices and one twin pair, and K_{2,2,2,2}'s such a class and two twin
+    # pairs, which form its one outer class: the checks hold for the group
+    # the flat classes give
+    perm = list(range(g.n))
+    Random(g.n).shuffle(perm)
+    assert _check_nested_blocks(g)
+    _check_nested_blocks(relabel(g, perm))
 
 
 def test_coset_splits_of_the_kneser_graphs():
@@ -956,10 +1077,10 @@ def test_cutoffs_on_a_prism():
 def _orbit_numbers(g, states):
     """A number per Aut(G)-orbit for each state. Two states share an orbit
     exactly when their vertex-coloured graphs are isomorphic, which networkx
-    decides, after a Weisfeiler-Lehman hash has sorted them into buckets."""
+    decides by VF2++, after a Weisfeiler-Lehman hash has sorted them into
+    buckets (plain VF2 took 16 ms a test on the dense K_{3,3,3,3})."""
     import networkx as nx
 
-    same = lambda x, y: x["coloured"] == y["coloured"]  # noqa: E731
     buckets: dict[str, list] = {}
     numbers = {}
     orbits = 0
@@ -968,7 +1089,9 @@ def _orbit_numbers(g, states):
         h.add_nodes_from((v, {"coloured": v in state}) for v in range(g.n))
         h.add_edges_from(g.edges())
         bucket = buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h, node_attr="coloured"), [])
-        number = next((k for rep, k in bucket if nx.is_isomorphic(h, rep, node_match=same)), None)
+        number = next(
+            (k for rep, k in bucket if nx.vf2pp_is_isomorphic(h, rep, node_label="coloured")), None
+        )
         if number is None:
             number = orbits
             orbits += 1
@@ -979,25 +1102,32 @@ def _orbit_numbers(g, states):
 
 def _check_pruned_tokens_reach_every_orbit(g):
     """At every closed state, the next states of the pruned tokens meet the
-    same Aut(G)-orbits as those of every uncoloured vertex."""
+    same Aut(G)-orbits as those of every uncoloured vertex, and the lowest
+    vertex whose next state is in an orbit is kept, which keeps strategies."""
     everything = set(range(g.n))
     closed = sorted({frozenset(naive_ccr_closure(g, vset(b))) for b in range(1 << g.n)}, key=sorted)
     orbit = _orbit_numbers(g, closed)
     solver = _Solver(g, (0,))
     for coloured in closed:
-        pruned = set()
+        pruned, kept = set(), set()
         for v, nb in solver.tokens(mask(coloured)):
             nxt = frozenset(naive_ccr_closure(g, coloured | {v}))
             assert nb == mask(nxt)
             pruned.add(orbit[nxt])
-        every = {orbit[frozenset(naive_ccr_closure(g, coloured | {v}))] for v in everything - coloured}
-        assert pruned == every, (g.edges(), sorted(coloured))
+            kept.add(v)
+        lowest: dict[int, int] = {}
+        for v in sorted(everything - coloured):
+            lowest.setdefault(orbit[frozenset(naive_ccr_closure(g, coloured | {v}))], v)
+        assert pruned == set(lowest), (g.edges(), sorted(coloured))
+        assert kept >= set(lowest.values()), (g.edges(), sorted(coloured))
 
 
 @pytest.mark.parametrize(
     "g",
-    [petersen(), prism(4), complete_multipartite(3, 3), book(4), bipartite_prism(3, 3)],
-    ids=["petersen", "prism-4", "complete_multipartite-3-3", "book-4", "bipartite_prism-3-3"],
+    [petersen(), prism(4), complete_multipartite(3, 3), book(4), bipartite_prism(3, 3),
+     complete_multipartite(3, 4), complete_bipartite(3, 3)],
+    ids=["petersen", "prism-4", "complete_multipartite-3-3", "book-4", "bipartite_prism-3-3",
+         "complete_multipartite-3-4", "complete_bipartite-3-3"],
 )
 def test_pruned_tokens_reach_every_orbit(g):
     perm = list(range(g.n))

@@ -118,6 +118,10 @@ def test_srg_certificate_errors(monkeypatch):
         srg_certificate(petersen(), 1 + off, -2.0)
     with pytest.raises(ValueError, match="is not an adjacency eigenvalue"):
         srg_certificate(petersen(), 1 + 1e-6, -2.0)
+    # the principal eigenvalue 3, within the same threshold, is refused
+    for off in (0, 1e-7):
+        with pytest.raises(ValueError, match="is the principal adjacency eigenvalue"):
+            srg_certificate(petersen(), 3 + off, -2.0)
 
     def no_matrix(g):
         raise AssertionError("matrix built before the arguments were checked")

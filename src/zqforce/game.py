@@ -36,8 +36,10 @@ Strategies are derived from the concrete states by bounded questions and
 spend the lowest vertex that reaches the value, which is always kept.
 
 One traversal answers every level q: tokens and their bounds are shared by
-the levels, each level asks its own families, and the memo holds one tuple
-per state, an entry per level. ``zq_number`` solves one level;
+the levels, each level asks its own families, and a bound vector or a memo
+entry is one int, a 9-bit field per level (value bits, an exact flag, a
+guard bit) compared for every level at once (``_Solver.__init__``).
+``zq_number`` solves one level;
 ``zq_values`` answers many by one rule, and every level from
 ``zq_saturation`` on is Z(G). ``zq_values`` yields each level's outcome
 lazily, and ``settled`` reads them, stopping at the first refusal.
@@ -75,7 +77,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations, islice, repeat
 from math import comb
-from operator import ge, getitem, mod
+from operator import getitem
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import (
@@ -347,14 +349,23 @@ class _Solver:
         transversal, below = coset_halves(g, classes, outer)
         self.writes = self._half(below)
         self.reads = self._half([tuple(sorted(range(g.n), key=t.__getitem__)) for t in transversal])
-        # A bound above every value (at most n tokens), and the offset that
-        # marks an exact memo entry: v + top, above every bound, where a lower
-        # bound lo is stored as lo. So an entry answers bounds ``betas`` when
-        # it is >= them at every level, and ``% top`` reads its values.
-        self.exact = (g.n + 1,) * len(self.levels)
-        self.top = (g.n + 2,) * len(self.levels)
-        self.zeros = (0,) * len(self.levels)
-        self.memo: dict[int, tuple[int, ...]] = {}
+        # One int holds a bound or a memo entry of every level, level i in
+        # the 9 bits from 9i (SWAR, after Lamport, CACM 1975): 7 value bits
+        # (values and bounds are at most n + 1 <= 65), the exact flag (bit
+        # 7), and a guard bit (bit 8) that is clear in every stored word. A
+        # lower bound lo is stored as lo and an exact value v as v + 128,
+        # above every bound, so an entry answers bounds ``betas`` when each
+        # of its fields is >= beta's. ``(entry | guard) - betas`` keeps a
+        # field's guard bit exactly there: each field stays in 191..447, so
+        # none borrows from or carries into the next. ``entry & low`` reads
+        # its values; ``exact`` asks every level with a bound above every
+        # value.
+        self.one = sum(1 << 9 * i for i in range(len(self.levels)))
+        self.guard = self.one << 8
+        self.flag = self.one << 7
+        self.low = 127 * self.one
+        self.exact = (g.n + 1) * self.one
+        self.memo: dict[int, int] = {}
         self.states = 0
         self.hits = 0
 
@@ -401,16 +412,16 @@ class _Solver:
         lanes = array("Q", packed.to_bytes(8 * count, sys.byteorder))
         return map(self.key, lanes) if self.classes or self.outer else lanes
 
-    def lookup(self, b: int) -> tuple[int, tuple[int, ...]]:
+    def lookup(self, b: int) -> tuple[int, int]:
         """The key that holds the memo entry of b's orbit, or b's own key
-        when none does, and the entry (``self.zeros`` when none does)."""
+        when none does, and the entry (0, no bound, when none does)."""
         memo = self.memo
         key = self.key(b)
         entry = memo.get(key)
         if entry is None and self.reads[1]:
             key = next(filter(memo.__contains__, self.images(self.reads, b)), key)
             entry = memo.get(key)
-        return key, entry or self.zeros
+        return key, entry or 0
 
     def tokens(self, b: int) -> Iterator[tuple[int, int]]:
         """Rule-1 moves from ``b``: (vertex, closed next state), lowest
@@ -465,39 +476,42 @@ class _Solver:
                 seen.add(nb)
                 yield v, nb
 
-    def at(self, i: int, beta: int) -> tuple[int, ...]:
-        """Bounds that ask level ``i`` with ``beta`` and no other level."""
-        return (0,) * i + (beta,) + (0,) * (len(self.levels) - i - 1)
-
     def value(self, b: int) -> tuple[int, ...]:
         """Exact game values of the CCR-closed state ``b``, one per level:
         :meth:`search` with a bound above every value."""
-        return self.search(b, self.exact)
+        got = self.search(b, self.exact)
+        return tuple([got >> 9 * i & 127 for i in range(len(self.levels))])
 
-    def search(self, b: int, betas: tuple[int, ...]) -> tuple[int, ...]:
+    def search(self, b: int, betas: int) -> int:
         """Game values of the CCR-closed state ``b`` under the bounds
-        ``betas``, one per level: the exact value where it is below
-        ``betas[i]``, and otherwise a lower bound of at least ``betas[i]``.
+        ``betas``, one packed field per level (see ``self.one``): the exact
+        value where it is below beta, and otherwise a lower bound of at
+        least beta.
 
         Only a move worth less than ``best``, the least value found so far,
         can change it, so a token's next state is asked with bound
         ``best - 1`` and an oracle response with ``best``, and a subtree is
         cut once it cannot go below them. A level stops expanding when
         ``best`` reaches the least value left to find: its known lower bound,
-        and 1 for tokens. The memo entry of ``b`` (one int per level, see
-        ``self.top``) is read by :meth:`lookup`, which returns the key that
-        holds the entry of b's Aut(G)-orbit, or b's own, and is written
-        under that key and its images by the write half (``self.writes``).
-        So every write of one orbit goes under the same keys
-        (``graphs.coset_split``), and a lookup reads the orbit's latest
-        entry, as when each entry was written under the images by every
-        coset automorphism. A state asked again above its stored lower
-        bound is expanded again."""
+        and 1 for tokens. The memo entry of ``b`` is read by :meth:`lookup`,
+        which returns the key that holds the entry of b's Aut(G)-orbit, or
+        b's own, and is written under that key and its images by the write
+        half (``self.writes``). So every write of one orbit goes under the
+        same keys (``graphs.coset_split``), and a lookup reads the orbit's
+        latest entry, as when each entry was written under the images by
+        every coset automorphism. A state asked again above its stored lower
+        bound is expanded again.
+
+        The levels are compared field by field: ``(x | guard) - y`` keeps
+        the guard bit of the fields where x >= y, and a guard bit m is
+        widened to its field's mask by ``m - (m >> 8)``."""
         if b == self.full:
-            return self.zeros
+            return 0
+        one, guard = self.one, self.guard
         key, entry = self.lookup(b)
-        floor = tuple(map(mod, entry, self.top))  # exact values or lower bounds
-        if all(map(ge, entry, betas)):
+        floor = entry & self.low  # exact values or lower bounds
+        answered = ((entry | guard) - betas) & guard
+        if answered == guard:
             self.hits += 1
             return floor
         self.states += 1
@@ -507,48 +521,52 @@ class _Solver:
         # move, worth at least 1) and 0 elsewhere. Next states answer
         # exactly below it, so the bound drops to the least answer, and a
         # level is done when it reaches ``stop``.
-        best, ask, stop = [], [], []
-        for e, f, beta in zip(entry, floor, betas):
-            x = f if e >= beta else beta
-            least = f if f > 1 else 1
-            best.append(x)
-            ask.append(x - 1 if x > least else 0)
-            stop.append(least - 1 if x > least else 0)
-        if ask != stop:
-            first = ask = tuple(ask)
-            stop = tuple(stop)
+        best = betas ^ (betas ^ floor) & (answered - (answered >> 8))
+        zero = guard ^ ((floor | guard) - one) & guard  # floor == 0
+        least = floor | zero >> 8  # floor, at least 1
+        lower = ((best | guard) - least - one) & guard  # best > least: tokens can lower it
+        if lower:
+            lift = lower >> 8
+            wide = lower - lift
+            ask = (best & wide) - lift
+            stop = (least & wide) - lift
             for _, nb in self.tokens(b):
-                ask = tuple(map(min, ask, self.search(nb, ask)))
+                got = self.search(nb, ask)
+                kept = ((got | guard) - ask) & guard  # got >= ask
+                ask = got ^ (got ^ ask) & (kept - (kept >> 8))
                 if ask == stop:
                     break
-            best = [a + 1 if asked else x for a, asked, x in zip(ask, first, best)]
-        families = _families(self.g, b)
+            best = (best & ~wide) + ask + lift
         # At each level, a family is abandoned as soon as one response forces
         # nothing (dominated) or reaches that level's ``best``.
-        for i, q in enumerate(self.levels):
-            if best[i] <= floor[i]:
-                continue
-            for _, responses in families(q):
-                bound = best[i]
-                worst = 0
-                for _, state in responses:
-                    if state is None:
-                        break
-                    worst = max(worst, self.search(state, self.at(i, bound))[i])
-                    if worst >= bound:
-                        break
-                else:
-                    best[i] = worst
-                    if worst <= floor[i]:
-                        break
+        rest = ((best | guard) - floor - one) & guard  # best > floor
+        if rest:
+            families = _families(self.g, b)
+            for i, q in enumerate(self.levels):
+                shift = 9 * i
+                if not rest >> shift + 8 & 1:
+                    continue
+                lo = floor >> shift & 127
+                bound = was = best >> shift & 127
+                for _, responses in families(q):
+                    worst = 0
+                    for _, state in responses:
+                        if state is None:
+                            break
+                        worst = max(worst, self.search(state, bound << shift) >> shift & 127)
+                        if worst >= bound:
+                            break
+                    else:
+                        bound = worst
+                        if worst <= lo:
+                            break
+                best -= was - bound << shift
         # exact where it was, or where a move went below beta
-        top = self.top[0]
-        values = self.memo[key] = tuple(
-            [x + top if e >= top or x < beta else x for x, e, beta in zip(best, entry, betas)]
-        )
+        below = ((betas | guard) - best - one) & guard
+        values = self.memo[key] = best | entry & self.flag | below >> 1
         if self.writes[1]:  # some write map besides the identity
             self.memo.update(dict.fromkeys(self.images(self.writes, key), values))
-        return tuple(best)
+        return best
 
     # -- strategy extraction (re-derives optimal moves by bounded searches) --
 
@@ -568,7 +586,7 @@ class _Solver:
         # reaches it, and so does a family whose responses are all below
         # val + 1 with the worst equal to val.
         for v, nb in self.tokens(b):
-            if self.search(nb, self.at(0, val))[0] < val:
+            if (self.search(nb, val) & 127) < val:
                 out = (TokenSpend(v),) + self.strategy(nb, _memo)
                 _memo[b] = out
                 return out
@@ -578,7 +596,7 @@ class _Solver:
             for r, state in responses:
                 if state is None:
                     break
-                worst = max(worst, self.search(state, self.at(0, val + 1))[0])
+                worst = max(worst, self.search(state, val + 1) & 127)
                 if worst > val:
                     break
                 branches[tuple(fam[i] for i in bits(r))] = state
@@ -619,7 +637,9 @@ def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
     Rule-3 families are offered at size exactly q+1, which gives the same
     value as every size >= q+1 because a (q+1)-subfamily's responses are a
     subset of the whole family's; ``test_zq_number_matches_set_reference``
-    checks it against a reference solver that offers every size.
+    checks it against a reference solver that offers every size. The one
+    level is the low field of the solver's packed words: its bounds and
+    memo entries are the 7-bit value and the exact flag of a small int.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")

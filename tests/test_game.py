@@ -279,14 +279,27 @@ def test_orbit_memo_matches_set_reference_up_to_8_vertices(graphs):
         _check_every_closed_state(g, range(g.n + 1))
 
 
+def _pack(fields):
+    """``_Solver.search``'s word of per-level fields, level i in bits 9i.."""
+    return sum(f << 9 * i for i, f in enumerate(fields))
+
+
+def _unpack(word, count):
+    """The value bits of the first ``count`` fields of a search word."""
+    return tuple(word >> 9 * i & 127 for i in range(count))
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(_relabelled_graphs())
 def test_search_bound_contract_up_to_8_vertices(graphs):
     # search(b, betas) answers each level with the exact value when it is
-    # below betas[i], and otherwise with a number in [betas[i], value]. Every
+    # below beta, and otherwise with a number in [beta, value]. Every
     # closed state is asked at every bound in 0..n+1, level i at bound
     # (beta + i) mod (n + 2) so that the levels' bounds differ, through one
-    # solver whose memo keeps the bounds of the earlier questions
+    # solver whose memo keeps the bounds of the earlier questions. The
+    # bounds go in packed, 9 bits a level, so with 9 levels at 8 vertices
+    # the word has 81 bits, past 64: the fields must not rely on a machine
+    # word
     for g in graphs:
         levels = range(g.n + 1)
         references = [naive_game(g, q) for q in levels]
@@ -295,11 +308,43 @@ def test_search_bound_contract_up_to_8_vertices(graphs):
         for beta in range(g.n + 2):
             betas = tuple((beta + i) % (g.n + 2) for i in levels)
             for b in closed:
-                got = solver.search(b, betas)
-                for reference, bound, answer in zip(references, betas, got):
+                got = solver.search(b, _pack(betas))
+                assert got == _pack(_unpack(got, len(levels))), (g.edges(), b, betas, got)
+                for reference, bound, answer in zip(references, betas, _unpack(got, len(levels))):
                     value = reference(vset(b))
                     ok = answer == value if value < bound else bound <= answer <= value
                     assert ok, (g.edges(), b, betas, got)
+
+
+def test_search_fields_at_the_top_of_their_range():
+    # Z_q(K_64) = 63 at every level: the largest value, read by bounds up
+    # to n + 1 = 65, the largest a field holds. A bound of 62 or 63 gets a
+    # lower bound in [bound, 63] and 64 or 65 the exact 63, at each level
+    # of a fresh solver, asked with no bound at the other levels; once the
+    # values are exact, every bound reads 63 from the memo. A star or an
+    # edgeless graph would do as well but for its 60 and more components,
+    # whose rule-3 families are too many to enumerate
+    g, levels = complete(64), range(8)
+    start = ccr_closure(g, 0)
+    solved = _Solver(g, levels)
+    assert solved.value(start) == (63,) * 8
+    for i in levels:
+        for bound in (62, 63, 64, 65):
+            got = _Solver(g, levels).search(start, bound << 9 * i) >> 9 * i & 127
+            assert got == 63 if bound > 63 else bound <= got <= 63, (i, bound, got)
+            assert solved.search(start, bound << 9 * i) == _pack((63,) * 8), (i, bound)
+
+
+def test_exact_flag_survives_a_search_for_another_level():
+    # A state whose entry is exact at one level is expanded again when a
+    # rule-3 family asks another level (bound 0 at the first); its new entry
+    # keeps the first level's exact flag, so a later question there above
+    # the value is a memo hit: 37 expansions for K_{5,6} at levels 0-4, and
+    # 39 when the flag is lost
+    g = complete_bipartite(5, 6)
+    solver = _Solver(g, range(5))
+    assert solver.value(ccr_closure(g, 0)) == (5, 9, 9, 9, 9)
+    assert (solver.states, solver.hits) == (37, 272)
 
 
 @pytest.mark.parametrize(

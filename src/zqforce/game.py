@@ -623,7 +623,9 @@ def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
     pages, the columns of ``K_{n,m} x K_2``) and of classes of them (the
     parts of ``complete_multipartite``, the sides of K_{n,n}), read from
     per-class tables. The automorphisms, one per coset of the block group,
-    split into two halves whose products they are: each entry is also
+    come from a chain built by orbit closure, one backtrack descent per new
+    generator (``graphs.block_coset_chain``), and split into two halves
+    whose products they are: each entry is also
     stored under the colouring's images by one half, and a lookup reads a
     colouring's images by the inverses of the other (48 writes and 15
     reads for the 720 maps of ``kneser2(6)``, none for
@@ -894,10 +896,13 @@ def z0_number(g: Graph) -> int:
     :func:`_least_images` drops the lanes that some generator of Aut(G)
     sends to a smaller set, keeping the least set of each Aut(G)-orbit (and
     every set when the identity is the only automorphism). The generators are
-    the first map of each branch of ``graphs.block_coset_chain`` of no
-    block class, a strong generating set (36 maps for the 5,040 of
-    ``kneser2(7)``): ``kneser2(7)`` closes 155 of its C(21,14) = 116,280
-    sets of size 14. The search is refused before a size that would take
+    the map of each branch of ``graphs.block_coset_chain`` of no block
+    class, a strong generating set (36 maps for the 5,040 of
+    ``kneser2(7)``), each the product of the chain's orbit closure that
+    reached its image or, for a new generator, the backtrack's first leaf:
+    ``kneser2(7)`` closes 179 of its C(21,14) = 116,280 sets of size 14.
+    Other generators of the same group keep other sets, one per orbit still
+    among them, so these counts move with the chain's choice. The search is refused before a size that would take
     the sets counted past ``Z0_SUBSET_BUDGET`` (the orbit sets with block
     classes, C(n, k) without), and stops at the minimum degree δ(G)
     (δ <= tw <= Z_0; Barioli et al., J. Graph Theory 72, 2013). Direct proof:

@@ -276,8 +276,10 @@ def _block_swap(
     turns out not to be an automorphism.
     """
     adj = g.adj
-    image = {u: v, v: u}
     moved = (1 << u) | (1 << v)
+    if not (adj[u] ^ adj[v]) & ~moved:  # twins: their transposition is an automorphism
+        return (u,), (v,)
+    image = {u: v, v: u}
     side = [u]
     for x in side:  # grows while it is walked
         y = image[x]
@@ -315,7 +317,9 @@ def interchangeable_blocks(g: Graph) -> list[BlockClass]:
     vertex of equal degree proposes a block swap (:func:`_block_swap`).
     Swaps that share ``u``'s block are grouped, and the images disjoint from
     it and from each other, in order of their ``v``, join it in a class; the
-    largest such class is kept. Each block's swap with the first is a
+    class of most blocks is kept, and on a tie the one of narrowest blocks,
+    so that twins under a labelling that proposes pairs of them first still
+    come out as twins. Each block's swap with the first is a
     verified automorphism and the blocks are disjoint, so every permutation
     of a class's blocks is one too. Twins are blocks of size 1; the pages
     of a book and the columns of ``K_{n,m} x K_2`` are blocks of size 2.
@@ -342,7 +346,7 @@ def interchangeable_blocks(g: Graph) -> list[BlockClass]:
                 if not m & taken:
                     blocks.append(img)
                     taken |= m
-            if len(blocks) > len(best):
+            if len(blocks) > len(best) or len(blocks) == len(best) and len(base) < len(best[0]):
                 best = tuple(blocks)
         if best:
             classes.append(best)
@@ -612,7 +616,8 @@ def block_coset_chain(
     map being the tuple of vertex images. H permutes the blocks of each of
     ``classes`` and, with ``outer`` (the classes of classes of
     :func:`outer_classes`, ``classes`` then being its realigned flat ones),
-    the members of each outer class too.
+    the members of each outer class too. With no class, H is the identity
+    and the maps are all of Aut(G).
 
     The maps are the leaves of a backtrack over the vertices in that order
     (:func:`_coset_images`): a partial map keeps every adjacency and
@@ -630,12 +635,12 @@ def block_coset_chain(
 
     P_k, the leaves that fix the first k vertices of the order, is P_{k+1}
     and, for each branch of level k, the leaves L_w that map its vertex v to
-    w; P_n is the identity and P_0 every leaf. Let a be the first leaf of
-    L_w. If a carries the blocks of each class onto the blocks of one class,
-    position for position (and with them the members of each outer class
-    onto those of one, see :func:`_permutes_blocks`), it normalises H
-    (a∘H∘a⁻¹ = H), and L_w is
-    {a∘x : x in P_{k+1}}, where (a∘x)(u) = a(x(u)):
+    w; P_n is the identity and P_0 every leaf. Let a be a leaf of L_w that
+    carries the blocks of each class onto the blocks of one class, position
+    for position (and with them the members of each outer class onto those
+    of one, see :func:`_permutes_blocks`). Then a normalises H
+    (a∘H∘a⁻¹ = H), and L_w is {a∘x : x in P_{k+1}}, where (a∘x)(u) =
+    a(x(u)):
     - a∘x is a leaf: it is an automorphism that agrees with a on the first
       k + 1 vertices, and it reaches the blocks (and members) of each
       class in rank order, because x reaches them in rank order and a maps
@@ -646,11 +651,28 @@ def block_coset_chain(
       do not reach,
       so x = h∘y is in P_{k+1}. Then r = (a∘h⁻¹∘a⁻¹)∘(a∘x) is in the coset
       H·(a∘x), and a coset has one leaf, so r = a∘x.
-    Otherwise L_w is searched in full. So a map costs about one composition
-    rather than one descent of the backtrack, and where every branch of
-    levels 0..j-1 composes, P_0 = T_j∘P_j, T_j the products
-    u_0∘u_1∘...∘u_{j-1} with u_k the identity or the first leaf of a branch
-    of level k: ``chain_maps(g.n, chain[:j])``.
+    Nothing here asks a to be the backtrack's first leaf of L_w, so any
+    such leaf stands for the branch as (a, None), and the set of maps is
+    the same whichever is taken. If the first leaf is not such a map, L_w
+    is searched in full. So a map costs about one composition rather than
+    one descent of the backtrack, and where every branch of levels 0..j-1
+    composes, P_0 = T_j∘P_j, T_j the products u_0∘u_1∘...∘u_{j-1} with u_k
+    the identity or the map of a branch of level k: ``chain_maps(g.n,
+    chain[:j])``.
+
+    The levels are built from the last vertex of the order back to the
+    first, so that a level's maps are found after every map that fixes its
+    vertex v (Sims 1970; Seress, *Permutation Group Algorithms*, 2003).
+    The leaves descended to so far all fix the first k vertices: v's orbit
+    under the group they generate is closed (:func:`_close_orbit`), each
+    image reached carrying a product of them that maps v to it. The product
+    is an automorphism, so when it passes the rank gates it is a leaf, and
+    when it also carries blocks onto blocks it stands for its branch. The
+    backtrack descends only for a candidate image that no such product
+    reaches, and its first leaf joins the generators. With no class every
+    product qualifies, so there is one descent per generator, not per
+    branch: 6 for the 43 branches of K(7,3), 24 for the 205 of
+    ``bipartite_prism(5,20)``, whose 2·5!·20! maps then take milliseconds.
     """
     n = g.n
     adj = g.adj
@@ -671,6 +693,11 @@ def block_coset_chain(
     for v in order:
         earlier.append(vertices_of(adj[v] & placed))
         placed |= 1 << v
+    # the vertices of each vertex's degree, to which automorphisms keep it
+    by_degree: dict[int, int] = {}
+    for v in range(n):
+        by_degree[adj[v].bit_count()] = by_degree.get(adj[v].bit_count(), 0) | 1 << v
+    same = [by_degree[a.bit_count()] for a in adj]
     block_class = {blk: c for c, blocks in enumerate(classes) for blk in blocks}
     # A vertex of a block of rank > 1 passes its class's gate only once a
     # block of its class is reached, and that class is the vertex's member
@@ -679,23 +706,59 @@ def block_coset_chain(
     gate = _rank_gates(n, order, classes)
     if outer:
         gate = [inner or upper for inner, upper in zip(gate, _rank_gates(n, order, outer))]
-    search = (adj, order, earlier, gate)
-    chain: list[CosetLevel] = []
-    used = 0  # the first k vertices of the order, each its own image
-    for k, v in enumerate(order):
+    search = (adj, order, earlier, gate, same)
+    chain: list[CosetLevel] = [[] for _ in order]
+    gens: list[tuple[int, ...]] = []  # the leaves descended to, deepest level first
+    used = g.full_mask
+    for k in reversed(range(n)):
+        v = order[k]
+        used ^= 1 << v  # the first k vertices, each its own image
         image = list(range(n))
-        level: CosetLevel = []
+        # the generators of deeper levels fix v, so its orbit starts as v alone
+        reps = {v: tuple(image)}
+        level = chain[k]
         for w in _coset_images(search, k, image, used):
             if w == v:
+                continue
+            r = reps.get(w)
+            if r is not None and _is_leaf(r, order, gate) and _permutes_blocks(r, block_class):
+                level.append((r, None))
                 continue
             image[v] = w
             leaves = _coset_leaves(search, k + 1, image, used | 1 << w)
             a = next(leaves, None)
             if a is not None:
                 level.append((a, None) if _permutes_blocks(a, block_class) else (a, [a, *leaves]))
-        chain.append(level)
-        used |= 1 << v
+                gens.append(a)
+                _close_orbit(reps, gens)
     return chain
+
+
+def _close_orbit(reps: dict[int, tuple[int, ...]], gens: list[tuple[int, ...]]) -> None:
+    """Close the orbit ``reps``, each point with a product of ``gens`` that
+    maps the orbit's first point to it, under ``gens``: a point reached
+    from x by s gets s∘reps[x]."""
+    todo = list(reps)
+    for x in todo:  # grows while it is walked
+        for s in gens:
+            y = s[x]
+            if y not in reps:
+                reps[y] = tuple([s[u] for u in reps[x]])
+                todo.append(y)
+
+
+def _is_leaf(r: tuple[int, ...], order: list[int], gate: list[int]) -> bool:
+    """Is the automorphism ``r`` a leaf of :func:`block_coset_chain`'s
+    backtrack, one that reaches the blocks of each class (and the members
+    of each outer class) in rank order? An automorphism passes every other
+    test of :func:`_coset_images`."""
+    used = 0
+    for v in order:
+        w = r[v]
+        if gate[w] and not gate[w] & used:
+            return False
+        used |= 1 << w
+    return True
 
 
 def _rank_gates(n: int, order: list[int], classes: Sequence[BlockClass]) -> list[int]:
@@ -766,7 +829,10 @@ def coset_split(chain: Sequence[CosetLevel]) -> int:
     under the key that answered the lookup, or the state's own key, and its
     P_j-images. A key is an H-image of its state, so every write of one
     Aut(G)-orbit goes under the keys of the same N-orbit, each overwriting
-    the last, as when every entry went under every coset map.
+    the last, as when every entry went under every coset map. None of this
+    asks which leaf stands for a branch, an orbit-closure product or the
+    backtrack's first leaf: the choice changes T_j as a set, but neither
+    P_j nor T_j∘P_j, which is every leaf.
     """
     if any(leaves is not None for level in chain for _, leaves in level):
         return 0
@@ -792,16 +858,16 @@ def _coset_images(
     """The images that :func:`block_coset_chain`'s backtrack accepts
     for the k-th vertex v of the order after ``image`` on the first k
     (``used`` the mask of their images), v first and then ascending: an
-    unused w whose neighbours among the images so far are the images of
-    v's earlier neighbours, and that reaches a new block only at the next
-    rank."""
-    adj, order, earlier, gate = search
+    unused w of v's degree whose neighbours among the images so far are the
+    images of v's earlier neighbours, and that reaches a new block only at
+    the next rank."""
+    adj, order, earlier, gate, same = search
     v = order[k]
     want = 0  # the images of v's earlier neighbours
+    pool = same[v] & ~used  # only a neighbour of each of them can pass the test below
     for u in earlier[k]:
         want |= 1 << image[u]
-    # only a neighbour of one of them can pass the test below
-    pool = (adj[image[earlier[k][0]]] if earlier[k] else (1 << len(order)) - 1) & ~used
+        pool &= adj[image[u]]
     tried = ([v] if pool >> v & 1 else []) + vertices_of(pool & ~(1 << v))
     return [w for w in tried if adj[w] & used == want and (not gate[w] or gate[w] & used)]
 

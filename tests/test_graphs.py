@@ -463,9 +463,10 @@ def _coset_of(classes, r):
     return tuple(out)
 
 
-def _check_block_cosets(g, expected):
+def _check_block_cosets(g, expected, classes=None):
     adj = adjacency_sets(g)
-    classes = interchangeable_blocks(g)
+    if classes is None:
+        classes = interchangeable_blocks(g)
     maps = chain_maps(g.n, block_coset_chain(g, classes))
     assert maps[0] == tuple(range(g.n))
     for r in maps:
@@ -481,7 +482,8 @@ def _check_block_cosets(g, expected):
 
 
 def test_block_coset_automorphisms_small_graphs():
-    # one map per coset of H in Aut(G), counted against networkx's VF2
+    # one map per coset of H in Aut(G), counted against networkx's VF2; and
+    # with no class, H is the identity and the maps are all of Aut(G)
     rng = Random(97)
     for n in range(1, 7):
         for g in all_graphs_up_to_iso(n):
@@ -489,6 +491,41 @@ def test_block_coset_automorphisms_small_graphs():
             rng.shuffle(perm)
             for h in (g, relabel(g, perm)):
                 _check_block_cosets(h, _nx_automorphisms_enumerated)
+                _check_block_cosets(h, _nx_automorphisms_enumerated, ())
+
+
+def _kneser(n, k):
+    """The Kneser graph K(n, k), built here from its k-subsets: two are
+    adjacent when they are disjoint."""
+    sets = [set(c) for c in combinations(range(n), k)]
+    return build_graph(len(sets), [(i, j) for i, j in combinations(range(len(sets)), 2)
+                                   if not sets[i] & sets[j]])
+
+
+@pytest.mark.parametrize(
+    "g, order",
+    [
+        (book(8), 2 * factorial(8)),
+        (bipartite_prism(5, 20), 2 * factorial(5) * factorial(20)),
+        (complete_multipartite(5, 5), factorial(5) ** 6),
+        (_kneser(7, 3), factorial(7)),
+    ],
+    ids=["book-8", "bipartite_prism-5-20", "complete_multipartite-5-5", "kneser-7-3"],
+)
+def test_full_group_chain(g, order):
+    # with no block class every branch composes, and a level of b branches
+    # multiplies the maps below it by b + 1, so the chain's product is
+    # |Aut(G)|: far too many maps to list (2·5!·20! for K_{5,20} x K_2), so
+    # the order is read from the level sizes and every branch's map is
+    # checked to be an automorphism
+    adj = adjacency_sets(g)
+    chain = block_coset_chain(g, ())
+    assert prod(len(level) + 1 for level in chain) == order
+    for level in chain:
+        assert all(leaves is None for _, leaves in level)
+        for a, _ in level:
+            assert sorted(a) == list(range(g.n)) and a != tuple(range(g.n))
+            assert all(adj[a[v]] == {a[w] for w in adj[v]} for v in range(g.n))
 
 
 # Aut(G) of the paper's families, counted by networkx's VF2 where it can

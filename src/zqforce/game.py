@@ -20,9 +20,10 @@ state asked again above its stored lower bound counting again, and
 Every automorphism of G keeps the game value, so one memo entry serves a
 whole Aut(G)-orbit. The memo is keyed on a state's canonical form under
 interchangeable vertex blocks (``graphs.interchangeable_blocks``) and
-classes of them (``graphs.outer_classes``), a subgroup H of Aut(G), read
-from per-class tables that the solver fills as it meets each class
-pattern. The automorphisms r, one per coset H·r,
+classes of twin classes (``graphs.outer_classes``), a subgroup H of
+Aut(G): a class's part of the key is read from a table that the solver
+fills as it meets each of its patterns, and an outer class's from its
+members' coloured counts. The automorphisms r, one per coset H·r,
 are the products τ∘p of two halves of the coset chain, split at the level
 that ``graphs.coset_split`` picks: when a state b is expanded, its entry
 is stored under the key of p(b) for each p of the lower half P_j, and a
@@ -150,54 +151,15 @@ def rule3_closure(g: Graph, b: int, returned: Sequence[int]) -> int:
     return ccr_closure(g, b, b | union)
 
 
-def _sorted_pattern(blocks: BlockClass, part: int) -> int:
-    """The canonical pattern of the bits ``part`` of a state on the class
-    ``blocks``: the blocks' patterns (bit i from position i), sorted and
-    packed w bits each in block order, which are the bits of
-    ``canonical_key`` on the class alone read from its vertices in order."""
-    width = len(blocks[0])
-    pats = []
-    for blk in blocks:
-        p = 0
-        for i, w in enumerate(blk):
-            p |= (part >> w & 1) << i
-        pats.append(p)
-    pats.sort()
-    return sum(p << j * width for j, p in enumerate(pats))
-
-
-def _column_minima(blocks: BlockClass, part: int) -> tuple[int, ...]:
-    """The lowest vertex at each position of each set of ``blocks`` with
-    one pattern on ``part``, by pattern, then position: the vertices that
-    no swap of two blocks with the same pattern maps to a lower vertex.
-    Classes aligned with each other and with one canonical pattern list
-    them in the same order."""
+def _swap_lowered(blocks: BlockClass, part: int) -> int:
+    """The vertices of ``blocks`` that a swap of two blocks with the same
+    pattern on ``part`` maps to a lower vertex: all but the lowest vertex at
+    each position of the blocks of each pattern."""
     same: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for blk in blocks:
         same.setdefault(tuple([part >> w & 1 for w in blk]), []).append(blk)
-    return tuple([min(column) for _, group in sorted(same.items()) for column in zip(*group)])
-
-
-def _learn_pattern(
-    blocks: BlockClass, part: int, patterns: dict[int, int], flats: list[tuple[int, ...]],
-    holdings: list[dict[int, int]],
-) -> int:
-    """The canonical pattern of a member's bits ``part``, entered in its
-    table ``patterns``; a pattern new to its outer class is entered in the
-    table of every member (vertices ``flats[i]`` in aligned order) from a
-    pattern to the member's vertices that hold it."""
-    p = patterns[part] = _sorted_pattern(blocks, part)
-    if p not in holdings[0]:
-        for flat, holding in zip(flats, holdings):
-            holding[p] = mask_of(flat[i] for i in bits(p))
-    return p
-
-
-def _swap_lowered(blocks: BlockClass, part: int) -> int:
-    """The vertices of ``blocks`` that a swap of two blocks with the same
-    pattern on ``part`` maps to a lower vertex: all but the
-    :func:`_column_minima`."""
-    return mask_of(w for blk in blocks for w in blk) & ~mask_of(_column_minima(blocks, part))
+    kept = mask_of(min(column) for group in same.values() for column in zip(*group))
+    return mask_of(w for blk in blocks for w in blk) & ~kept
 
 
 def _families(
@@ -295,10 +257,10 @@ class ZqResult:
 class _Solver:
     """One game traversal on ``g`` that answers every q in ``levels``.
 
-    Its block group H permutes the blocks of each flat class and the
+    Its block group H permutes the blocks of each flat class and the twin
     classes of each outer class (``graphs.outer_classes``), a wreath
     product per outer class: the key sorts inside each class, then sorts
-    the classes of an outer class by their canonical patterns, and the
+    the members of an outer class by their coloured counts, and the
     tokens skip what an element of H fixing the state maps lower. The
     coset maps of H in Aut(G) are split between writes and reads; where H
     is all of Aut(G), as for ``complete_multipartite`` and K_{n,n}, there
@@ -309,33 +271,26 @@ class _Solver:
         self.g = g
         self.levels = tuple(levels)
         self.full = g.full_mask
-        classes, outer = outer_classes(g, interchangeable_blocks(g))
+        classes = interchangeable_blocks(g)
+        outer = outer_classes(g, classes)
         # Per class in no outer class: its vertices, its blocks, and two
-        # tables from the class's bits of a state: to their canonical form
-        # (``canonical_key`` on the class alone) and to the vertices that a
-        # swap of two blocks with the same pattern maps to a lower vertex.
-        # Per outer class, four lists with an item per member: (its
-        # vertices, its blocks, a table from its bits of a state to their
-        # canonical pattern); a table from a pattern to the member's
-        # vertices that hold it (:func:`_learn_pattern`); its vertices in
-        # aligned order; and a table from its bits of a state to (their
-        # pattern, the vertices that a swap of two of its blocks with the
-        # same pattern maps to a lower vertex, the rest: its
-        # ``_column_minima``). Every table is filled on first sight. A class
-        # in no outer class is an outer class of one, but read through the
-        # outer tables its misses cost a pattern step more: the ``reproduce``
-        # benchmark ran 3 % slower on a 2-vCPU machine, so it keeps its own.
+        # tables from the class's bits of a state, filled on first sight: to
+        # their canonical form (``canonical_key`` on the class alone) and to
+        # the vertices that a swap of two blocks with the same pattern maps
+        # to a lower vertex. Such a class may have blocks of any width. The
+        # members of an outer class are twin classes, and a member's bits
+        # are known up to H by their count alone, so no table is filled:
+        # per outer class, its vertices, its members' vertices, and per
+        # member the vertices of its last c twins for each count c.
         inside = mask_of(w for members in outer for m in members for w in m)
         self.classes = [
             (mask_of(w for blk in blocks for w in blk), blocks, {}, {})
             for blocks in classes
             if not inside >> blocks[0][0] & 1
         ]
-        # a member's vertices in aligned order start with its class's first
-        by_first = {blocks[0][0]: blocks for blocks in classes}
         self.outer = [
-            ([(mask_of(m), by_first[m[0]], {}) for m in members], [{} for _ in members],
-             list(members), [{} for _ in members])
+            (mask_of(w for m in members for w in m), [mask_of(m) for m in members],
+             [[mask_of(m[len(m) - c:]) for c in range(len(m) + 1)] for m in members])
             for members in outer
         ]
         self.outside = self.full & ~inside & ~sum(m for m, *_ in self.classes)
@@ -370,10 +325,10 @@ class _Solver:
         self.hits = 0
 
     def key(self, b: int) -> int:
-        """``canonical_key(outer, canonical_key(classes, b))``, by table
-        lookups: one per class in no outer class, and per outer class each
-        member's canonical pattern, sorted, the i-th member taking the i-th
-        pattern."""
+        """``canonical_key(outer, canonical_key(classes, b))``: one table
+        lookup per class in no outer class, and per outer class its members'
+        coloured counts, sorted, the i-th member taking the i-th count on
+        its last vertices."""
         k = b & self.outside
         for mask, blocks, keys, _ in self.classes:
             part = b & mask
@@ -381,16 +336,8 @@ class _Solver:
             if got is None:
                 got = keys[part] = canonical_key((blocks,), part)
             k |= got
-        for keying, holdings, flats, _ in self.outer:
-            pats = []
-            for mask, blocks, patterns in keying:
-                part = b & mask
-                got = patterns.get(part)
-                if got is None:
-                    got = _learn_pattern(blocks, part, patterns, flats, holdings)
-                pats.append(got)
-            pats.sort()
-            k |= sum(map(getitem, holdings, pats))
+        for _, members, last in self.outer:
+            k |= sum(map(getitem, last, sorted([(b & m).bit_count() for m in members])))
         return k
 
     def _half(self, maps: list[tuple[int, ...]]) -> tuple[list[int], int]:
@@ -429,17 +376,18 @@ class _Solver:
 
         A vertex is skipped when an element of the block group that fixes
         ``b`` maps it to a lower vertex u: its next state is the image of
-        u's, so both have one value. Those elements map a vertex to the
-        vertices at its position in the blocks of its member with its
-        pattern on ``b``, and to the same vertices of the members of its
-        outer class with the same canonical pattern, so the vertices kept
-        are each member's column minima, the least of them over the
-        members of one pattern. Following lower images ends at a vertex
-        that is kept, and the lowest vertex that reaches a value is kept,
-        so strategies do not change. Tokens that other automorphisms fixing
-        ``b`` would pair are all spent, and their next states share an
-        orbit that the memo answers after the first. The skipped vertices
-        do not depend on q, so every level shares the tokens.
+        u's, so both have one value. Those elements map a vertex of a flat
+        class to the vertices at its position in the blocks with its
+        pattern on ``b``, and an uncoloured vertex of an outer class to
+        every uncoloured vertex of its members with as many coloured ones,
+        so the vertices kept are each flat class's column minima and, per
+        count, the lowest uncoloured vertex of the members with that count.
+        Following lower images ends at a vertex that is kept, and the lowest
+        vertex that reaches a value is kept, so strategies do not change.
+        Tokens that other automorphisms fixing ``b`` would pair are all
+        spent, and their next states share an orbit that the memo answers
+        after the first. The skipped vertices do not depend on q, so every
+        level shares the tokens.
         """
         g = self.g
         adj = g.adj
@@ -451,23 +399,14 @@ class _Solver:
             if got is None:
                 got = lower[part] = _swap_lowered(blocks, part)
             skip |= got
-        for keying, holdings, flats, lowers in self.outer:
-            same: dict[int, list[tuple[int, tuple[int, int, tuple[int, ...]]]]] = {}
-            for (mask, blocks, patterns), lower in zip(keying, lowers):
-                part = b & mask
-                row = lower.get(part)
-                if row is None:
-                    pattern = patterns.get(part)
-                    if pattern is None:
-                        pattern = _learn_pattern(blocks, part, patterns, flats, holdings)
-                    kept = _column_minima(blocks, part)
-                    row = lower[part] = (pattern, mask & ~mask_of(kept), kept)
-                same.setdefault(row[0], []).append((mask, row))
-            for group in same.values():
-                if len(group) == 1:
-                    skip |= group[0][1][1]
-                else:
-                    skip |= sum(m for m, _ in group) & ~mask_of(map(min, *[r[2] for _, r in group]))
+        for mask, members, _ in self.outer:
+            kept: dict[int, int] = {}  # per coloured count, the lowest uncoloured vertex
+            for m in members:
+                free = m & ~b
+                if free:
+                    count = (b & m).bit_count()
+                    kept[count] = min(kept.get(count, free), free & -free)
+            skip |= mask & ~sum(kept.values())
         seen = set()
         # ``b`` is closed, so only ``v`` and its coloured neighbours can force
         for v in bits(full & ~b & ~skip):
@@ -620,12 +559,14 @@ def zq_number(g: Graph, q: int, build_strategy: bool = True) -> ZqResult:
     again, and ``cache_stats.hits`` the lookups answered by the memo. One
     memo entry serves an orbit of Aut(G): the memo is keyed on the canonical
     form under permutations of interchangeable vertex blocks (twins, book
-    pages, the columns of ``K_{n,m} x K_2``) and of classes of them (the
-    parts of ``complete_multipartite``, the sides of K_{n,n}), read from
-    per-class tables. The automorphisms, one per coset of the block group,
-    come from a chain built by orbit closure, one backtrack descent per new
-    generator (``graphs.block_coset_chain``), and split into two halves
-    whose products they are: each entry is also
+    pages, the columns of ``K_{n,m} x K_2``) and of classes of twin classes
+    (the parts of ``complete_multipartite``, the sides of K_{n,n}), read
+    from per-class tables and from the twin classes' coloured counts. The
+    two sides of ``K_{n,n} x K_2`` are classes of columns, which do not
+    nest, so their swap is a coset map. The automorphisms, one per coset of
+    the block group, come from a chain built by orbit closure, one
+    backtrack descent per new generator (``graphs.block_coset_chain``), and
+    split into two halves whose products they are: each entry is also
     stored under the colouring's images by one half, and a lookup reads a
     colouring's images by the inverses of the other (48 writes and 15
     reads for the 720 maps of ``kneser2(6)``, none for

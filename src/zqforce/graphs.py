@@ -293,21 +293,26 @@ def _block_swap(
         image[xa], image[yc] = yc, xa
         moved |= a | c
         side.append(xa)
+    if not _keeps_edges(adj, image, moved):
+        return None
+    base = tuple(sorted(side))
+    return base, tuple(image[x] for x in base)
 
-    def swapped(m: int) -> int:
-        out = m & ~moved
-        for w in bits(m & moved):
-            out |= 1 << image[w]
-        return out
 
+def _keeps_edges(adj: tuple[int, ...], image: dict[int, int], moved: int) -> bool:
+    """Is the involution ``image`` of the vertices ``moved``, fixing every
+    other vertex, an automorphism? Only the moved vertices and their
+    neighbours can see an edge change."""
     touched = moved
     for w in bits(moved):
         touched |= adj[w]
     for w in bits(touched):
-        if swapped(adj[w]) != adj[image.get(w, w)]:
-            return None
-    base = tuple(sorted(side))
-    return base, tuple(image[x] for x in base)
+        out = adj[w] & ~moved
+        for x in bits(adj[w] & moved):
+            out |= 1 << image[x]
+        if out != adj[image.get(w, w)]:
+            return False
+    return True
 
 
 def interchangeable_blocks(g: Graph) -> list[BlockClass]:
@@ -354,108 +359,46 @@ def interchangeable_blocks(g: Graph) -> list[BlockClass]:
     return classes
 
 
-def outer_classes(
-    g: Graph, classes: Sequence[BlockClass]
-) -> tuple[list[BlockClass], list[BlockClass]]:
-    """Classes of classes: the flat ``classes`` (:func:`interchangeable_blocks`)
-    grouped where the aligned swap of two of one shape is an automorphism.
+def outer_classes(g: Graph, classes: Sequence[BlockClass]) -> list[BlockClass]:
+    """Classes of twin classes: the twin classes among ``classes`` (blocks
+    of one vertex, :func:`interchangeable_blocks`) grouped where the swap of
+    two of one size, vertex for vertex in class order, is an automorphism.
 
-    Returns the flat classes, each grouped one with its blocks' positions
-    reordered to align with the first of its group, and one outer class
-    per group of two or more: a BlockClass whose blocks are its members,
-    each as its vertices block by block, position by position.
+    Returns one outer class per group of two or more: a BlockClass whose
+    blocks are its members, each a twin class's vertices in class order.
 
-    For each class a not yet grouped, from the first, a later class b with
-    as many blocks, of the same width and degrees, joins a's group when
-    some order of b's positions makes the swap of block j of a with block j
-    of b, position for position for every j, an automorphism
-    (:func:`_aligned`); the blocks of b are interchangeable, so any pairing
-    of them would do as well. With b realigned by that order, the swaps of
-    the first member
-    with each other one generate every aligned permutation of the members,
-    and with the members' own block permutations they make the block group
-    H, a wreath product in each group: its canonical form sorts inside
-    each member, then sorts the members (``canonical_key(outer,
+    For each twin class a not yet grouped, from the first, a later one b of
+    as many vertices and the same degree joins a's group when that swap is
+    an automorphism (:func:`_keeps_edges`). Every permutation of b's twins
+    is one too, so any other pairing would do as well, and the swaps of the
+    first member with each other one generate every permutation of the
+    members: with the members' own permutations of their twins they make
+    the block group H, a wreath product in each group, whose canonical form
+    sorts inside each member, then sorts the members (``canonical_key(outer,
     canonical_key(classes, b))``). The parts of ``complete_multipartite``
-    and the two sides of K_{n,n} and of K_{n,n} x K_2 are such members,
-    isomorphic sibling modules of the modular decomposition (Gallai 1967).
-    :func:`interchangeable_blocks` alone stays the flat classes that the Z_0
-    orbit sets read.
+    and the two sides of K_{n,n} are such members, isomorphic sibling
+    modules of the modular decomposition (Gallai 1967). Classes of wider
+    blocks do not nest: the swap of the two sides of K_{n,n} x K_2, each a
+    class of columns, stays a coset map of :func:`block_coset_chain`.
     """
-    classes = list(classes)
-    # a class's block count and its first block's degrees, which an aligned
-    # swap keeps
-    shapes = [(len(blocks), sorted(g.degree(w) for w in blocks[0])) for blocks in classes]
+    twins = [tuple(w for (w,) in blocks) for blocks in classes if len(blocks[0]) == 1]
     outer = []
     grouped = set()
-    for c, a in enumerate(classes):
+    for c, a in enumerate(twins):
         if c in grouped:
             continue
         members = [a]
-        for d in range(c + 1, len(classes)):
-            b = classes[d]
-            if d not in grouped and shapes[d] == shapes[c]:
-                got = _aligned(g, a, b)
-                if got is not None:
-                    classes[d] = got
-                    members.append(got)
-                    grouped.add(d)
+        for d in range(c + 1, len(twins)):
+            b = twins[d]
+            if d in grouped or len(b) != len(a) or g.degree(b[0]) != g.degree(a[0]):
+                continue
+            swap = {**dict(zip(a, b)), **dict(zip(b, a))}
+            if _keeps_edges(g.adj, swap, mask_of(swap)):
+                members.append(b)
+                grouped.add(d)
         if len(members) > 1:
-            outer.append(tuple(tuple(w for blk in m for w in blk) for m in members))
-    return classes, outer
-
-
-def _aligned(g: Graph, a: BlockClass, b: BlockClass) -> BlockClass | None:
-    """``b`` with its blocks' positions reordered so that the swap of block
-    j of ``a`` with block j of ``b``, position for position, fixing every
-    other vertex, is an automorphism; None if no order does."""
-    inside = mask_of(w for blk in a + b for w in blk)
-    order = _align(g.adj, a, b, list(range(g.n)), [], g.full_mask & ~inside, 0)
-    return None if order is None else tuple(tuple([blk[q] for q in order]) for blk in b)
-
-
-def _align(
-    adj: tuple[int, ...], a: BlockClass, b: BlockClass, image: list[int], order: list[int],
-    fixed: int, placed: int,
-) -> list[int] | None:
-    """The positions of ``b``'s blocks for positions len(order).. of ``a``'s,
-    after ``order``, by backtracking: position p of ``a`` tries each free
-    position q of ``b``, swapping the column p of ``a``'s blocks with the
-    column q of ``b``'s in ``image`` and keeping q when every adjacency
-    between the new vertices and the vertices ``fixed`` (outside ``a`` and
-    ``b``) or ``placed`` (swapped so far) is kept. The swap is an
-    involution, so the new vertices of ``a`` alone are checked: the swap
-    keeps the adjacencies of x exactly when it keeps those of its image.
-    Once every column is placed, every adjacency has been checked, so the
-    swap is an automorphism. A module-level function, not a closure, so no
-    reference cycle outlives the search."""
-    p = len(order)
-    if p == len(a[0]):
-        return order
-    for q in range(len(b[0])):
-        if q in order:
-            continue
-        moved = placed
-        for x, y in zip(a, b):
-            image[x[p]], image[y[q]] = y[q], x[p]
-            moved |= 1 << x[p] | 1 << y[q]
-        for blk_a, blk_b in zip(a, b):
-            x, y = blk_a[p], blk_b[q]
-            if adj[x] & fixed != adj[y] & fixed:
-                break
-            near = adj[x] & moved
-            swapped = 0
-            while near:
-                low = near & -near
-                swapped |= 1 << image[low.bit_length() - 1]
-                near ^= low
-            if swapped != adj[y] & moved:
-                break
-        else:
-            got = _align(adj, a, b, image, order + [q], fixed, moved)
-            if got is not None:
-                return got
-    return None
+            outer.append(tuple(members))
+    return outer
 
 
 def canonical_key(classes: Sequence[BlockClass], b: int) -> int:
@@ -468,11 +411,11 @@ def canonical_key(classes: Sequence[BlockClass], b: int) -> int:
 
     Classes of classes take one pass per level, in order:
     ``canonical_key(outer, canonical_key(classes, b))`` with the flat
-    classes and outer classes of :func:`outer_classes`. The first pass
-    sorts inside each member; then members in the same H-orbit have the
-    same pattern, bit i from the member's i-th vertex in aligned order, and
-    the second pass sorts the members by it, so the result is the same for
-    every image of ``b`` under the nested group H, and is such an image.
+    classes and the outer classes of :func:`outer_classes`. The first pass
+    colours the last c vertices of each member that holds c coloured ones,
+    so its pattern grows with c, and the second pass sorts the members by
+    it: the result is the same for every image of ``b`` under the nested
+    group H, and is such an image.
     """
     for blocks in classes:
         pats = []
@@ -614,9 +557,8 @@ def block_coset_chain(
     as a Schreier–Sims chain of levels, one per vertex of a breadth-first
     order; ``chain_maps(g.n, chain)`` lists the maps, the identity first, a
     map being the tuple of vertex images. H permutes the blocks of each of
-    ``classes`` and, with ``outer`` (the classes of classes of
-    :func:`outer_classes`, ``classes`` then being its realigned flat ones),
-    the members of each outer class too. With no class, H is the identity
+    ``classes`` and, with ``outer`` (the classes of twin classes of
+    :func:`outer_classes`), the members of each outer class too. With no class, H is the identity
     and the maps are all of Aut(G).
 
     The maps are the leaves of a backtrack over the vertices in that order
@@ -892,8 +834,9 @@ def _permutes_blocks(a: tuple[int, ...], block_class: dict[tuple[int, ...], int]
     """Does the map ``a`` carry the blocks of each class onto the blocks of
     one class, position for position? ``block_class`` maps each block to
     its class. Such an automorphism also carries the members of each outer
-    class onto those of one outer class: it conjugates the aligned swap of
-    two members into an aligned swap of their images, and an outer class
+    class onto those of one outer class: it conjugates the swap of two
+    members into a swap of their images, twin classes, under some pairing,
+    so their swap vertex for vertex is an automorphism too, and an outer class
     of :func:`outer_classes` holds every class that swaps with its first,
     which are all the classes that swap with any of its members, since
     the swaps of one member with two others conjugate into a swap of
